@@ -1,29 +1,29 @@
 /**
  * @file
- * Staged data plane vs batch scheduler: wall-clock over the same
- * deployed runtime, at KODAN_THREADS=1 so the numbers isolate the
- * data-plane win (burst-batched inference, allocation-free steady
- * state) from outer parallelism. Three workloads:
+ * Data plane vs batch scheduler: wall-clock over the same deployed
+ * runtime, at KODAN_THREADS=1 so the numbers isolate the data-plane
+ * win (burst-batched inference, allocation-free steady state) from
+ * outer parallelism. Three workloads:
  *
- *   runtime_batch   Runtime::processFrames (the baseline scheduler)
- *   staged_burst1   PipelineRuntime, burst=1 (lazy tiling alone)
- *   staged_burst8   PipelineRuntime, burst=8 (the default: lazy tiling
- *                   + cross-frame burst-batched inference)
+ *   runtime_batch   Runtime::processFrames (the reference scheduler:
+ *                   one frame per burst, a fresh FrameWork each)
+ *   staged_burst1   PipelineRuntime, burst=1 (recycled FrameWorks alone)
+ *   staged_burst8   PipelineRuntime, burst=8 (the default: recycled
+ *                   FrameWorks + cross-frame burst-batched inference)
  *
- * The staged win is structural, not kernel-level: the data plane tiles
- * lazily (stats + classification first, block decimation only for the
- * tiles that reach a model), so every elided tile skips the most
- * expensive tiling pass. Wall-clock is taken as the best of three
- * timed repetitions per path to keep the gate meaningful on noisy
- * shared machines.
+ * Both schedulers run the same stages, lazy tiling included, so the
+ * data-plane win is what scheduling alone buys: no per-frame
+ * allocation and one inference call per model per burst instead of
+ * per frame. Wall-clock is taken as the best of three timed
+ * repetitions per path to keep the gate meaningful on noisy shared
+ * machines.
  *
  * Every staged result is cross-checked bit-exactly against the batch
  * report while it is being timed; a divergence exits 1 — the data
  * plane's whole contract is that it changes the schedule, never the
- * bits. A final open-loop run through LoadGenerator reports the
- * sustainable frames/s under structural backpressure.
+ * bits. A final run through LoadGenerator reports sustained frames/s.
  *
- * The allocation guard re-runs the warmed burst-16 pipeline with a
+ * The allocation guard re-runs the warmed burst-8 pipeline with a
  * counting operator new and exits 1 if the steady state heap-allocates
  * at all — the zero-copy claim, enforced.
  *
@@ -36,8 +36,7 @@
  * --assert-speedup enforces the acceptance floor (staged_burst8 >=
  * 1.05x runtime_batch); left off in the timer-tolerant regression
  * smoke where wall-clock is too noisy to gate on. --stats turns on
- * pipeline.* telemetry (ring gauges, stage timers, and the
- * `pipeline.ring.depth` journal events kodan-top's queue pane reads).
+ * the data plane's per-stage timers (`pipeline.stage.*_s`).
  */
 
 #include <atomic>
@@ -236,12 +235,12 @@ main(int argc, char **argv)
             stats = true;
         }
     }
-    bench::banner("Staged data plane vs batch scheduler",
+    bench::banner("Data plane vs batch scheduler",
                   "the data-plane layer of DESIGN.md; no paper figure");
 
     // Per-core comparison: outer parallelism belongs to
-    // bench_parallel_speedup; here one worker runs the whole span so
-    // the delta is pure scheduling (staging + burst batching).
+    // bench_parallel_speedup; here one lane runs every frame so the
+    // delta is pure scheduling (recycling + burst batching).
     util::setGlobalThreads(1);
 
     // The deployed runtime the two schedulers share: tier-4 transform +
@@ -258,7 +257,7 @@ main(int argc, char **argv)
                                 &artifacts.zoo, hw::Target::Orin15W);
 
     // Frame set: the validation pool replicated 8x (192 frames) — big
-    // enough that steady state dominates ring fill/drain.
+    // enough that steady state dominates warm-up.
     std::vector<data::FrameSample> frames;
     for (int rep = 0; rep < 8; ++rep) {
         frames.insert(frames.end(), shared.val.begin(),
@@ -337,17 +336,17 @@ main(int argc, char **argv)
         measurements.push_back(mm);
     }
 
-    // Open-loop saturation: offer 2x the materialized set through the
-    // cycling load generator; the rate is what admission sustains.
+    // Sustained rate: offer 2x the materialized set through the
+    // cycling load generator in one run.
     pipeline::LoadGenerator loadgen(frames);
     const auto load =
         loadgen.run(*pipelines.back(), frames.size() * 2);
 
-    // ---- Allocation guard: the warmed burst-16 pipeline must not
+    // ---- Allocation guard: the warmed burst-8 pipeline must not
     // touch the heap in steady state. Telemetry is switched off for
     // the guarded run (journal buffers legitimately grow), making this
-    // a pure data-plane property: slots, rings, and scratch arenas are
-    // all pre-sized.
+    // a pure data-plane property: the lane's FrameWorks, the report
+    // vector, and the scratch arenas are all warm.
     const bool telemetry_was_enabled = telemetry::enabled();
     const bool journal_was_enabled = telemetry::journalEnabled();
     telemetry::setEnabled(false);

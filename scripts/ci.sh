@@ -16,7 +16,7 @@
 # The sanitizer passes rerun only the labeled suites — determinism,
 # telemetry, journal, report, time-series, and data-plane tests —
 # because those are the ones that exercise cross-thread merges, the
-# lock-free stage rings, and the recorder hot paths.
+# data plane's concurrent lanes, and the recorder hot paths.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -58,8 +58,8 @@ fi
 # kernel equivalence grid itself plus the runtime/data-plane paths that
 # route inference through the quantized siblings. Rerun under
 # KODAN_QUANT=int8 so the integer kernels' concurrency (scratch arenas,
-# packed-weight sharing, staged rings) gets the same sanitizer coverage
-# as the fp64 path.
+# packed-weight sharing, concurrent data-plane lanes) gets the same
+# sanitizer coverage as the fp64 path.
 QUANT_LABELS='mlkernels|dataplane|parallel'
 
 sanitized_pass() {

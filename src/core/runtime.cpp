@@ -25,12 +25,7 @@ Runtime::processFrame(const data::FrameSample &frame) const
     KODAN_TRACE_SCOPE("runtime.frame.process");
     FrameWork work;
     stageTileClassify(frame, work);
-    for (std::size_t t = 0; t < work.tiles.size(); ++t) {
-        if (logic_.per_context[work.contexts[t]].kind ==
-            ActionKind::RunModel) {
-            stageInferTile(work, t);
-        }
-    }
+    stageInfer(&work, 1);
     stageElide(work);
     stageRecord(work);
     return work.report;
@@ -42,7 +37,7 @@ Runtime::stageTileClassify(const data::FrameSample &frame,
 {
     work.frame = &frame;
     const data::Tiler tiler(logic_.tiles_per_side);
-    tiler.tileInto(frame, work.tiles);
+    tiler.statsInto(frame, work.tiles);
     // One batched engine forward over the frame's tiles; identical
     // context ids to the per-tile classify calls.
     engine_->classifyBatch(work.tiles, work.contexts);
@@ -52,40 +47,66 @@ Runtime::stageTileClassify(const data::FrameSample &frame,
 }
 
 void
-Runtime::stageTileClassifyLazy(const data::FrameSample &frame,
-                               FrameWork &work) const
+Runtime::stageInfer(FrameWork *works, std::size_t count) const
 {
-    work.frame = &frame;
-    const data::Tiler tiler(logic_.tiles_per_side);
-    tiler.statsInto(frame, work.tiles);
-    engine_->classifyBatch(work.tiles, work.contexts);
-    work.keep.resize(work.tiles.size() * data::kBlocksPerTile);
-}
-
-void
-Runtime::stageInferTile(FrameWork &work, std::size_t t) const
-{
-    // Lazily-tiled frames (stageTileClassifyLazy) materialize the
-    // block grid only here, for exactly the modeled tiles.
-    if (work.tiles[t].block_features.empty()) {
-        data::Tiler::decimate(work.tiles[t]);
-    }
-    const auto &tile = work.tiles[t];
-    const Action &action = logic_.per_context[work.contexts[t]];
-    assert(action.kind == ActionKind::RunModel);
-    assert(action.model >= 0 &&
-           action.model < static_cast<int>(zoo_->entries.size()));
-    // Per-block keep decision; the model runs once over the tile's
-    // block batch.
     auto &arena = ml::kernels::scratch();
-    ml::kernels::Scratch::Frame scratch_frame(arena);
-    double *scaled = arena.alloc(std::size_t{data::kBlocksPerTile} *
-                                 data::kBlockInputDim);
-    zoo_->tileInputs(tile, scaled);
-    double *probs = arena.alloc(data::kBlocksPerTile);
-    zoo_->predictRows(action.model, scaled, data::kBlocksPerTile, probs);
-    keepFromProbs(probs, data::kBlocksPerTile,
-                  work.keep.data() + t * data::kBlocksPerTile);
+    const int models = static_cast<int>(zoo_->entries.size());
+    const auto runs = [&](const FrameWork &work, std::size_t t, int m) {
+        const Action &action = logic_.per_context[work.contexts[t]];
+        return action.kind == ActionKind::RunModel && action.model == m;
+    };
+
+    // The fill and scatter passes iterate in the same (frame, tile)
+    // order, so row offsets agree.
+    for (int m = 0; m < models; ++m) {
+        std::size_t model_tiles = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            for (std::size_t t = 0; t < works[i].tiles.size(); ++t) {
+                model_tiles += runs(works[i], t, m) ? 1 : 0;
+            }
+        }
+        if (model_tiles == 0) {
+            continue;
+        }
+        const std::size_t rows = model_tiles * data::kBlocksPerTile;
+        ml::kernels::Scratch::Frame scratch_frame(arena);
+        double *scaled =
+            arena.alloc(rows * static_cast<std::size_t>(
+                                   data::kBlockInputDim));
+        std::size_t row = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            FrameWork &work = works[i];
+            for (std::size_t t = 0; t < work.tiles.size(); ++t) {
+                if (!runs(work, t, m)) {
+                    continue;
+                }
+                // Lazily tiled frames materialize the block grid here,
+                // for exactly the modeled tiles.
+                if (work.tiles[t].block_features.empty()) {
+                    data::Tiler::decimate(work.tiles[t]);
+                }
+                zoo_->tileInputs(work.tiles[t],
+                                 scaled + row * static_cast<std::size_t>(
+                                                    data::kBlockInputDim));
+                row += data::kBlocksPerTile;
+            }
+        }
+        assert(row == rows);
+        double *probs = arena.alloc(rows);
+        zoo_->predictRows(m, scaled, rows, probs);
+        row = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            FrameWork &work = works[i];
+            for (std::size_t t = 0; t < work.tiles.size(); ++t) {
+                if (runs(work, t, m)) {
+                    keepFromProbs(probs + row, data::kBlocksPerTile,
+                                  work.keep.data() +
+                                      t * data::kBlocksPerTile);
+                    row += data::kBlocksPerTile;
+                }
+            }
+        }
+    }
 }
 
 void
@@ -262,31 +283,21 @@ Runtime::stageRecord(const FrameWork &work) const
 }
 
 FrameReport
-Runtime::processFrames(const std::vector<data::FrameSample> &frames) const
+Runtime::runBatch(std::size_t frames, std::vector<FrameReport> &reports,
+                  const std::function<void(std::uint64_t region)> &run)
 {
-    // An empty batch is a no-op: no profile scope, no counter, no
-    // journal region, no aggregate event — callers polling an idle
-    // source don't pollute the telemetry stream with zero-frame noise.
-    if (frames.empty()) {
+    if (frames == 0) {
         return {};
     }
     KODAN_TRACE_SCOPE("runtime.batch.process");
-    KODAN_COUNT_ADD("runtime.frames.batched", frames.size());
-    // One journal region per batch; frame i records into slot i + 1, so
-    // the exported journal is byte-identical for any KODAN_THREADS.
+    KODAN_COUNT_ADD("runtime.frames.batched", frames);
     telemetry::JournalRegion journal_region("runtime.batch");
-    // Frames are independent; per-frame reports land at their frame
-    // index and are reduced in that order, so the batch aggregate is
-    // bit-identical to the serial loop for any thread count.
-    std::vector<FrameReport> reports(frames.size());
-    util::parallelFor(frames.size(), [&](std::size_t i) {
-        telemetry::JournalScope journal_scope(journal_region.id(), i);
-        reports[i] = processFrame(frames[i]);
-    });
+    reports.resize(frames);
+    run(journal_region.id());
     FrameReport total = aggregate(reports);
     if (telemetry::journalEnabled()) {
         telemetry::JournalEventBuilder("runtime.batch.aggregate")
-            .i64("frames", static_cast<std::int64_t>(frames.size()))
+            .i64("frames", static_cast<std::int64_t>(frames))
             .f64("mean_compute_time_s", total.compute_time)
             .f64("mean_product_fraction", total.product_fraction)
             .i64("tiles_discarded", total.tiles_discarded)
@@ -294,6 +305,21 @@ Runtime::processFrames(const std::vector<data::FrameSample> &frames) const
             .i64("tiles_modeled", total.tiles_modeled);
     }
     return total;
+}
+
+FrameReport
+Runtime::processFrames(const std::vector<data::FrameSample> &frames) const
+{
+    // Frames are independent; per-frame reports land at their frame
+    // index, so the aggregate is bit-identical to the serial loop for
+    // any thread count.
+    std::vector<FrameReport> reports;
+    return runBatch(frames.size(), reports, [&](std::uint64_t region) {
+        util::parallelFor(frames.size(), [&](std::size_t i) {
+            telemetry::JournalScope journal_scope(region, i);
+            reports[i] = processFrame(frames[i]);
+        });
+    });
 }
 
 FrameReport

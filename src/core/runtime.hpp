@@ -13,7 +13,9 @@
 #ifndef KODAN_CORE_RUNTIME_HPP
 #define KODAN_CORE_RUNTIME_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -47,26 +49,25 @@ struct FrameReport
 
 /**
  * Reusable per-frame working state shared by the batch path
- * (Runtime::processFrame) and the staged pipeline data plane
- * (src/pipeline/): every buffer a frame needs on its way through the
- * stages. Capacities persist across frames, so a recycled FrameWork
- * re-processes a new frame without heap allocation in steady state —
- * the arena-resident frame slots of the pipeline are FrameWork
- * instances recycled through a freelist ring.
+ * (Runtime::processFrame) and the data plane (src/pipeline/): every
+ * buffer a frame needs on its way through the stages. Capacities
+ * persist across frames, so a recycled FrameWork re-processes a new
+ * frame without heap allocation in steady state — each data-plane
+ * lane recycles one burst of them.
  */
 struct FrameWork
 {
     /** The frame being processed (non-owning). */
     const data::FrameSample *frame = nullptr;
-    /** Decimated tiles (filled by stageTileClassify). */
+    /** Tiles (filled by stageTileClassify; stageInfer decimates the
+     *  modeled ones). */
     std::vector<data::TileData> tiles;
     /** Context id per tile (filled by stageTileClassify). */
     std::vector<int> contexts;
     /**
      * Keep/drop decision per (tile, block): tiles.size() *
-     * data::kBlocksPerTile entries, tile-major (filled by
-     * stageInferTile / the pipeline's burst infer stage for modeled
-     * tiles; entries of elided tiles are unused).
+     * data::kBlocksPerTile entries, tile-major (filled by stageInfer
+     * for modeled tiles; entries of elided tiles are unused).
      */
     std::vector<std::uint8_t> keep;
     /** The frame's finished report (filled by stageElide). */
@@ -77,11 +78,11 @@ struct FrameWork
  * Executes a selection logic on frames.
  *
  * The per-frame work is factored into stage entry points
- * (stageTileClassify -> stageInferTile -> stageElide -> stageRecord)
- * so the staged pipeline data plane (pipeline::PipelineRuntime) runs
- * the exact same implementation — and therefore produces bit-identical
- * FrameReport, journal, and metric output — while scheduling the
- * stages differently (rings, bursts, cross-frame batched inference).
+ * (stageTileClassify -> stageInfer -> stageElide -> stageRecord) so
+ * the data plane (pipeline::PipelineRuntime) runs the exact same
+ * implementation — and therefore produces bit-identical FrameReport,
+ * journal, and metric output — while scheduling the frames
+ * differently (whole-lane bursts, cross-frame batched inference).
  */
 class Runtime
 {
@@ -109,7 +110,8 @@ class Runtime
      * across the global thread pool (KODAN_THREADS), and return the
      * aggregate. Per-frame reports are merged in frame order, so the
      * result is bit-identical to aggregating serial processFrame() calls
-     * for any thread count.
+     * for any thread count. This is the reference the data plane is
+     * checked against: one frame per burst, a fresh FrameWork each.
      */
     FrameReport processFrames(
         const std::vector<data::FrameSample> &frames) const;
@@ -131,41 +133,57 @@ class Runtime
                                        const FrameReport &b,
                                        std::size_t frames_b);
 
+    /**
+     * The batch envelope both schedulers share. An empty batch
+     * (@p frames == 0) is a no-op: no profile scope, no counter, no
+     * journal region, no aggregate event — callers polling an idle
+     * source don't pollute the telemetry stream with zero-frame noise.
+     * Otherwise it opens the `runtime.batch.process` scope, counts
+     * `runtime.frames.batched`, and opens one `runtime.batch` journal
+     * region; @p run(region) must then fill reports[i] for every frame
+     * i < @p frames, recording frame i's events under
+     * telemetry::JournalScope(region, i), so the exported journal is
+     * byte-identical for any schedule. The reports are reduced in
+     * frame-index order and the aggregate is journaled and returned.
+     *
+     * @param reports Resized to @p frames before @p run (capacity is
+     *        kept, so a reused vector does not allocate).
+     */
+    static FrameReport runBatch(
+        std::size_t frames, std::vector<FrameReport> &reports,
+        const std::function<void(std::uint64_t region)> &run);
+
     /* -- Stage entry points (shared with pipeline::PipelineRuntime) -- */
 
     /**
-     * Stage 1, capture -> tile/classify: tile @p frame (reusing
-     * @p work's buffers) and label every tile's context with one
-     * batched engine forward pass.
+     * Stage 1, tile/classify: compute @p frame's tile statistics
+     * (reusing @p work's buffers) and label every tile's context with
+     * one batched engine forward pass. Tiling is lazy
+     * (data::Tiler::statsInto): classification reads only the
+     * tile-level mean/stddev, so block decimation is left to
+     * stageInfer, for exactly the modeled tiles; elided tiles never pay
+     * the decimation pass. Reports match eager data::Tiler::tile
+     * tiling bit for bit: the elide and record stages read the frame's
+     * truth masks, never the tiles' block or truth fields.
      */
     void stageTileClassify(const data::FrameSample &frame,
                            FrameWork &work) const;
 
     /**
-     * Lazy variant of stageTileClassify: computes tile statistics and
-     * context ids but skips block decimation (classification reads
-     * only the tile-level mean/stddev), leaving each tile's block
-     * arrays empty. The infer stage decimates exactly the modeled
-     * tiles on demand (data::Tiler::decimate); elided tiles never pay
-     * the decimation pass. Downstream output is bit-identical: the
-     * elide and record stages read no block data, and on-demand
-     * decimation runs the same code as the eager path.
+     * Stage 2, specialize/infer: write the keep/drop decisions of
+     * every modeled tile of the @p count frames at @p works into their
+     * work.keep, with one SpecializedZoo::predictRows call per model
+     * over the rows of all of that model's tiles. Modeled tiles that
+     * have no block grid yet (lazily tiled) are decimated first.
+     * Grouping rows across tiles and frames is bit-transparent: rows
+     * are standardized per tile, the network forward is
+     * row-independent, and the per-frame FP accumulation happens
+     * later, in stageElide, in fixed tile order.
      */
-    void stageTileClassifyLazy(const data::FrameSample &frame,
-                               FrameWork &work) const;
+    void stageInfer(FrameWork *works, std::size_t count) const;
 
-    /**
-     * Stage 2, specialize/infer (per-tile form): run modeled tile
-     * @p t's specialized model over its block batch and write the
-     * keep/drop decisions into work.keep. Only valid for tiles whose
-     * action is RunModel. The pipeline's burst form batches the rows
-     * of many tiles (grouped by model) through one forwardBatch call
-     * instead — bit-identical, since rows are independent.
-     */
-    void stageInferTile(FrameWork &work, std::size_t t) const;
-
-    /** Keep/drop rule shared by both infer forms: keep iff the model's
-     *  cloud probability is below 0.5. */
+    /** Keep/drop rule of the infer stage: keep iff the model's cloud
+     *  probability is below 0.5. */
     static void keepFromProbs(const double *probs, std::size_t count,
                               std::uint8_t *keep);
 

@@ -112,10 +112,10 @@ SpecializedZoo::predictRows(int entry, const double *scaled,
                             std::size_t rows, double *out) const
 {
     assert(entry >= 0 && entry < static_cast<int>(entries.size()));
-    // The precision dispatch choke point: the batch runtime
-    // (Runtime::stageInferTile), the pipeline's burst infer stage, and
-    // the sweep's table measurement all funnel through here, so the
-    // KODAN_QUANT knob redirects every consumer at once.
+    // The precision dispatch choke point: the runtime's infer stage
+    // (Runtime::stageInfer, shared by both schedulers) and the sweep's
+    // table measurement both funnel through here, so the KODAN_QUANT
+    // knob redirects every consumer at once.
     const ZooEntry &e = entries[entry];
     if (e.runsQuantized()) {
         e.quant->forwardBatch(scaled, rows, out);

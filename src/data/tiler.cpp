@@ -46,14 +46,6 @@ Tiler::paperTileCounts()
     return counts;
 }
 
-std::vector<TileData>
-Tiler::tile(const FrameSample &frame) const
-{
-    std::vector<TileData> tiles;
-    tileInto(frame, tiles);
-    return tiles;
-}
-
 namespace {
 
 /** Bind @p tile to its frame region: coordinates and cell extent. */
@@ -130,8 +122,8 @@ tileStats(TileData &tile)
  * identical per-cell accumulation order (so the values are
  * bit-identical), skipping the truth-derived training bookkeeping
  * (terrain mix, cloud count, brightness/texture sums). Those fields
- * are zeroed, never left stale, because tiles recycle through arena
- * slots.
+ * are zeroed, never left stale, because tiles recycle through the
+ * data plane's FrameWorks.
  */
 void
 tileRuntimeStats(TileData &tile)
@@ -222,18 +214,14 @@ Tiler::decimate(TileData &tile)
     }
 }
 
-void
-Tiler::tileInto(const FrameSample &frame,
-                std::vector<TileData> &tiles) const
+std::vector<TileData>
+Tiler::tile(const FrameSample &frame) const
 {
     const int t_count = tiles_per_side_;
     assert(frame.grid >= 1);
 
-    // resize() keeps each surviving element's heap buffers, so a warmed
-    // vector is refilled without allocation; every field below is
-    // overwritten, so recycled tiles carry no stale state.
-    tiles.resize(static_cast<std::size_t>(t_count) * t_count);
-
+    std::vector<TileData> tiles(static_cast<std::size_t>(t_count) *
+                                t_count);
     for (int tr = 0; tr < t_count; ++tr) {
         for (int tc = 0; tc < t_count; ++tc) {
             TileData &tile =
@@ -243,6 +231,7 @@ Tiler::tileInto(const FrameSample &frame,
             decimate(tile);
         }
     }
+    return tiles;
 }
 
 void
@@ -252,6 +241,9 @@ Tiler::statsInto(const FrameSample &frame,
     const int t_count = tiles_per_side_;
     assert(frame.grid >= 1);
 
+    // resize() keeps each surviving element's heap buffers, so a warmed
+    // vector is refilled without allocation; every field below is
+    // overwritten, so recycled tiles carry no stale state.
     tiles.resize(static_cast<std::size_t>(t_count) * t_count);
 
     for (int tr = 0; tr < t_count; ++tr) {

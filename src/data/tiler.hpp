@@ -109,24 +109,18 @@ class Tiler
     /** Tiles per frame (T^2). */
     int tilesPerFrame() const { return tiles_per_side_ * tiles_per_side_; }
 
-    /** Split @p frame into T^2 decimated tiles. */
-    std::vector<TileData> tile(const FrameSample &frame) const;
-
     /**
-     * Split @p frame into T^2 decimated tiles, reusing @p tiles.
-     *
-     * Identical output to tile(); the vector (and each element's heap
-     * buffers) is recycled in place, so a warmed vector is re-tiled
-     * without heap allocation — the arena-resident frame path of the
-     * pipeline data plane depends on this.
+     * Split @p frame into T^2 decimated tiles with every training
+     * field filled (truth fractions, label vector). The eager form:
+     * the training path tiles this way, and tests use it as the
+     * oracle for statsInto() + decimate().
      */
-    void tileInto(const FrameSample &frame,
-                  std::vector<TileData> &tiles) const;
+    std::vector<TileData> tile(const FrameSample &frame) const;
 
     /**
      * Split @p frame into T^2 tiles carrying only what the deployed
      * runtime reads before inference: geometry and the per-channel
-     * feature mean/stddev (bit-identical to tileInto()'s). The block
+     * feature mean/stddev (bit-identical to tile()'s). The block
      * arrays are left empty (`block_features.empty()` marks a tile as
      * not yet decimated) and the truth-derived training fields
      * (label_vector, high_value_fraction, block_cloud_fraction) are
@@ -134,9 +128,10 @@ class Tiler
      * statistics, and the elide/record stages read the frame's truth
      * masks directly, never these tile fields. decimate() then
      * materializes the block grid of exactly the tiles that reach the
-     * model — the data plane's lazy tiling: elided tiles never pay
-     * the decimation pass, and the truth bookkeeping of the training
-     * path is skipped entirely.
+     * model — the runtime's lazy tiling: elided tiles never pay the
+     * decimation pass, and the truth bookkeeping of the training path
+     * is skipped entirely. @p tiles is recycled in place, so a warmed
+     * vector is re-tiled without heap allocation.
      */
     void statsInto(const FrameSample &frame,
                    std::vector<TileData> &tiles) const;
@@ -144,7 +139,7 @@ class Tiler
     /**
      * Fill @p tile's block arrays (box-averaged block features and
      * per-block cloud fractions) from its frame; bit-identical to the
-     * arrays tileInto() produces. Idempotent on a decimated tile;
+     * arrays tile() produces. Idempotent on a decimated tile;
      * reuses the arrays' capacity, so a recycled tile decimates
      * without heap allocation.
      */

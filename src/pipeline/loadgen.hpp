@@ -1,13 +1,11 @@
 /**
  * @file
- * Open-loop saturating load generator for the staged data plane.
+ * Saturating load generator for the data plane.
  *
- * Offers frames to the pipeline as fast as admission allows — the
- * generator never paces itself on completions (open loop), so the
- * measured rate is the pipeline's sustainable throughput under
- * structural backpressure, not the offered rate. Frames are drawn
- * round-robin from a fixed pool, so an arbitrarily long run needs
- * only the pool's memory.
+ * Offers a whole run of frames to the pipeline in one call and times
+ * it, so the measured rate is the pipeline's sustained throughput with
+ * every lane busy. Frames are drawn round-robin from a fixed pool, so
+ * an arbitrarily long run needs only the pool's memory.
  */
 
 #ifndef KODAN_PIPELINE_LOADGEN_HPP

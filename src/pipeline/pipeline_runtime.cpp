@@ -1,69 +1,11 @@
 #include "pipeline/pipeline_runtime.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <thread>
 
-#include "data/tiler.hpp"
-#include "ml/kernels.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kodan::pipeline {
-
-namespace {
-
-/**
- * Poll-loop pressure valve. The first polls spin (the counterpart is
- * usually one burst away); sustained emptiness yields, then naps —
- * essential on machines with fewer cores than workers, where the
- * counterpart cannot run until this thread gets off the CPU.
- */
-void
-backoff(unsigned &idle)
-{
-    ++idle;
-    if (idle < 16) {
-        return;
-    }
-    if (idle < 1024) {
-        std::this_thread::yield();
-        return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-}
-
-/** Frames of @p total assigned to @p lane under @p lanes lanes
- *  (round-robin by frame index). */
-std::size_t
-laneShare(std::size_t total, int lane, int lanes)
-{
-    const auto l = static_cast<std::size_t>(lane);
-    const auto n = static_cast<std::size_t>(lanes);
-    return (total + n - 1 - l) / n;
-}
-
-} // namespace
-
-SpscRing<FrameSlot *> &
-PipelineRuntime::Lane::ringInto(int stage)
-{
-    switch (static_cast<Stage>(stage)) {
-      case Stage::TileClassify:
-        return to_tile_classify;
-      case Stage::Infer:
-        return to_infer;
-      case Stage::Elide:
-        return to_elide;
-      case Stage::Record:
-        return to_record;
-      case Stage::Capture:
-        break;
-    }
-    assert(false && "no ring feeds the capture stage");
-    return to_tile_classify;
-}
 
 PipelineRuntime::PipelineRuntime(const core::Runtime &runtime)
     : PipelineRuntime(runtime, Options())
@@ -79,20 +21,8 @@ PipelineRuntime::PipelineRuntime(const core::Runtime &runtime,
     }
     opts_.burst = std::min(std::max<std::size_t>(opts_.burst, 1),
                            kMaxBurst);
-    opts_.slots_per_lane = std::max<std::size_t>(opts_.slots_per_lane,
-                                                 opts_.burst);
-    // Stage rings must be able to hold every in-flight slot, or a
-    // producer could stall behind a ring while the consumer stalls on
-    // another — capacity >= slots makes every push eventually succeed
-    // and the structural backpressure live only in the freelist.
-    opts_.ring_capacity =
-        std::max(opts_.ring_capacity, opts_.slots_per_lane);
-    plan_ = StagePlan::build(opts_.workers);
-    lanes_.reserve(static_cast<std::size_t>(plan_.lanes));
-    for (int lane = 0; lane < plan_.lanes; ++lane) {
-        lanes_.push_back(std::make_unique<Lane>(opts_.slots_per_lane,
-                                                opts_.ring_capacity));
-    }
+    lanes_.assign(static_cast<std::size_t>(opts_.workers),
+                  std::vector<core::FrameWork>(opts_.burst));
 }
 
 core::FrameReport
@@ -107,414 +37,75 @@ PipelineRuntime::processFrames(const std::vector<data::FrameSample> &frames)
 core::FrameReport
 PipelineRuntime::process(const FrameSource &source)
 {
-    // Match the batch path: an empty run emits nothing at all.
-    if (source.total == 0 || source.pool == nullptr ||
-        source.pool->empty()) {
-        return {};
-    }
-    KODAN_TRACE_SCOPE("runtime.batch.process");
-    KODAN_COUNT_ADD("runtime.frames.batched", source.total);
-    // Same region discipline as Runtime::processFrames: one region per
-    // run, frame i's events in slot i + 1, so the exported journal is
-    // byte-identical to the batch path for any worker count.
-    telemetry::JournalRegion journal_region("runtime.batch");
-    reports_.resize(source.total);
-
-    RunState rs;
-    rs.source = &source;
-    rs.total = source.total;
-    rs.region_id = journal_region.id();
-    rs.reports = &reports_;
-    rs.stats = opts_.stats;
-
-    // Worker pressure counters heap-allocate only when stats is on;
-    // stats-off runs share one stack dummy so the steady state stays
-    // allocation-free (bench_dataplane asserts it).
-    std::vector<WorkerStats> worker_stats;
-    if (opts_.stats) {
-        worker_stats.resize(plan_.workers.size());
-    }
-    WorkerStats stats_off_dummy;
-    if (plan_.workers.size() == 1) {
-        // Single worker runs inline: no thread spawn, so a warmed run
-        // is allocation-free end to end.
-        workerLoop(plan_.workers[0], rs,
-                   opts_.stats ? worker_stats[0] : stats_off_dummy);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(plan_.workers.size());
-        for (std::size_t w = 0; w < plan_.workers.size(); ++w) {
-            const WorkerSpan &span = plan_.workers[w];
-            WorkerStats &ws =
-                opts_.stats ? worker_stats[w] : stats_off_dummy;
-            threads.emplace_back([this, &span, &rs, &ws] {
-                util::detail::runWorkerStartHook();
-                workerLoop(span, rs, ws);
+    const std::size_t total =
+        source.pool == nullptr || source.pool->empty() ? 0 : source.total;
+    // The closure captures two pointers, which std::function stores
+    // without allocating (bench_dataplane's allocation guard checks
+    // this); a lone lane also skips util::parallelFor, whose per-lane
+    // closure is too large for that.
+    return core::Runtime::runBatch(
+        total, reports_, [this, &source](std::uint64_t region) {
+            if (lanes_.size() == 1) {
+                runLane(0, source, region);
+                return;
+            }
+            util::parallelFor(lanes_.size(), [&](std::size_t lane) {
+                runLane(lane, source, region);
             });
-        }
-        for (auto &thread : threads) {
-            thread.join();
-        }
-    }
-
-    // Health contribution: fold the workers' pressure counters in
-    // worker index order into per-stage stall/backpressure/saturation
-    // signals. Scheduling observations (timing-dependent), so they are
-    // gated behind stats AND the health switch and never touch the
-    // deterministic streams; bin = run ordinal, sim time is not
-    // meaningful here.
-    if (opts_.stats && telemetry::health::healthEnabled()) {
-        telemetry::health::HealthPlane &plane =
-            telemetry::health::plane();
-        using telemetry::health::EntityKind;
-        const auto bin = static_cast<std::int64_t>(run_seq_++);
-        std::uint64_t stalls[kStageCount] = {};
-        std::uint64_t backpressure[kStageCount] = {};
-        double saturation[kStageCount] = {};
-        for (std::size_t w = 0; w < plan_.workers.size(); ++w) {
-            const WorkerSpan &span = plan_.workers[w];
-            const WorkerStats &ws = worker_stats[w];
-            stalls[span.first_stage] += ws.stalls;
-            backpressure[span.last_stage] += ws.backpressure;
-            for (int s = 0; s < kStageCount; ++s) {
-                saturation[s] =
-                    std::max(saturation[s], ws.max_saturation[s]);
-            }
-        }
-        const double t = static_cast<double>(bin);
-        for (int s = 0; s < kStageCount; ++s) {
-            // The capture "ring" is the freelist; a full freelist
-            // means an idle pipeline, not pressure, so the
-            // ring-saturation signal starts at the first real ring.
-            if (s != static_cast<int>(Stage::Capture)) {
-                plane.observe(EntityKind::Stage, s, "ring.saturation",
-                              bin, t, saturation[s]);
-            }
-            plane.observe(EntityKind::Stage, s, "stage.stalls", bin, t,
-                          static_cast<double>(stalls[s]));
-            plane.observe(EntityKind::Stage, s, "stage.backpressure",
-                          bin, t,
-                          static_cast<double>(backpressure[s]));
-        }
-    } else if (opts_.stats) {
-        ++run_seq_;
-    }
-
-    core::FrameReport total = core::Runtime::aggregate(reports_);
-    if (telemetry::journalEnabled()) {
-        telemetry::JournalEventBuilder("runtime.batch.aggregate")
-            .i64("frames", static_cast<std::int64_t>(source.total))
-            .f64("mean_compute_time_s", total.compute_time)
-            .f64("mean_product_fraction", total.product_fraction)
-            .i64("tiles_discarded", total.tiles_discarded)
-            .i64("tiles_downlinked", total.tiles_downlinked)
-            .i64("tiles_modeled", total.tiles_modeled);
-    }
-    return total;
+        });
 }
 
 void
-PipelineRuntime::workerLoop(const WorkerSpan &span, RunState &rs,
-                            WorkerStats &ws) const
+PipelineRuntime::runLane(std::size_t lane, const FrameSource &source,
+                         std::uint64_t region)
 {
-    // All ws writes are rs.stats-gated: on non-stats runs every worker
-    // shares one dummy entry that must stay untouched.
-    Lane &lane = *lanes_[static_cast<std::size_t>(span.lane)];
-    const std::size_t lane_total =
-        laneShare(rs.total, span.lane, plan_.lanes);
-    if (lane_total == 0) {
-        return;
-    }
-    const bool has_capture =
-        span.first_stage == static_cast<int>(Stage::Capture);
-    const bool has_record =
-        span.last_stage == static_cast<int>(Stage::Record);
-    SpscRing<FrameSlot *> *in =
-        has_capture ? nullptr : &lane.ringInto(span.first_stage);
-    SpscRing<FrameSlot *> *out =
-        has_record ? nullptr : &lane.ringInto(span.last_stage + 1);
-
-    FrameSlot *burst[kMaxBurst];
-    const std::size_t burst_max = opts_.burst;
-    std::size_t produced = 0;
-    std::size_t processed = 0;
-    unsigned idle = 0;
-
-    while (processed < lane_total) {
-        std::size_t count = 0;
-        if (has_capture) {
-            // Admission: one frame per free slot, in the lane's frame
-            // order. An exhausted freelist is backpressure — spin
-            // until the record stage recycles.
-            while (count < burst_max && produced < lane_total) {
-                FrameSlot *slot = nullptr;
-                if (!lane.arena.freelist().pop(slot)) {
-                    break;
-                }
-                slot->frame_index =
-                    static_cast<std::size_t>(span.lane) +
-                    produced * static_cast<std::size_t>(plan_.lanes);
-                ++produced;
-                burst[count++] = slot;
+    const core::Runtime &runtime = *runtime_;
+    std::vector<core::FrameWork> &works = lanes_[lane];
+    const std::size_t stride = lanes_.size();
+    // A burst is this lane's next works.size() frames: first,
+    // first + stride, first + 2 * stride, ...
+    for (std::size_t first = lane; first < source.total;
+         first += stride * works.size()) {
+        const std::size_t count =
+            std::min(works.size(),
+                     (source.total - first + stride - 1) / stride);
+        const auto tile_classify = [&] {
+            for (std::size_t j = 0; j < count; ++j) {
+                runtime.stageTileClassify(source.frame(first + j * stride),
+                                          works[j]);
             }
-            if (rs.stats && count > 0) {
-                const std::size_t depth = lane.arena.freelist().size();
-                const std::size_t cap =
-                    lane.arena.freelist().capacity();
-                recordRingDepth(static_cast<int>(Stage::Capture),
-                                depth, cap, span.lane);
-                trackSaturation(ws, static_cast<int>(Stage::Capture),
-                                depth, cap);
+        };
+        const auto elide = [&] {
+            for (std::size_t j = 0; j < count; ++j) {
+                runtime.stageElide(works[j]);
             }
-        } else {
-            count = in->popBurst(burst, burst_max);
-            if (rs.stats && count > 0) {
-                const std::size_t depth = in->size() + count;
-                recordRingDepth(span.first_stage, depth,
-                                in->capacity(), span.lane);
-                trackSaturation(ws, span.first_stage, depth,
-                                in->capacity());
+        };
+        if (opts_.stats) {
+            {
+                KODAN_TRACE_SCOPE("pipeline.stage.tile_classify_s");
+                tile_classify();
             }
-        }
-        if (count == 0) {
-            if (rs.stats) {
-                ++ws.stalls;
+            {
+                KODAN_TRACE_SCOPE("pipeline.stage.infer_s");
+                runtime.stageInfer(works.data(), count);
             }
-            backoff(idle);
-            continue;
-        }
-        idle = 0;
-
-        // Run-to-completion: the whole burst crosses every stage of
-        // the span before the next dequeue. Capture itself has no
-        // body (binding happened at admission).
-        const int first_body = std::max(
-            span.first_stage, static_cast<int>(Stage::TileClassify));
-        for (int s = first_body; s <= span.last_stage; ++s) {
-            runStage(static_cast<Stage>(s), lane, burst, count, rs);
-        }
-
-        if (has_record) {
-            for (std::size_t i = 0; i < count; ++i) {
-                // Freelist capacity equals the slot count, so the
-                // push cannot fail.
-                const bool ok = lane.arena.freelist().push(burst[i]);
-                (void)ok;
-                assert(ok);
-            }
-        } else {
-            std::size_t pushed = 0;
-            unsigned wait = 0;
-            while (pushed < count) {
-                pushed += out->pushBurst(burst + pushed, count - pushed);
-                if (pushed < count) {
-                    if (rs.stats) {
-                        ++ws.backpressure;
-                    }
-                    backoff(wait);
-                }
-            }
-        }
-        processed += count;
-    }
-}
-
-void
-PipelineRuntime::trackSaturation(WorkerStats &ws, int stage_fed,
-                                 std::size_t depth, std::size_t capacity)
-{
-    if (capacity == 0) {
-        return;
-    }
-    ws.max_saturation[stage_fed] = std::max(
-        ws.max_saturation[stage_fed],
-        static_cast<double>(depth) / static_cast<double>(capacity));
-}
-
-void
-PipelineRuntime::runStage(Stage stage, Lane &lane, FrameSlot **burst,
-                          std::size_t count, RunState &rs) const
-{
-    (void)lane;
-    switch (stage) {
-      case Stage::Capture:
-        break;
-      case Stage::TileClassify: {
-        // Lazy tiling: stats + context ids only; the infer stage
-        // decimates exactly the modeled tiles (the data plane's
-        // biggest per-frame saving — elided tiles never pay the
-        // block-decimation pass).
-        if (rs.stats) {
-            KODAN_TRACE_SCOPE("pipeline.stage.tile_classify_s");
-            for (std::size_t i = 0; i < count; ++i) {
-                runtime_->stageTileClassifyLazy(
-                    rs.source->frame(burst[i]->frame_index),
-                    burst[i]->work);
-            }
-            break;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            runtime_->stageTileClassifyLazy(
-                rs.source->frame(burst[i]->frame_index),
-                burst[i]->work);
-        }
-        break;
-      }
-      case Stage::Infer: {
-        if (rs.stats) {
-            KODAN_TRACE_SCOPE("pipeline.stage.infer_s");
-            burstInfer(burst, count);
-            break;
-        }
-        burstInfer(burst, count);
-        break;
-      }
-      case Stage::Elide: {
-        if (rs.stats) {
             KODAN_TRACE_SCOPE("pipeline.stage.elide_s");
-            for (std::size_t i = 0; i < count; ++i) {
-                runtime_->stageElide(burst[i]->work);
-            }
-            break;
+            elide();
+        } else {
+            tile_classify();
+            runtime.stageInfer(works.data(), count);
+            elide();
         }
-        for (std::size_t i = 0; i < count; ++i) {
-            runtime_->stageElide(burst[i]->work);
-        }
-        break;
-      }
-      case Stage::Record: {
-        for (std::size_t i = 0; i < count; ++i) {
-            FrameSlot *slot = burst[i];
-            // Mirror the batch path's per-frame shape: the frame
-            // timer (call count must match) and the journal lane
-            // keyed by frame index, both independent of which worker
-            // runs this.
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t i = first + j * stride;
+            // Mirror the batch path's per-frame shape: the frame timer
+            // (call count must match) and the journal lane keyed by
+            // frame index, both independent of which lane runs this.
             KODAN_TIME_SCOPE("runtime.frame.process");
-            telemetry::JournalScope journal_scope(rs.region_id,
-                                                  slot->frame_index);
-            runtime_->stageRecord(slot->work);
-            (*rs.reports)[slot->frame_index] = slot->work.report;
+            telemetry::JournalScope journal_scope(region, i);
+            runtime.stageRecord(works[j]);
+            reports_[i] = works[j].report;
         }
-        break;
-      }
-    }
-}
-
-void
-PipelineRuntime::burstInfer(FrameSlot **burst, std::size_t count) const
-{
-    const core::SelectionLogic &logic = runtime_->logic();
-    const core::SpecializedZoo &zoo = runtime_->zoo();
-    auto &arena = ml::kernels::scratch();
-    const int models = static_cast<int>(zoo.entries.size());
-
-    // One forwardBatch per model over the rows of every tile in the
-    // burst that this model filters. Grouping rows across frames is
-    // bit-transparent: rows are standardized per tile (tileInputs),
-    // the network forward is row-independent, and the per-frame FP
-    // accumulation happens downstream in stageElide in fixed tile
-    // order. Iteration order (burst slot, then tile) is repeated for
-    // the fill and scatter passes so offsets agree.
-    for (int m = 0; m < models; ++m) {
-        std::size_t model_tiles = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            const core::FrameWork &work = burst[i]->work;
-            for (std::size_t t = 0; t < work.tiles.size(); ++t) {
-                const core::Action &action =
-                    logic.per_context[work.contexts[t]];
-                if (action.kind == core::ActionKind::RunModel &&
-                    action.model == m) {
-                    ++model_tiles;
-                }
-            }
-        }
-        if (model_tiles == 0) {
-            continue;
-        }
-        const std::size_t rows = model_tiles * data::kBlocksPerTile;
-        ml::kernels::Scratch::Frame scratch_frame(arena);
-        double *scaled =
-            arena.alloc(rows * static_cast<std::size_t>(
-                                   data::kBlockInputDim));
-        std::size_t row = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            core::FrameWork &work = burst[i]->work;
-            for (std::size_t t = 0; t < work.tiles.size(); ++t) {
-                const core::Action &action =
-                    logic.per_context[work.contexts[t]];
-                if (action.kind == core::ActionKind::RunModel &&
-                    action.model == m) {
-                    // Lazily-tiled slots materialize the block grid
-                    // here, for exactly the modeled tiles.
-                    if (work.tiles[t].block_features.empty()) {
-                        data::Tiler::decimate(work.tiles[t]);
-                    }
-                    zoo.tileInputs(
-                        work.tiles[t],
-                        scaled + row * static_cast<std::size_t>(
-                                           data::kBlockInputDim));
-                    row += data::kBlocksPerTile;
-                }
-            }
-        }
-        assert(row == rows);
-        double *probs = arena.alloc(rows);
-        zoo.predictRows(m, scaled, rows, probs);
-        row = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-            core::FrameWork &work = burst[i]->work;
-            for (std::size_t t = 0; t < work.tiles.size(); ++t) {
-                const core::Action &action =
-                    logic.per_context[work.contexts[t]];
-                if (action.kind == core::ActionKind::RunModel &&
-                    action.model == m) {
-                    core::Runtime::keepFromProbs(
-                        probs + row, data::kBlocksPerTile,
-                        work.keep.data() + t * data::kBlocksPerTile);
-                    row += data::kBlocksPerTile;
-                }
-            }
-        }
-    }
-}
-
-void
-PipelineRuntime::recordRingDepth(int stage_fed, std::size_t depth,
-                                 std::size_t capacity, int lane) const
-{
-    // Occupancy observed at each burst dequeue: gauge mean/max answer
-    // "how deep does the queue before each stage run"; the journal
-    // events are the kodan-top queue pane's live feed. Distinct macro
-    // sites per ring because the handle cache is per call site.
-    const char *ring_name = "free";
-    switch (static_cast<Stage>(stage_fed)) {
-      case Stage::Capture:
-        KODAN_GAUGE_ADD("pipeline.ring.free.depth", depth);
-        ring_name = "free";
-        break;
-      case Stage::TileClassify:
-        KODAN_GAUGE_ADD("pipeline.ring.tile_classify.depth", depth);
-        ring_name = "tile_classify";
-        break;
-      case Stage::Infer:
-        KODAN_GAUGE_ADD("pipeline.ring.infer.depth", depth);
-        ring_name = "infer";
-        break;
-      case Stage::Elide:
-        KODAN_GAUGE_ADD("pipeline.ring.elide.depth", depth);
-        ring_name = "elide";
-        break;
-      case Stage::Record:
-        KODAN_GAUGE_ADD("pipeline.ring.record.depth", depth);
-        ring_name = "record";
-        break;
-    }
-    if (telemetry::journalEnabled()) {
-        telemetry::JournalEventBuilder("pipeline.ring.depth")
-            .text("ring", ring_name)
-            .i64("lane", lane)
-            .i64("depth", static_cast<std::int64_t>(depth))
-            .i64("capacity", static_cast<std::int64_t>(capacity));
     }
 }
 

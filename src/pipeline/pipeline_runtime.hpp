@@ -1,39 +1,33 @@
 /**
  * @file
- * The staged data plane: a drop-in alternative scheduler for
+ * The data plane: a drop-in alternative scheduler for
  * core::Runtime::processFrames.
  *
- * Where the batch path fans whole frames across a thread pool, the
- * data plane streams them: frames flow by pointer through
- * arena-resident slots (arena.hpp) across lock-free SPSC rings
- * (ring.hpp) connecting the capture -> tile/classify ->
- * specialize/infer -> elide -> record stages (stage.hpp). Each worker
- * runs a run-to-completion poll loop over its contiguous stage span;
- * the infer stage dequeues bursts and feeds ml::Mlp::forwardBatch one
- * cross-frame batch per model. Steady state does no heap allocation
- * and takes no locks.
+ * Where the batch path runs every frame on its own, the data plane
+ * deals frames to whole-lane workers: frame i belongs to lane
+ * i mod workers, and each lane runs its frames in bursts through the
+ * same four stage calls (core::Runtime::stageTileClassify ->
+ * stageInfer -> stageElide -> stageRecord) on a burst of recycled
+ * FrameWorks. The infer stage feeds one cross-frame batch per model
+ * to SpecializedZoo::predictRows. Lanes run on util::parallelFor; a
+ * single lane runs inline. Steady state does no heap allocation.
  *
  * Output contract (proved by `ctest -L dataplane`): for the same
  * frames, PipelineRuntime::processFrames returns a bit-identical
  * FrameReport and emits byte-identical journal output and identical
  * deterministic metrics to Runtime::processFrames, at any worker
- * count. The recipe:
- *  - the stages run the *same code* (Runtime's stage entry points);
+ * count and burst size. The recipe:
+ *  - both schedulers run the *same code*: Runtime's stage entry points
+ *    and its batch envelope (Runtime::runBatch);
  *  - burst-batched inference regroups rows across frames, which
- *    cannot change bits because forwardBatch is row-independent and
- *    the per-frame FP accumulation happens later, in stageElide, in
- *    fixed tile order;
+ *    cannot change bits because the network forward is
+ *    row-independent and the per-frame FP accumulation happens later,
+ *    in stageElide, in fixed tile order;
  *  - journal events route to (region, frame index) lanes and
  *    per-frame reports land at their frame index and reduce in index
  *    order, exactly as the batch path does;
- *  - pipeline-specific telemetry (ring gauges, stage timers, depth
- *    events) is emitted only when Options::stats is on, so default
- *    runs add no metric names.
- *
- * Backpressure is structural: the capture stage can only admit a
- * frame when the freelist yields a slot, so a slow stage fills the
- * rings behind it and stalls admission — the open-loop load generator
- * (loadgen.hpp) then measures the true sustainable throughput.
+ *  - the per-stage timers are emitted only when Options::stats is on,
+ *    so default runs add no metric names.
  */
 
 #ifndef KODAN_PIPELINE_PIPELINE_RUNTIME_HPP
@@ -41,22 +35,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/runtime.hpp"
-#include "pipeline/arena.hpp"
-#include "pipeline/ring.hpp"
-#include "pipeline/stage.hpp"
 
 namespace kodan::pipeline {
 
-/** Largest burst a worker dequeues at once (bounds stack arrays). */
+/** Largest burst: FrameWorks a lane recycles (bounds its memory). */
 inline constexpr std::size_t kMaxBurst = 64;
 
 /**
  * Random-access frame feed for the data plane. Cycles over a pool, so
- * an open-loop generator can offer more frames than it materializes;
+ * a load generator can offer more frames than it materializes;
  * frame(i) must be safe to call concurrently (it is read-only).
  */
 struct FrameSource
@@ -74,10 +64,10 @@ struct FrameSource
 };
 
 /**
- * Runs a core::Runtime's stages as a staged pipeline.
+ * Runs a core::Runtime's stages over whole-lane workers.
  *
- * Construction allocates everything (lanes, rings, slot arenas);
- * processFrames only moves pointers. One PipelineRuntime may be
+ * Construction sizes the lanes; their FrameWork buffers warm on the
+ * first run and are recycled after it. One PipelineRuntime may be
  * reused across runs; it is not itself thread-safe (one run at a
  * time).
  */
@@ -86,22 +76,17 @@ class PipelineRuntime
   public:
     struct Options
     {
-        /** Worker threads; 0 uses util::globalThreadCount()
-         *  (KODAN_THREADS), mirroring the batch path. */
+        /** Lanes; 0 uses util::globalThreadCount() (KODAN_THREADS),
+         *  mirroring the batch path. Lanes share the global pool, so
+         *  at most KODAN_THREADS of them run at once. */
         int workers = 0;
-        /** Slots per lane = max frames in flight per lane. */
-        std::size_t slots_per_lane = 64;
-        /** Capacity of each stage-to-stage ring (rounded to pow2). */
-        std::size_t ring_capacity = 64;
-        /** Max frames a worker dequeues per poll (clamped to
-         *  kMaxBurst); the infer stage batches across the burst. */
+        /** Frames a lane carries through each stage together (clamped
+         *  to [1, kMaxBurst]); the infer stage batches across them. */
         std::size_t burst = 8;
         /**
-         * Emit pipeline.* telemetry: ring-occupancy gauges, per-stage
-         * latency timers, and `pipeline.ring.depth` journal events
-         * (the kodan-top queue pane feed). Off by default so the
-         * data plane's metric/journal output stays byte-identical to
-         * the batch path.
+         * Emit the per-stage timers (`pipeline.stage.*_s`). Off by
+         * default so the data plane's metric output stays identical
+         * to the batch path.
          */
         bool stats = false;
     };
@@ -115,16 +100,10 @@ class PipelineRuntime
     PipelineRuntime(const PipelineRuntime &) = delete;
     PipelineRuntime &operator=(const PipelineRuntime &) = delete;
 
-    /** The worker/lane plan in effect. */
-    const StagePlan &plan() const { return plan_; }
-
-    /** Options in effect (after clamping). */
-    const Options &options() const { return opts_; }
-
     /**
-     * Process @p frames through the pipeline; bit-identical output to
-     * Runtime::processFrames(frames). An empty batch is a no-op that
-     * emits nothing, matching the batch path.
+     * Process @p frames through the data plane; bit-identical output
+     * to Runtime::processFrames(frames). An empty batch is a no-op
+     * that emits nothing, matching the batch path.
      */
     core::FrameReport processFrames(
         const std::vector<data::FrameSample> &frames);
@@ -133,69 +112,13 @@ class PipelineRuntime
     core::FrameReport process(const FrameSource &source);
 
   private:
-    /** One independent ring chain with its slot pool. */
-    struct Lane
-    {
-        Lane(std::size_t slots, std::size_t ring_capacity)
-            : arena(slots), to_tile_classify(ring_capacity),
-              to_infer(ring_capacity), to_elide(ring_capacity),
-              to_record(ring_capacity)
-        {
-        }
-
-        SlotArena arena;
-        SpscRing<FrameSlot *> to_tile_classify;
-        SpscRing<FrameSlot *> to_infer;
-        SpscRing<FrameSlot *> to_elide;
-        SpscRing<FrameSlot *> to_record;
-
-        /** The ring feeding @p stage (1..4). */
-        SpscRing<FrameSlot *> &ringInto(int stage);
-    };
-
-    /** Per-run shared state handed to every worker. */
-    struct RunState
-    {
-        const FrameSource *source = nullptr;
-        std::size_t total = 0;
-        std::uint64_t region_id = 0;
-        std::vector<core::FrameReport> *reports = nullptr;
-        bool stats = false;
-    };
-
-    /**
-     * Per-worker pressure counters for the fleet health plane (stats
-     * runs only). Unlike the frame reports these are scheduling
-     * observations — stall counts depend on timing — so they feed
-     * health rollups and the ring-saturation alert, never the
-     * deterministic metric/journal streams.
-     */
-    struct WorkerStats
-    {
-        /** Empty polls (input starvation) while frames remained. */
-        std::uint64_t stalls = 0;
-        /** Blocked pushes into a full downstream ring. */
-        std::uint64_t backpressure = 0;
-        /** Max observed depth/capacity per stage fed (index = stage). */
-        double max_saturation[kStageCount] = {};
-    };
-
-    static void trackSaturation(WorkerStats &ws, int stage_fed,
-                                std::size_t depth, std::size_t capacity);
-    void workerLoop(const WorkerSpan &span, RunState &rs,
-                    WorkerStats &ws) const;
-    void runStage(Stage stage, Lane &lane, FrameSlot **burst,
-                  std::size_t count, RunState &rs) const;
-    void burstInfer(FrameSlot **burst, std::size_t count) const;
-    void recordRingDepth(int stage_fed, std::size_t depth,
-                         std::size_t capacity, int lane) const;
+    void runLane(std::size_t lane, const FrameSource &source,
+                 std::uint64_t region);
 
     const core::Runtime *runtime_;
     Options opts_;
-    StagePlan plan_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
-    /** Run ordinal: the health plane's "bin" for pipeline signals. */
-    std::uint64_t run_seq_ = 0;
+    /** One burst of recycled FrameWorks per lane. */
+    std::vector<std::vector<core::FrameWork>> lanes_;
     /** Per-frame reports of the current run, indexed by frame index;
      *  capacity persists across runs. */
     std::vector<core::FrameReport> reports_;

@@ -82,8 +82,6 @@ entityKindName(EntityKind kind)
         return "satellite";
       case EntityKind::Station:
         return "station";
-      case EntityKind::Stage:
-        return "stage";
     }
     return "?";
 }
@@ -649,18 +647,6 @@ installDefaultRules(HealthPlane &plane)
     stuck.fire_after = 1;
     stuck.clear_after = 1;
     plane.addRule(stuck);
-
-    // Data-plane backpressure: a stage ring that stays nearly full for
-    // a whole run is the capacity bottleneck.
-    AlertRule ring;
-    ring.name = "pipeline.ring.saturation";
-    ring.signal = "ring.saturation";
-    ring.kind = AlertRule::Kind::Threshold;
-    ring.op = AlertRule::Op::Gt;
-    ring.threshold = 0.95;
-    ring.fire_after = 1;
-    ring.clear_after = 1;
-    plane.addRule(ring);
 }
 
 namespace {

@@ -12,8 +12,7 @@
  *    signal) observations keyed by sim-time bin — the same
  *    already-deterministic per-bin aggregates that back the TimeSeries
  *    — from their *serial* index-order folds. ConstellationEngine
- *    feeds per-satellite and per-station bins; PipelineRuntime feeds
- *    per-stage stall/ring-saturation signals. Nothing here reads a
+ *    feeds per-satellite and per-station bins. Nothing here reads a
  *    clock, so verdicts are pure functions of the observation
  *    sequence and inherit the engines' bit-identity across
  *    KODAN_THREADS and shard sizes.
@@ -61,10 +60,9 @@ enum class EntityKind
 {
     Satellite,
     Station,
-    Stage,
 };
 
-/** Stable lowercase name ("satellite", "station", "stage"). */
+/** Stable lowercase name ("satellite", "station"). */
 const char *entityKindName(EntityKind kind);
 
 /** One declarative alert rule over a signal selector. */
@@ -271,7 +269,7 @@ bool healthEnabled();
 void setHealthEnabled(bool on);
 
 /** Stock fleet rules: storage-drop threshold, downlink absence, DVD
- *  robust-z anomaly, queue flatline, pipeline ring saturation. */
+ *  robust-z anomaly, queue flatline. */
 void installDefaultRules(HealthPlane &plane);
 
 /** Alert JSONL: one header object, then one object per alert, field

@@ -123,7 +123,6 @@ void resetAll();
 #define KODAN_TRACE_SPAN(name_) ((void)0)
 #define KODAN_PROF_COUNTERS_SCOPE(name_) ((void)0)
 #define KODAN_TRACE_SCOPE(name_) ((void)0)
-#define KODAN_PROFILE_SCOPE(name_) ((void)0)
 
 #else
 
@@ -244,10 +243,6 @@ void resetAll();
     KODAN_TIME_SCOPE(name_);                                               \
     KODAN_TRACE_SPAN(name_);                                               \
     KODAN_PROF_COUNTERS_SCOPE(name_)
-
-/** Deprecated alias for KODAN_TRACE_SCOPE (one release): the name now
- *  belongs to the profiler namespace (KODAN_PROF, prof.hpp). */
-#define KODAN_PROFILE_SCOPE(name_) KODAN_TRACE_SCOPE(name_)
 
 #endif // KODAN_TELEMETRY_DISABLED
 

@@ -12,16 +12,7 @@ namespace {
 
 std::atomic<void (*)()> g_worker_start_hook{nullptr};
 
-} // namespace
-
-void
-setWorkerStartHook(void (*hook)())
-{
-    g_worker_start_hook.store(hook, std::memory_order_release);
-}
-
-namespace detail {
-
+/** Run the installed worker-start hook (no-op when none). */
 void
 runWorkerStartHook()
 {
@@ -31,7 +22,13 @@ runWorkerStartHook()
     }
 }
 
-} // namespace detail
+} // namespace
+
+void
+setWorkerStartHook(void (*hook)())
+{
+    g_worker_start_hook.store(hook, std::memory_order_release);
+}
 
 ThreadPool::ThreadPool(int threads)
 {
@@ -39,7 +36,7 @@ ThreadPool::ThreadPool(int threads)
     workers_.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         workers_.emplace_back([this] {
-            detail::runWorkerStartHook();
+            runWorkerStartHook();
             workerLoop();
         });
     }

@@ -98,20 +98,13 @@ struct ParallelOptions
 
 /**
  * Install a hook invoked at the start of every worker thread spawned by
- * ThreadPool (and the pipeline runtime's stage workers) — used by
- * telemetry::prof to register new threads with the sampling profiler.
- * The hook must be installed before the threads it should observe are
- * spawned (the harness installs it in configureFromArgs, ahead of any
- * pool construction). Pass nullptr to clear.
+ * ThreadPool — used by telemetry::prof to register new threads with
+ * the sampling profiler. The hook must be installed before the threads
+ * it should observe are spawned (the harness installs it in
+ * configureFromArgs, ahead of any pool construction). Pass nullptr to
+ * clear.
  */
 void setWorkerStartHook(void (*hook)());
-
-namespace detail {
-
-/** Run the installed worker-start hook (no-op when none). */
-void runWorkerStartHook();
-
-} // namespace detail
 
 /**
  * Thread count of the global pool: the last setGlobalThreads() override,

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/runtime.hpp"
+#include "data/tiler.hpp"
 #include "fixture.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -189,6 +191,68 @@ TEST(Runtime, EmptyBatchEmitsNoTelemetry)
     telemetry::resetAll();
     telemetry::setEnabled(false);
     telemetry::setJournalEnabled(false);
+}
+
+TEST(Runtime, LazyTilingMatchesEagerTilingOracle)
+{
+    // processFrame tiles lazily (stats first, block decimation only for
+    // modeled tiles). The oracle tiles eagerly with Tiler::tile, as the
+    // training path does, then runs the same classify, infer, and elide
+    // steps; the reports must agree bit for bit on every frame. The
+    // logic mixes every action kind and several zoo models.
+    const auto &pipeline = SharedPipeline::instance();
+    const int models = static_cast<int>(pipeline.app4.zoo.entries.size());
+    SelectionLogic logic;
+    logic.tiles_per_side = 6;
+    for (int c = 0; c < pipeline.shared.partition.context_count; ++c) {
+        switch (c % 4) {
+          case 0:
+            logic.per_context.push_back({ActionKind::Discard, -1});
+            break;
+          case 1:
+            logic.per_context.push_back({ActionKind::Downlink, -1});
+            break;
+          default:
+            logic.per_context.push_back({ActionKind::RunModel, c % models});
+            break;
+        }
+    }
+    const ContextEngine &engine = *pipeline.shared.engine;
+    const Runtime runtime(logic, &engine, &pipeline.app4.zoo,
+                          hw::Target::Orin15W);
+    const data::Tiler tiler(logic.tiles_per_side);
+
+    FrameReport totals;
+    for (std::size_t f = 0; f < pipeline.shared.val.size(); ++f) {
+        SCOPED_TRACE("frame " + std::to_string(f));
+        const data::FrameSample &frame = pipeline.shared.val[f];
+        FrameWork eager;
+        eager.frame = &frame;
+        eager.tiles = tiler.tile(frame);
+        engine.classifyBatch(eager.tiles, eager.contexts);
+        eager.keep.resize(eager.tiles.size() * data::kBlocksPerTile);
+        runtime.stageInfer(&eager, 1);
+        runtime.stageElide(eager);
+        const FrameReport &want = eager.report;
+
+        const FrameReport got = runtime.processFrame(frame);
+        EXPECT_EQ(got.compute_time, want.compute_time);
+        EXPECT_EQ(got.product_fraction, want.product_fraction);
+        EXPECT_EQ(got.product_high_fraction, want.product_high_fraction);
+        EXPECT_EQ(got.tiles_discarded, want.tiles_discarded);
+        EXPECT_EQ(got.tiles_downlinked, want.tiles_downlinked);
+        EXPECT_EQ(got.tiles_modeled, want.tiles_modeled);
+        EXPECT_EQ(got.cells.tp(), want.cells.tp());
+        EXPECT_EQ(got.cells.fp(), want.cells.fp());
+        EXPECT_EQ(got.cells.tn(), want.cells.tn());
+        EXPECT_EQ(got.cells.fn(), want.cells.fn());
+        totals.tiles_discarded += want.tiles_discarded;
+        totals.tiles_downlinked += want.tiles_downlinked;
+        totals.tiles_modeled += want.tiles_modeled;
+    }
+    EXPECT_GT(totals.tiles_discarded, 0);
+    EXPECT_GT(totals.tiles_downlinked, 0);
+    EXPECT_GT(totals.tiles_modeled, 0);
 }
 
 // ---------------------------------------------------------------------

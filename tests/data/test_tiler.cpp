@@ -139,9 +139,8 @@ TEST(Tiler, LazyStatsAndDecimateMatchEagerTilingBitExactly)
 
     // Warm the lazy vector with an eager pass first so statsInto must
     // overwrite recycled state (populated block arrays, truth fields),
-    // as arena slots do in the pipeline.
-    std::vector<TileData> lazy;
-    tiler.tileInto(frame, lazy);
+    // as recycled FrameWorks do in the data plane.
+    std::vector<TileData> lazy = tiler.tile(frame);
     tiler.statsInto(frame, lazy);
 
     ASSERT_EQ(lazy.size(), eager.size());

@@ -1,14 +1,13 @@
 /**
  * @file
- * The staged data plane's output contract: for the same frames,
+ * The data plane's output contract: for the same frames,
  * pipeline::PipelineRuntime must produce BIT-IDENTICAL FrameReports,
  * byte-identical journal exports, and identical deterministic metrics
- * to core::Runtime::processFrames — at 1, 4, and 16 workers, across
- * burst sizes, under slot-recycling pressure, and across repeated
- * runs of one (warmed) pipeline instance. Doubles are compared
- * exactly on purpose: the stage entry points are shared code and the
- * burst regrouping is designed to be bit-transparent, so anything
- * weaker would let nondeterminism hide.
+ * to core::Runtime::processFrames — at 1 to 6 and 16 workers, across
+ * burst sizes, and across repeated runs of one (warmed) pipeline
+ * instance. Doubles are compared exactly on purpose: the stage entry
+ * points are shared code and the burst regrouping is designed to be
+ * bit-transparent, so anything weaker would let nondeterminism hide.
  */
 
 #include <gtest/gtest.h>
@@ -122,12 +121,20 @@ runBatch(const Runtime &runtime,
     return captureOutputs(runtime.processFrames(frames));
 }
 
+/**
+ * Global pool size for data-plane runs. Lanes run on the pool, so the
+ * worker grid covers fewer lanes than threads, as many, and more
+ * (lanes then share a thread).
+ */
+constexpr int kPipelineThreads = 4;
+
 RunOutputs
 runPipeline(const Runtime &runtime,
             const std::vector<data::FrameSample> &frames,
             const PipelineRuntime::Options &options)
 {
     telemetry::resetAll();
+    util::setGlobalThreads(kPipelineThreads);
     PipelineRuntime pipeline(runtime, options);
     return captureOutputs(pipeline.processFrames(frames));
 }
@@ -228,7 +235,7 @@ TEST(DataPlane, BitIdenticalToBatchPathAcrossWorkerCounts)
     ASSERT_GT(batch.report.tiles_discarded, 0);
     ASSERT_GT(batch.report.tiles_downlinked, 0);
 
-    for (int workers : {1, 4, 16}) {
+    for (int workers : {1, 2, 3, 4, 5, 6, 16}) {
         SCOPED_TRACE(std::to_string(workers) + " workers");
         PipelineRuntime::Options options;
         options.workers = workers;
@@ -238,7 +245,7 @@ TEST(DataPlane, BitIdenticalToBatchPathAcrossWorkerCounts)
     }
 }
 
-TEST(DataPlane, BurstSizeAndSlotPressureDoNotChangeBits)
+TEST(DataPlane, BurstSizeDoesNotChangeBits)
 {
     RecordingGuard guard;
     const Runtime runtime = mixedRuntime();
@@ -246,18 +253,13 @@ TEST(DataPlane, BurstSizeAndSlotPressureDoNotChangeBits)
         kodan::testing::SharedPipeline::instance().shared.val;
     const RunOutputs batch = runBatch(runtime, frames, 1);
 
-    for (const auto &[burst, slots] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {1, 2}, {3, 4}, {64, 64}}) {
-        SCOPED_TRACE("burst " + std::to_string(burst) + ", slots " +
-                     std::to_string(slots));
+    // Bursts smaller than a lane's share recycle FrameWorks mid-run;
+    // a burst of 3 leaves a short last burst in some lanes.
+    for (const std::size_t burst : {1, 3, 64}) {
+        SCOPED_TRACE("burst " + std::to_string(burst));
         PipelineRuntime::Options options;
         options.workers = 4;
         options.burst = burst;
-        // Fewer slots than frames forces freelist backpressure and
-        // slot recycling mid-run.
-        options.slots_per_lane = slots;
-        options.ring_capacity = slots;
         const RunOutputs staged =
             runPipeline(runtime, frames, options);
         expectSameOutputs(staged, batch);
@@ -274,7 +276,8 @@ TEST(DataPlane, WarmedPipelineStaysBitIdenticalAcrossRuns)
 
     PipelineRuntime::Options options;
     options.workers = 2;
-    options.slots_per_lane = 4;
+    options.burst = 4;
+    util::setGlobalThreads(kPipelineThreads);
     PipelineRuntime pipeline(runtime, options);
     for (int run = 0; run < 3; ++run) {
         SCOPED_TRACE("run " + std::to_string(run));
@@ -320,6 +323,7 @@ TEST(DataPlane, LoadGeneratorMatchesMaterializedCycledBatch)
     const RunOutputs batch = runBatch(runtime, cycled, 1);
 
     telemetry::resetAll();
+    util::setGlobalThreads(kPipelineThreads);
     PipelineRuntime::Options options;
     options.workers = 4;
     PipelineRuntime pipeline(runtime, options);
@@ -331,7 +335,20 @@ TEST(DataPlane, LoadGeneratorMatchesMaterializedCycledBatch)
     expectSameOutputs(staged, batch);
 }
 
-TEST(DataPlane, StatsModeAddsPipelineMetricsWithoutChangingResults)
+/** Names of the registered metrics that start with "pipeline.". */
+std::vector<std::string>
+pipelineMetricNames(const telemetry::RegistrySnapshot &snapshot)
+{
+    std::vector<std::string> names;
+    for (const auto &metric : snapshot.metrics) {
+        if (metric.name.rfind("pipeline.", 0) == 0) {
+            names.push_back(metric.name);
+        }
+    }
+    return names;
+}
+
+TEST(DataPlane, StatsModeAddsStageTimersWithoutChangingResults)
 {
     RecordingGuard guard;
     const Runtime runtime = mixedRuntime();
@@ -341,53 +358,29 @@ TEST(DataPlane, StatsModeAddsPipelineMetricsWithoutChangingResults)
 
     PipelineRuntime::Options options;
     options.workers = 4;
+    const RunOutputs plain = runPipeline(runtime, frames, options);
+    // Stats off: no pipeline.* name is registered at all. Registrations
+    // outlive resetAll(), so this holds only because no earlier test in
+    // this binary turns stats on.
+    EXPECT_TRUE(pipelineMetricNames(plain.metrics).empty());
+
     options.stats = true;
     const RunOutputs staged = runPipeline(runtime, frames, options);
     // The result and the per-frame journal lanes are still identical;
-    // only the telemetry surface grows.
+    // only the per-stage timers are added.
     expectSameReport(staged.report, batch.report);
-    // Registration happens at the first stats-gated emission, so the
-    // names existing at all proves the stats path ran.
-    EXPECT_NE(staged.metrics.find("pipeline.ring.infer.depth"), nullptr);
-    const auto *stage_timer =
-        staged.metrics.find("pipeline.stage.infer_s");
-    ASSERT_NE(stage_timer, nullptr);
-    EXPECT_GT(stage_timer->count, 0);
-    bool saw_depth_event = false;
-    for (const auto &event : telemetry::collectJournal()) {
-        if (event.type == "pipeline.ring.depth") {
-            saw_depth_event = true;
-            break;
-        }
-    }
-    EXPECT_TRUE(saw_depth_event);
-}
-
-TEST(DataPlane, PlanCoversEveryStageExactlyOncePerLane)
-{
-    for (int workers = 1; workers <= 23; ++workers) {
-        const StagePlan plan = StagePlan::build(workers);
-        SCOPED_TRACE(std::to_string(workers) + " workers");
-        EXPECT_EQ(plan.workers.size(),
-                  static_cast<std::size_t>(workers));
-        std::vector<std::vector<int>> covered(
-            static_cast<std::size_t>(plan.lanes),
-            std::vector<int>(kStageCount, 0));
-        for (const WorkerSpan &span : plan.workers) {
-            ASSERT_GE(span.lane, 0);
-            ASSERT_LT(span.lane, plan.lanes);
-            ASSERT_LE(span.first_stage, span.last_stage);
-            for (int s = span.first_stage; s <= span.last_stage; ++s) {
-                ++covered[static_cast<std::size_t>(span.lane)]
-                         [static_cast<std::size_t>(s)];
-            }
-        }
-        for (const auto &lane : covered) {
-            for (int s = 0; s < kStageCount; ++s) {
-                EXPECT_EQ(lane[static_cast<std::size_t>(s)], 1)
-                    << "stage " << s;
-            }
-        }
+    EXPECT_EQ(staged.journal, batch.journal);
+    EXPECT_EQ(pipelineMetricNames(staged.metrics),
+              (std::vector<std::string>{"pipeline.stage.elide_s",
+                                        "pipeline.stage.infer_s",
+                                        "pipeline.stage.tile_classify_s"}));
+    for (const std::string &name : pipelineMetricNames(staged.metrics)) {
+        SCOPED_TRACE(name);
+        const auto *timer = staged.metrics.find(name);
+        ASSERT_NE(timer, nullptr);
+        EXPECT_EQ(static_cast<int>(timer->kind),
+                  static_cast<int>(telemetry::MetricSample::Kind::Timer));
+        EXPECT_GT(timer->count, 0);
     }
 }
 

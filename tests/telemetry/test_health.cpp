@@ -225,7 +225,7 @@ TEST(RulesEngine, EvidenceIsBoundedByConfig)
     plane.addRule(rule);
 
     for (std::int64_t bin = 0; bin < 20; ++bin) {
-        plane.observe(EntityKind::Stage, 0, "temp", bin,
+        plane.observe(EntityKind::Satellite, 0, "temp", bin,
                       static_cast<double>(bin), 1.0 + bin);
     }
     const HealthSnapshot snapshot = plane.snapshot();

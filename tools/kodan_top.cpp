@@ -21,14 +21,7 @@
  * Metrics (per-bin event fields): frames, processed, queued_bits,
  * bits, high_bits, dvd (default).
  *
- * When the journal carries `pipeline.ring.depth` events (the staged
- * data plane's per-burst ring occupancy, emitted under --stats), a
- * queue-depth pane follows the mission view: one sparkline per stage
- * ring lane, bars scaled to that ring's capacity. Feed it with e.g.
- *   bench_dataplane --stats --journal-out dp.journal.jsonl
- *   kodan-top dp.journal.jsonl
- *
- * When it carries `health.alert.fire` / `health.alert.resolve` events
+ * When the journal carries `health.alert.fire` / `health.alert.resolve` events
  * (the fleet health plane's rule transitions), an alerts pane renders
  * last: firing alerts first, one line per (rule, entity) with its bin
  * span and latest offending value. Feed it with e.g.
@@ -160,77 +153,6 @@ ingest(MissionView &view, const json::Value &event,
     if (bin != 0 && t_s != 0.0) {
         view.bin_s = t_s / static_cast<double>(bin);
     }
-}
-
-/** Depth trace of one stage-feeding ring lane. */
-struct LaneDepths
-{
-    /** Arrival index -> occupancy observed at that burst dequeue. */
-    std::map<std::int64_t, double> samples;
-    std::int64_t next = 0;
-    double capacity = 0.0;
-    double last = 0.0;
-    double max_depth = 0.0;
-};
-
-/** Aggregated view of the pipeline.ring.depth events seen so far. */
-struct QueueView
-{
-    /** (ring name, lane) -> depth trace. */
-    std::map<std::pair<std::string, std::int64_t>, LaneDepths> lanes;
-    std::uint64_t events_seen = 0;
-};
-
-/** Pipeline position of a stage ring, for display ordering. */
-int
-stageRank(const std::string &ring)
-{
-    if (ring == "free") {
-        return 0;
-    }
-    if (ring == "tile_classify") {
-        return 1;
-    }
-    if (ring == "infer") {
-        return 2;
-    }
-    if (ring == "elide") {
-        return 3;
-    }
-    if (ring == "record") {
-        return 4;
-    }
-    return 5;
-}
-
-/** Feed one parsed journal line into the queue view. */
-void
-ingestRing(QueueView &view, const json::Value &event)
-{
-    if (event.stringOr("type", "") != "pipeline.ring.depth") {
-        return;
-    }
-    const json::Value *fields = event.find("fields");
-    if (fields == nullptr) {
-        return;
-    }
-    const std::string ring = fields->stringOr("ring", "");
-    if (ring.empty()) {
-        return;
-    }
-    const auto lane =
-        static_cast<std::int64_t>(fields->numberOr("lane", 0.0));
-    LaneDepths &trace = view.lanes[{ring, lane}];
-    const double depth = fields->numberOr("depth", 0.0);
-    trace.samples[trace.next++] = depth;
-    trace.capacity = fields->numberOr("capacity", trace.capacity);
-    trace.last = depth;
-    trace.max_depth = std::max(trace.max_depth, depth);
-    // Bound --follow memory: only a screenful of history is rendered.
-    while (trace.samples.size() > 4096) {
-        trace.samples.erase(trace.samples.begin());
-    }
-    ++view.events_seen;
 }
 
 /** Latest state of one (rule, entity) alert from the health plane. */
@@ -437,50 +359,6 @@ sparkline(const std::map<std::int64_t, double> &bins, std::int64_t lo,
     return out;
 }
 
-/** Queue-depth pane: one row per stage ring lane, in pipeline order,
- *  bars scaled to that ring's capacity (a full bar means a full ring,
- *  i.e. the downstream stage is the bottleneck). */
-void
-renderQueues(const QueueView &view, int width, std::ostream &os)
-{
-    if (view.lanes.empty()) {
-        return;
-    }
-    os << "stage ring occupancy at burst dequeue — last " << width
-       << " sample(s), bars scaled to ring capacity ("
-       << view.events_seen << " event(s))\n";
-    std::vector<const std::pair<const std::pair<std::string, std::int64_t>,
-                                LaneDepths> *>
-        rows;
-    for (const auto &entry : view.lanes) {
-        rows.push_back(&entry);
-    }
-    std::sort(rows.begin(), rows.end(), [](const auto *a, const auto *b) {
-        const int ra = stageRank(a->first.first);
-        const int rb = stageRank(b->first.first);
-        if (ra != rb) {
-            return ra < rb;
-        }
-        return a->first < b->first;
-    });
-    for (const auto *row : rows) {
-        const auto &[key, trace] = *row;
-        const std::int64_t hi = trace.next - 1;
-        const std::int64_t lo =
-            std::max<std::int64_t>(0, trace.next - width);
-        std::ostringstream label;
-        label << key.first << "/" << key.second;
-        os << "  " << label.str()
-           << std::string(
-                  label.str().size() < 16 ? 16 - label.str().size() : 1,
-                  ' ')
-           << "|" << sparkline(trace.samples, lo, hi, width,
-                               trace.capacity)
-           << "| last " << trace.last << "/" << trace.capacity << " max "
-           << trace.max_depth << "\n";
-    }
-}
-
 /** Re-read + render the --profile pane (ignored when path is empty). */
 void
 renderProfilePane(const std::string &profile_path, int width,
@@ -499,10 +377,9 @@ renderProfilePane(const std::string &profile_path, int width,
 }
 
 void
-render(const MissionView &view, const QueueView &queues,
-       const AlertView &alerts, const std::string &metric,
-       const std::string &profile_path, int width, bool follow,
-       std::ostream &os)
+render(const MissionView &view, const AlertView &alerts,
+       const std::string &metric, const std::string &profile_path,
+       int width, bool follow, std::ostream &os)
 {
     if (follow) {
         os << "\033[H\033[2J"; // home + clear
@@ -513,11 +390,10 @@ render(const MissionView &view, const QueueView &queues,
     }
     os << "\n";
     if (view.per_satellite.empty()) {
-        if (queues.lanes.empty() && alerts.rows.empty()) {
+        if (alerts.rows.empty()) {
             os << "  (no satellite.bin events yet — run a mission with "
                   "--journal-out or KODAN_JOURNAL_STREAM)\n";
         }
-        renderQueues(queues, width, os);
         renderAlerts(alerts, os);
         renderProfilePane(profile_path, width, os);
         os.flush();
@@ -549,7 +425,6 @@ render(const MissionView &view, const QueueView &queues,
         }
         os << "\n";
     }
-    renderQueues(queues, width, os);
     renderAlerts(alerts, os);
     renderProfilePane(profile_path, width, os);
     os.flush();
@@ -646,7 +521,6 @@ main(int argc, char **argv)
                                    : prefix + ".satellite.bin";
 
     MissionView view;
-    QueueView queues;
     AlertView alerts;
     Tail tail{path, 0, ""};
 
@@ -659,7 +533,6 @@ main(int argc, char **argv)
             json::Value event;
             if (json::parse(line, event, nullptr)) {
                 ingest(view, event, metric, suffix);
-                ingestRing(queues, event);
                 ingestAlert(alerts, event);
             }
         }
@@ -671,14 +544,14 @@ main(int argc, char **argv)
             return fail("cannot open " + path);
         }
         ingestLines(tail.poll());
-        render(view, queues, alerts, metric, profile_path, width, false,
+        render(view, alerts, metric, profile_path, width, false,
                std::cout);
         return 0;
     }
 
     for (;;) {
         ingestLines(tail.poll());
-        render(view, queues, alerts, metric, profile_path, width, true,
+        render(view, alerts, metric, profile_path, width, true,
                std::cout);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(interval_ms));
