@@ -155,8 +155,8 @@ main(int argc, char **argv)
     std::string stations = "global";
     std::size_t shard_size = 16;
     double chunk_hours = 24.0;
-    // 120 s coarse scan for the throughput scenario: the adaptive
-    // sweep still refines pass edges to sub-second accuracy, and the
+    // 120 s coarse scan for the throughput scenario: the contact
+    // scan still refines pass edges to sub-second accuracy, and the
     // rare sub-2-minute grazing pass the grid can miss is part of the
     // scenario definition, not a correctness concern (the tests pin
     // the sweep against the fixed grid at matched steps).

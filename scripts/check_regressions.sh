@@ -19,7 +19,11 @@
 # the bench_dataplane run also captures a profile whose span table —
 # exact call counts per instrumented span — is diffed against
 # bench/baselines/prof.spans.json (span costs get a huge tolerance;
-# they measure this machine).
+# they measure this machine). Each deterministic export — the fig02 and
+# constellation journals, the fig10/constellation/golden time series,
+# and the health alerts — is also `cmp`-ed byte for byte against its
+# baseline right after the bench that writes it: `kodan-report diff`
+# compares parsed values, so a formatting change alone would pass it.
 #
 # Usage:
 #   scripts/check_regressions.sh [--build-dir DIR] [--rebaseline]
@@ -85,11 +89,26 @@ done
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 
+STATUS=0
+
+# Byte-exact guard for one deterministic export (skipped under
+# --rebaseline, which regenerates the baselines).
+cmp_baseline() {
+    local name="$1"
+    if [[ "$REBASELINE" -eq 0 ]] &&
+       ! cmp "$BASELINES/$name" "$WORKDIR/$name"; then
+        echo "[check_regressions] $name is not byte-identical to" \
+             "its baseline" >&2
+        STATUS=1
+    fi
+}
+
 echo "[check_regressions] running bench_fig02_downlink_gap ..."
 (cd "$WORKDIR" && "$FIG02_BENCH" \
     --telemetry-out "$WORKDIR/fig02_downlink_gap.metrics.json" \
     --journal-out "$WORKDIR/fig02_downlink_gap.journal.jsonl" \
     > /dev/null)
+cmp_baseline fig02_downlink_gap.journal.jsonl
 
 echo "[check_regressions] running bench_parallel_speedup ..."
 (cd "$WORKDIR" && "$SPEEDUP_BENCH" \
@@ -100,6 +119,7 @@ echo "[check_regressions] running bench_fig10 mission sweep ..."
 (cd "$WORKDIR" && "$FIG10_BENCH" --mission-only \
     --telemetry-out "$WORKDIR/fig10_mission.metrics.json" \
     > /dev/null)
+cmp_baseline fig10_mission.metrics.timeseries.json
 
 # bench_ml_kernels exits non-zero on any Blocked-vs-Naive bit mismatch,
 # so this run is the kernel-correctness smoke as well as the perf probe;
@@ -142,6 +162,8 @@ echo "[check_regressions] running bench_constellation smoke ..."
     --telemetry-out "$WORKDIR/constellation.metrics.json" \
     --journal-out "$WORKDIR/constellation.journal.jsonl" \
     > /dev/null)
+cmp_baseline constellation.journal.jsonl
+cmp_baseline constellation.metrics.timeseries.json
 
 # Golden long-horizon fixture: 100 satellites over 30 simulated days
 # (the memory-flat streaming path: 30 one-day chunks). The committed
@@ -154,6 +176,7 @@ echo "[check_regressions] running bench_constellation golden (100 sats x 30 days
     --assert-throughput 150 \
     --telemetry-out "$WORKDIR/constellation_golden.metrics.json" \
     > /dev/null)
+cmp_baseline constellation_golden.metrics.timeseries.json
 
 # Fleet health plane guard: --verify byte-compares the degraded
 # scenario's alert JSONL at 1/4/16 threads, checks the injected fault
@@ -166,6 +189,7 @@ echo "[check_regressions] running bench_health ..."
     --telemetry-out "$WORKDIR/health.metrics.json" \
     --alerts-out "$WORKDIR/health.alerts.jsonl" \
     > /dev/null)
+cmp_baseline health.alerts.jsonl
 
 # CPU profiling plane guard: byte-identical journal/series/metrics with
 # profiling on vs off at 1/4/16 threads, plus the sampling overhead
@@ -214,8 +238,6 @@ if [[ "$REBASELINE" -eq 1 ]]; then
     echo "[check_regressions] baselines rebaselined in $BASELINES"
     exit 0
 fi
-
-STATUS=0
 
 # Timers measure this machine, not the baseline machine: tolerate 100x.
 # Everything else — counters, gauges, the journal event stream, and the

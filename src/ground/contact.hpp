@@ -31,64 +31,69 @@ struct ContactWindow
 };
 
 /**
- * Finds elevation-mask contact windows by coarse sampling plus bisection
- * refinement of the rise/set crossings.
+ * Finds elevation-mask contact windows by coarse sampling on a fixed
+ * t0 + k*step grid plus bisection refinement of the rise/set crossings.
  */
 class ContactFinder
 {
   public:
     /**
      * @param coarse_step Sampling interval for the visibility scan (s).
-     *        Must be well below the shortest pass (~60 s is safe for LEO).
+     *        Must be well below the shortest pass (~60 s is safe for
+     *        LEO). A non-finite or non-positive step dies through
+     *        util::fatal.
      */
     explicit ContactFinder(double coarse_step = 30.0);
 
     /**
-     * All contact windows of one satellite with one station in [t0, t1].
+     * All contact windows of one satellite with one station in [t0, t1],
+     * sampling every grid point.
+     *
+     * The fixed-grid reference: the tests check findAllParallel()
+     * against it, and examples/cloud_filter_mission.cpp scans one pair
+     * with it. Mission code calls findAllParallel().
      *
      * @param sat Propagator of the satellite.
      * @param station Ground station (elevation mask applied).
      * @param t0 Search interval start (s).
-     * @param t1 Search interval end (s); must be >= t0.
+     * @param t1 Search interval end (s). A non-finite bound, t1 < t0,
+     *        or a step below the time stamps' resolution dies through
+     *        util::fatal.
      */
     std::vector<ContactWindow> find(const orbit::J2Propagator &sat,
                                     const GroundStation &station,
                                     double t0, double t1) const;
 
     /**
-     * Adaptive-stride variant of find(): bit-identical windows, far
-     * fewer propagator evaluations.
+     * All windows of a constellation against a ground segment in
+     * [t0, t1], with station/satellite indices filled in, sorted by
+     * start time. The one production scanner.
      *
-     * While the satellite is provably outside the station's visibility
-     * cone, the scan strides ahead by whole grid cells: with the
-     * geocentric separation at theta and the cone's safe half-angle at
-     * lambda, the angular rate bound r (perigee true-anomaly rate plus
-     * Earth spin and J2 precession) guarantees the satellite stays out
-     * of view for (theta - lambda) / r seconds, so every skipped sample
-     * is provably below the mask. Samples stay on the same accumulated
-     * t0 + k*step grid as find(), so rise/set brackets — and therefore
-     * the refined window edges — are bit-identical.
-     */
-    std::vector<ContactWindow> findAdaptive(const orbit::J2Propagator &sat,
-                                            const GroundStation &station,
-                                            double t0, double t1) const;
-
-    /**
-     * All windows of a constellation against a ground segment, with
-     * station/satellite indices filled in, sorted by start time.
-     */
-    std::vector<ContactWindow>
-    findAll(const std::vector<orbit::J2Propagator> &sats,
-            const std::vector<GroundStation> &stations, double t0,
-            double t1) const;
-
-    /**
-     * Parallel adaptive sweep: fans the (satellite, station) pairs out
-     * over the global thread pool, each pair scanned with
-     * findAdaptive(). Pair results are concatenated in (satellite,
-     * station) index order before the same start-time sort findAll()
-     * applies, so the output — windows, counters, and journal events —
-     * is bit-identical to findAll() at any KODAN_THREADS.
+     * One pass per satellite: the grid is walked once, with one
+     * propagation per visited step, and every station is tested
+     * against that position. A station whose geocentric separation
+     * from the satellite exceeds its visibility-cone bound (the cone's
+     * half-angle at apogee radius plus a 0.01 rad margin) is provably
+     * below its mask, so a dot product rules it out; only stations
+     * inside the cone pay the elevation test. While no station is in
+     * view, the scan strides over whole grid cells: with theta_g the
+     * separation and lambda_g the cone bound of station g, and r an
+     * upper bound on the separation rate, the satellite stays out of
+     * every cone for (min theta_g - max lambda_g) / r seconds. Visited
+     * samples stay on find()'s accumulated grid, and each crossing is
+     * refined by find()'s bisection, so every (satellite, station)
+     * window list is bit-identical to find()'s.
+     *
+     * Satellites are scanned in parallel on the global thread pool.
+     * Each satellite's windows are emitted by station, then by time,
+     * and concatenated in satellite order before an unstable
+     * start-time sort, so the output is the per-pair find() lists in
+     * (satellite, station) order, start-sorted — windows, counters and
+     * journal events bit-identical at any KODAN_THREADS. Trade-off:
+     * the unit of parallelism is one satellite, so a one-satellite
+     * scan runs on one thread.
+     *
+     * @param t1 Search interval end (s); checked as in find().
      */
     std::vector<ContactWindow>
     findAllParallel(const std::vector<orbit::J2Propagator> &sats,
@@ -97,11 +102,6 @@ class ContactFinder
 
   private:
     double coarse_step_;
-
-    /** Refine an elevation-mask crossing to ~1 ms by bisection. */
-    static double refineCrossing(const orbit::J2Propagator &sat,
-                                 const GroundStation &station, double lo,
-                                 double hi, bool rising);
 };
 
 /** Total seconds of contact in a window list. */

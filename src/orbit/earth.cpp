@@ -84,11 +84,17 @@ greatCircleAngle(const Geodetic &a, const Geodetic &b)
 double
 elevationAngle(const Vec3 &site_ecef, const Vec3 &target_ecef)
 {
-    const Vec3 to_target = target_ecef - site_ecef;
     // Local "up" approximated by the geocentric direction; error is below
     // 0.2 deg at LEO geometry, well inside the elevation-mask margin.
-    const Vec3 up = site_ecef.normalized();
-    const double sin_elev = up.dot(to_target) / to_target.norm();
+    return elevationAngle(site_ecef, site_ecef.normalized(), target_ecef);
+}
+
+double
+elevationAngle(const Vec3 &site_ecef, const Vec3 &site_up,
+               const Vec3 &target_ecef)
+{
+    const Vec3 to_target = target_ecef - site_ecef;
+    const double sin_elev = site_up.dot(to_target) / to_target.norm();
     return std::asin(util::clamp(sin_elev, -1.0, 1.0));
 }
 

@@ -84,6 +84,16 @@ double greatCircleAngle(const Geodetic &a, const Geodetic &b);
  */
 double elevationAngle(const Vec3 &site_ecef, const Vec3 &target_ecef);
 
+/**
+ * elevationAngle() with the site's local up vector precomputed, for
+ * callers that test one site many times.
+ *
+ * @param site_up `site_ecef.normalized()`; the result is then
+ *        bit-identical to the two-argument form.
+ */
+double elevationAngle(const Vec3 &site_ecef, const Vec3 &site_up,
+                      const Vec3 &target_ecef);
+
 } // namespace kodan::orbit
 
 #endif // KODAN_ORBIT_EARTH_HPP

@@ -24,15 +24,15 @@ J2Propagator::J2Propagator(const OrbitalElements &elements)
     const double p = a * (1.0 - e * e); // semi-latus rectum
     const double re_p = kEarthRadius / p;
     const double j2_term = 1.5 * kEarthJ2 * re_p * re_p;
-    const double cos_i = std::cos(i);
-    const double sin_i = std::sin(i);
+    cos_i_ = std::cos(i);
+    sin_i_ = std::sin(i);
+    eta_ = std::sqrt(1.0 - e * e);
 
     // Standard secular J2 rates (Vallado, ch. 9).
-    raan_rate_ = -j2_term * n0 * cos_i;
-    argp_rate_ = j2_term * n0 * (2.0 - 2.5 * sin_i * sin_i);
-    const double eta = std::sqrt(1.0 - e * e);
+    raan_rate_ = -j2_term * n0 * cos_i_;
+    argp_rate_ = j2_term * n0 * (2.0 - 2.5 * sin_i_ * sin_i_);
     mean_motion_ =
-        n0 * (1.0 + j2_term * eta * (1.0 - 1.5 * sin_i * sin_i));
+        n0 * (1.0 + j2_term * eta_ * (1.0 - 1.5 * sin_i_ * sin_i_));
 }
 
 double
@@ -48,7 +48,6 @@ J2Propagator::stateAt(double t) const
 {
     const double a = elements_.semi_major_axis;
     const double e = elements_.eccentricity;
-    const double i = elements_.inclination;
 
     const double mean_anom =
         util::wrapTwoPi(elements_.mean_anomaly + mean_motion_ * t);
@@ -59,20 +58,19 @@ J2Propagator::stateAt(double t) const
     const double e_anom = solveKepler(mean_anom, e);
     const double cos_e = std::cos(e_anom);
     const double sin_e = std::sin(e_anom);
-    const double eta = std::sqrt(1.0 - e * e);
 
     // Perifocal coordinates.
     const double x_pf = a * (cos_e - e);
-    const double y_pf = a * eta * sin_e;
+    const double y_pf = a * eta_ * sin_e;
     const double e_anom_rate = mean_motion_ / (1.0 - e * cos_e);
     const double vx_pf = -a * sin_e * e_anom_rate;
-    const double vy_pf = a * eta * cos_e * e_anom_rate;
+    const double vy_pf = a * eta_ * cos_e * e_anom_rate;
 
     // Rotate perifocal -> ECI: Rz(raan) * Rx(i) * Rz(argp).
     const double cr = std::cos(raan);
     const double sr = std::sin(raan);
-    const double ci = std::cos(i);
-    const double si = std::sin(i);
+    const double ci = cos_i_;
+    const double si = sin_i_;
     const double ca = std::cos(argp);
     const double sa = std::sin(argp);
 

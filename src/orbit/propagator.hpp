@@ -75,6 +75,9 @@ class J2Propagator
     double mean_motion_; // rad/s, J2-corrected
     double raan_rate_;   // rad/s
     double argp_rate_;   // rad/s
+    double cos_i_;       // cos(inclination)
+    double sin_i_;       // sin(inclination)
+    double eta_;         // sqrt(1 - e^2)
 };
 
 } // namespace kodan::orbit

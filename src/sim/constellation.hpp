@@ -10,8 +10,8 @@
  * physical models around streaming:
  *
  *  - **Time chunks.** The horizon is processed in fixed chunks
- *    (default one day). Each chunk runs an adaptive-stride parallel
- *    contact sweep (ContactFinder::findAllParallel), advances the
+ *    (default one day). Each chunk runs the one-pass parallel
+ *    contact scan (ContactFinder::findAllParallel), advances the
  *    resumable incremental ground scheduler
  *    (GroundSegmentScheduler::allocateSpan), then simulates capture /
  *    filtering / downlink for that span. Nothing is retained per frame

@@ -229,7 +229,7 @@ MissionSim::run(const MissionConfig &config,
     // Ground segment: find all windows, then allocate under contention.
     const ground::ContactFinder finder(config.contact_scan_step);
     const auto windows =
-        finder.findAll(sats, config.stations, 0.0, config.duration);
+        finder.findAllParallel(sats, config.stations, 0.0, config.duration);
     const ground::GroundSegmentScheduler scheduler(config.scheduler_step);
     const auto allocation = scheduler.allocate(
         windows, sats.size(), config.stations.size(), 0.0, config.duration);

@@ -1,6 +1,7 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <sstream>
@@ -27,16 +28,28 @@ kindName(MetricSample::Kind kind)
     return "?";
 }
 
-/** Shortest round-trip double formatting (JSON-safe, no locale). */
+} // namespace
+
+void
+appendNumber(std::string &out, double value)
+{
+    // std::to_chars with a precision is specified as printf with that
+    // precision in the "C" locale. The longest "%.17g" text is 24
+    // characters ("-2.2250738585072014e-308").
+    char buffer[32];
+    const auto result =
+        std::to_chars(buffer, buffer + sizeof(buffer), value,
+                      std::chars_format::general, 17);
+    out.append(buffer, result.ptr);
+}
+
 std::string
 jsonNumber(double value)
 {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
-
-} // namespace
 
 double
 histogramQuantile(const std::vector<double> &edges,
@@ -79,11 +92,9 @@ histogramQuantile(const std::vector<double> &edges,
     return edges.back();
 }
 
-std::string
-jsonEscape(const std::string &text)
+void
+appendJsonEscaped(std::string &out, std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size() + 2);
     for (const char c : text) {
         switch (c) {
           case '"':
@@ -112,6 +123,14 @@ jsonEscape(const std::string &text)
             }
         }
     }
+}
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size() + 2);
+    appendJsonEscaped(out, text);
     return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -57,6 +58,20 @@ void writePrometheusText(const RegistrySnapshot &snapshot,
  */
 void writeChromeTrace(const std::vector<TraceEvent> &events,
                       std::uint64_t dropped, std::ostream &os);
+
+/**
+ * Append @p value as printf("%.17g") formats it: enough digits to
+ * round-trip, locale-free, "nan"/"inf" for non-finite values. Every
+ * exporter formats doubles through this, so equal values export equal
+ * bytes across artifacts.
+ */
+void appendNumber(std::string &out, double value);
+
+/** appendNumber() into a fresh string. */
+std::string jsonNumber(double value);
+
+/** Append @p text JSON-escaped (no surrounding quotes) to @p out. */
+void appendJsonEscaped(std::string &out, std::string_view text);
 
 /** JSON string escaping (exposed for the exporter tests). */
 std::string jsonEscape(const std::string &text);

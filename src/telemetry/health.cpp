@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -19,16 +18,6 @@
 namespace kodan::telemetry::health {
 
 namespace {
-
-/** Same float formatting as the journal/JSON writers: the alert bytes
- *  are part of the determinism contract. */
-std::string
-number(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
 
 /** (kind, entity) — rollup key. */
 using EntityKey = std::pair<int, std::int64_t>;
@@ -662,10 +651,10 @@ writeAlertBody(const Alert &alert, std::ostream &out)
         << (alert.firing ? "firing" : "resolved")
         << "\",\"first_bin\":" << alert.first_bin
         << ",\"last_bin\":" << alert.last_bin
-        << ",\"first_t_s\":" << number(alert.first_t_s)
-        << ",\"last_t_s\":" << number(alert.last_t_s)
-        << ",\"peak\":" << number(alert.peak_value)
-        << ",\"last\":" << number(alert.last_value) << ",\"journal\":";
+        << ",\"first_t_s\":" << jsonNumber(alert.first_t_s)
+        << ",\"last_t_s\":" << jsonNumber(alert.last_t_s)
+        << ",\"peak\":" << jsonNumber(alert.peak_value)
+        << ",\"last\":" << jsonNumber(alert.last_value) << ",\"journal\":";
     if (alert.journal.valid) {
         out << "{\"region\":" << alert.journal.region
             << ",\"slot\":" << alert.journal.slot
@@ -680,8 +669,8 @@ writeAlertBody(const Alert &alert, std::ostream &out)
         if (i != 0) {
             out << ",";
         }
-        out << "{\"bin\":" << ev.bin << ",\"t_s\":" << number(ev.t_s)
-            << ",\"value\":" << number(ev.value) << "}";
+        out << "{\"bin\":" << ev.bin << ",\"t_s\":" << jsonNumber(ev.t_s)
+            << ",\"value\":" << jsonNumber(ev.value) << "}";
     }
     out << "]}";
 }

@@ -1,14 +1,12 @@
 #include "telemetry/journal.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include "telemetry/export.hpp"
 
@@ -51,44 +49,45 @@ resolveJournalEnabled()
 
 namespace {
 
-/** %.17g double formatting, matching the metrics JSON exporter. */
-std::string
-journalNumber(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
 /**
- * One event as a JSON object body (no seq, no trailing newline):
- * {"region": R, "slot": S, "ord": O, "type": "...", "fields": {...}}.
+ * Append one event as a JSON object minus its opening brace (no seq, no
+ * trailing newline):
+ * "region": R, "slot": S, "ord": O, "type": "...", "fields": {...}}.
  * Shared by the sorted JSONL export and the live stream tap so both
  * produce identical field formatting.
  */
 void
-writeJournalEventBody(const JournalEvent &event, std::ostream &os)
+appendJournalEventBody(std::string &out, const JournalEvent &event)
 {
-    os << "{\"region\": " << event.region << ", \"slot\": " << event.slot
-       << ", \"ord\": " << event.ord << ", \"type\": \""
-       << jsonEscape(event.type) << "\", \"fields\": {";
+    out += "\"region\": ";
+    out += std::to_string(event.region);
+    out += ", \"slot\": ";
+    out += std::to_string(event.slot);
+    out += ", \"ord\": ";
+    out += std::to_string(event.ord);
+    out += ", \"type\": \"";
+    appendJsonEscaped(out, event.type);
+    out += "\", \"fields\": {";
     for (std::size_t i = 0; i < event.fields.size(); ++i) {
         const JournalField &field = event.fields[i];
-        os << (i > 0 ? ", " : "") << "\"" << jsonEscape(field.name)
-           << "\": ";
+        out += i > 0 ? ", \"" : "\"";
+        appendJsonEscaped(out, field.name);
+        out += "\": ";
         switch (field.kind) {
           case JournalField::Kind::Int:
-            os << field.i;
+            out += std::to_string(field.i);
             break;
           case JournalField::Kind::Float:
-            os << journalNumber(field.f);
+            appendNumber(out, field.f);
             break;
           case JournalField::Kind::Text:
-            os << "\"" << jsonEscape(field.s) << "\"";
+            out += '"';
+            appendJsonEscaped(out, field.s);
+            out += '"';
             break;
         }
     }
-    os << "}}";
+    out += "}}";
 }
 
 /**
@@ -233,8 +232,10 @@ class JournalStore
         if (stream_ == nullptr || !*stream_) {
             return;
         }
-        writeJournalEventBody(event, *stream_);
-        *stream_ << "\n";
+        std::string line = "{";
+        appendJournalEventBody(line, event);
+        line += '\n';
+        *stream_ << line;
         stream_->flush();
     }
 
@@ -489,12 +490,16 @@ writeJournalJsonl(const std::vector<JournalEvent> &events,
 {
     os << "{\"kodan_journal\": 1, \"events\": " << events.size()
        << ", \"dropped\": " << dropped << "}\n";
+    // One reused line buffer, one write per event: the export never
+    // holds more than one event's text.
+    std::string line;
     for (std::size_t seq = 0; seq < events.size(); ++seq) {
-        os << "{\"seq\": " << seq << ", ";
-        // Splice the shared body after the seq key: drop its '{'.
-        std::ostringstream body;
-        writeJournalEventBody(events[seq], body);
-        os << body.str().substr(1) << "\n";
+        line.assign("{\"seq\": ");
+        line += std::to_string(seq);
+        line += ", ";
+        appendJournalEventBody(line, events[seq]);
+        line += '\n';
+        os.write(line.data(), static_cast<std::streamsize>(line.size()));
     }
 }
 

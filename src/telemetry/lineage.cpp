@@ -1,7 +1,6 @@
 #include "telemetry/lineage.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -127,14 +126,6 @@ class LineageStore
     std::vector<std::unique_ptr<LineageBuffer>> buffers_;
 };
 
-std::string
-lineageNumber(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
 } // namespace
 
 const char *
@@ -211,7 +202,7 @@ writeLineageJsonl(const std::vector<LineageSpan> &spans, std::ostream &os)
            << lineageSatellite(span.frame_id) << ", \"ord\": "
            << lineageOrdinal(span.frame_id) << ", \"stage\": \""
            << lineageStageName(span.stage) << "\", \"t_s\": "
-           << lineageNumber(span.t_s) << "}\n";
+           << jsonNumber(span.t_s) << "}\n";
     }
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/export.hpp"
 #include "util/json.hpp"
 
 namespace kodan::telemetry::report {
@@ -13,15 +14,6 @@ namespace kodan::telemetry::report {
 namespace {
 
 namespace json = kodan::util::json;
-
-/** %.17g round-trip formatting, matching the exporters. */
-std::string
-num(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
 
 std::string
 percentDelta(double base, double cur)
@@ -73,7 +65,7 @@ canonicalFields(const json::Value &fields)
         out += key + "=";
         switch (value.kind()) {
           case json::Value::Kind::Number:
-            out += num(value.asNumber());
+            out += jsonNumber(value.asNumber());
             break;
           case json::Value::Kind::String:
             out += "\"" + value.asString() + "\"";
@@ -218,9 +210,9 @@ parseJournal(const std::string &text, JournalDoc &out, std::string *error)
         // inserted event shows up as one divergence, not a tail of
         // renumbered lines.
         std::string canonical =
-            "region " + num(entry.numberOr("region", 0.0)) + " slot " +
-            num(entry.numberOr("slot", 0.0)) + " ord " +
-            num(entry.numberOr("ord", 0.0)) + " " + line.type + " ";
+            "region " + jsonNumber(entry.numberOr("region", 0.0)) +
+            " slot " + jsonNumber(entry.numberOr("slot", 0.0)) + " ord " +
+            jsonNumber(entry.numberOr("ord", 0.0)) + " " + line.type + " ";
         const json::Value *fields = entry.find("fields");
         canonical += fields != nullptr ? canonicalFields(*fields) : "{}";
         line.canonical = std::move(canonical);
@@ -441,14 +433,14 @@ parseAlerts(const std::string &text, AlertsDoc &out, std::string *error)
                                 alert.state + " bins " +
                                 std::to_string(alert.first_bin) + ".." +
                                 std::to_string(alert.last_bin) + " peak " +
-                                num(alert.peak) + " last " +
-                                num(alert.last) + " evidence [";
+                                jsonNumber(alert.peak) + " last " +
+                                jsonNumber(alert.last) + " evidence [";
         for (std::size_t e = 0; e < alert.evidence.size(); ++e) {
             if (e != 0) {
                 canonical += ",";
             }
             canonical += std::to_string(alert.evidence[e].first) + ":" +
-                         num(alert.evidence[e].second);
+                         jsonNumber(alert.evidence[e].second);
         }
         canonical += "]";
         if (alert.has_journal) {
@@ -560,13 +552,14 @@ diffOne(DiffResult &diff, const MetricReading &base,
             std::max(base.sum * (1.0 + rel), tol.timer_floor_s);
         if (cur.sum > allowed) {
             add(diff, Severity::Regression, base.name,
-                "timer slowed: " + num(base.sum) + " s -> " + num(cur.sum) +
-                    " s (" + percentDelta(base.sum, cur.sum) +
+                "timer slowed: " + jsonNumber(base.sum) + " s -> " +
+                    jsonNumber(cur.sum) + " s (" +
+                    percentDelta(base.sum, cur.sum) +
                     ", tolerance " + percentDelta(1.0, 1.0 + rel) + ")");
         } else if (cur.sum * (1.0 + rel) < base.sum) {
             add(diff, Severity::Info, base.name,
-                "timer improved: " + num(base.sum) + " s -> " +
-                    num(cur.sum) + " s (" +
+                "timer improved: " + jsonNumber(base.sum) + " s -> " +
+                    jsonNumber(cur.sum) + " s (" +
                     percentDelta(base.sum, cur.sum) + ")");
         }
         return;
@@ -587,9 +580,9 @@ diffOne(DiffResult &diff, const MetricReading &base,
     if (base.type == "gauge" || base.type == "histogram") {
         if (!withinRel(base.sum, cur.sum, rel, 1e-12)) {
             add(diff, Severity::Regression, base.name,
-                base.type + " value changed: " + num(base.sum) + " -> " +
-                    num(cur.sum) + " (" + percentDelta(base.sum, cur.sum) +
-                    ")");
+                base.type + " value changed: " + jsonNumber(base.sum) +
+                    " -> " + jsonNumber(cur.sum) + " (" +
+                    percentDelta(base.sum, cur.sum) + ")");
         }
     }
 }
@@ -729,8 +722,8 @@ diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
         }
         if (series.bin_s != other->bin_s) {
             add(diff, Severity::Regression, series.name,
-                "bin width changed: " + num(series.bin_s) + " s -> " +
-                    num(other->bin_s) + " s");
+                "bin width changed: " + jsonNumber(series.bin_s) + " s -> " +
+                    jsonNumber(other->bin_s) + " s");
             continue;
         }
         if (series.bins.size() != other->bins.size()) {
@@ -766,9 +759,9 @@ diffTimeSeries(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
                                        double c) {
                 if (!withinRel(b, c, bin_rel_tol, 1e-12)) {
                     offend(bin.index, std::string(what) + " changed: " +
-                                          num(b) + " -> " + num(c) +
-                                          " (" + percentDelta(b, c) +
-                                          ")");
+                                          jsonNumber(b) + " -> " +
+                                          jsonNumber(c) + " (" +
+                                          percentDelta(b, c) + ")");
                     return true;
                 }
                 return false;
@@ -973,7 +966,7 @@ loadProfile(const std::string &path, ProfileDoc &out, std::string *error)
 
 namespace {
 
-/** Human-scale number for the profile tables (num() is for exact
+/** Human-scale number for the profile tables (jsonNumber() is for exact
  *  round-trips; these columns are approximate by nature). */
 std::string
 shortNum(double value)
@@ -1075,16 +1068,16 @@ diffProfiles(const ProfileDoc &base, const ProfileDoc &cur,
                          tol.cost_floor_s);
             if (above_floor && row.cur_s > allowed) {
                 add(out.findings, Severity::Regression, span.name,
-                    "span cost grew: " + num(row.base_s) + " s -> " +
-                        num(row.cur_s) + " s (" +
+                    "span cost grew: " + jsonNumber(row.base_s) + " s -> " +
+                        jsonNumber(row.cur_s) + " s (" +
                         percentDelta(row.base_s, row.cur_s) +
                         ", tolerance " +
                         percentDelta(1.0, 1.0 + tol.cost_rel) + ")");
             } else if (above_floor &&
                        row.cur_s * (1.0 + tol.cost_rel) < row.base_s) {
                 add(out.findings, Severity::Info, span.name,
-                    "span cost improved: " + num(row.base_s) + " s -> " +
-                        num(row.cur_s) + " s (" +
+                    "span cost improved: " + jsonNumber(row.base_s) +
+                        " s -> " + jsonNumber(row.cur_s) + " s (" +
                         percentDelta(row.base_s, row.cur_s) + ")");
             }
         }
@@ -1312,8 +1305,8 @@ writeTrajectory(const Trajectory &trajectory, std::ostream &os)
             const MetricReading &m = metrics[i];
             os << "      {\"name\": \"" << m.name << "\", \"type\": \""
                << m.type << "\", \"count\": " << m.count
-               << ", \"sum\": " << num(m.sum)
-               << ", \"max\": " << num(m.max) << "}"
+               << ", \"sum\": " << jsonNumber(m.sum)
+               << ", \"max\": " << jsonNumber(m.max) << "}"
                << (i + 1 < metrics.size() ? "," : "") << "\n";
         }
         os << "    ]}" << (e + 1 < trajectory.entries.size() ? "," : "")
@@ -1329,8 +1322,8 @@ writeTrajectoryCsv(const Trajectory &trajectory, std::ostream &os)
     for (const TrajectoryEntry &entry : trajectory.entries) {
         for (const MetricReading &m : entry.snapshot.metrics) {
             os << entry.label << "," << m.name << "," << m.type << ","
-               << m.count << "," << num(m.sum) << "," << num(m.max)
-               << "\n";
+               << m.count << "," << jsonNumber(m.sum) << ","
+               << jsonNumber(m.max) << "\n";
         }
     }
 }

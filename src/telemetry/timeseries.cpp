@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -199,15 +198,6 @@ class TimeSeriesStore
     std::vector<std::unique_ptr<SeriesBuffer>> buffers_;
 };
 
-/** %.17g double formatting, matching the other exporters. */
-std::string
-seriesNumber(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
-}
-
 } // namespace
 
 const SeriesSample *
@@ -271,18 +261,18 @@ writeTimeSeriesJson(const TimeSeriesSnapshot &snapshot, std::ostream &os)
         const SeriesSample &series = snapshot.series[s];
         os << (s > 0 ? ",\n" : "\n") << "  {\"name\": \""
            << jsonEscape(series.name) << "\", \"bin_s\": "
-           << seriesNumber(series.bin_width_s) << ", \"dropped_bins\": "
+           << jsonNumber(series.bin_width_s) << ", \"dropped_bins\": "
            << series.dropped_bins << ", \"bins\": [";
         for (std::size_t b = 0; b < series.bins.size(); ++b) {
             const TimeSeriesBin &bin = series.bins[b];
             os << (b > 0 ? ",\n    " : "\n    ") << "{\"bin\": "
                << bin.index << ", \"t_s\": "
-               << seriesNumber(static_cast<double>(bin.index) *
-                               series.bin_width_s)
+               << jsonNumber(static_cast<double>(bin.index) *
+                             series.bin_width_s)
                << ", \"count\": " << bin.count << ", \"sum\": "
-               << seriesNumber(bin.sum) << ", \"min\": "
-               << seriesNumber(bin.min) << ", \"max\": "
-               << seriesNumber(bin.max) << "}";
+               << jsonNumber(bin.sum) << ", \"min\": "
+               << jsonNumber(bin.min) << ", \"max\": "
+               << jsonNumber(bin.max) << "}";
         }
         os << (series.bins.empty() ? "]}" : "\n  ]}");
     }
@@ -296,10 +286,10 @@ writeTimeSeriesCsv(const TimeSeriesSnapshot &snapshot, std::ostream &os)
     for (const SeriesSample &series : snapshot.series) {
         for (const TimeSeriesBin &bin : series.bins) {
             os << series.name << "," << bin.index << ","
-               << seriesNumber(static_cast<double>(bin.index) *
-                               series.bin_width_s)
-               << "," << bin.count << "," << seriesNumber(bin.sum) << ","
-               << seriesNumber(bin.min) << "," << seriesNumber(bin.max)
+               << jsonNumber(static_cast<double>(bin.index) *
+                             series.bin_width_s)
+               << "," << bin.count << "," << jsonNumber(bin.sum) << ","
+               << jsonNumber(bin.min) << "," << jsonNumber(bin.max)
                << "\n";
         }
     }

@@ -3,8 +3,8 @@
  * Property tests for the constellation-scale ground segment: the
  * incremental event-queue scheduler against the brute-force rescan
  * oracle over randomized contact patterns, chunked (streaming) span
- * allocation against the one-shot path, and the adaptive-stride contact
- * sweep against the fixed-grid scan.
+ * allocation against the one-shot path, and the one-pass contact
+ * scanner against the per-pair fixed-grid scan.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../ground/contact_oracle.hpp"
 #include "ground/contact.hpp"
 #include "ground/downlink.hpp"
 #include "ground/station.hpp"
@@ -137,37 +138,70 @@ INSTANTIATE_TEST_SUITE_P(RandomPatterns, SchedulerOracleProps,
                          ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------
-// Adaptive-stride contact sweep vs the fixed-grid scan.
+// The one-pass contact scanner vs the per-pair fixed-grid oracle.
 
-void
-expectWindowsIdentical(const std::vector<ContactWindow> &a,
-                       const std::vector<ContactWindow> &b)
+/** One scan setup: a constellation, a ground segment, an interval. */
+struct ScanCase
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].satellite, b[i].satellite);
-        EXPECT_EQ(a[i].station, b[i].station);
-        EXPECT_EQ(a[i].start, b[i].start);
-        EXPECT_EQ(a[i].end, b[i].end);
+    const char *name;
+    std::vector<orbit::OrbitalElements> satellites;
+    std::vector<GroundStation> stations;
+    double step;
+    double t0;
+    double t1;
+};
+
+/** @p stations with every elevation mask set to @p mask_deg. */
+std::vector<GroundStation>
+withMask(std::vector<GroundStation> stations, double mask_deg)
+{
+    for (auto &station : stations) {
+        station.min_elevation = util::degToRad(mask_deg);
     }
+    return stations;
 }
 
-TEST(ContactSweepProps, AdaptiveMatchesFixedGridPerPair)
+std::vector<ScanCase>
+scanCases()
 {
-    const auto stations = landsatGroundSegment();
-    const auto elements = orbit::walkerConstellation(
-        6, 3, 1, 705.0e3, orbit::sunSynchronousInclination(705.0e3));
-    const ContactFinder finder(30.0);
-    const double horizon = 2.0 * 86400.0;
-    for (const auto &elems : elements) {
-        const orbit::J2Propagator sat(elems);
-        for (const auto &station : stations) {
-            const auto oracle = finder.find(sat, station, 0.0, horizon);
-            const auto fast =
-                finder.findAdaptive(sat, station, 0.0, horizon);
-            expectWindowsIdentical(fast, oracle);
+    const double day = 86400.0;
+    // Two Walker layouts: sun-synchronous staggered planes, and a
+    // mid-inclination shell whose passes the polar sites never see.
+    const auto sso = orbit::sunSynchronousConstellation(6, 3, 1, 705.0e3);
+    const auto shell = orbit::walkerConstellation(
+        8, 4, 1, 550.0e3, util::degToRad(53.0));
+    return {
+        {"landsat_sso", sso, landsatGroundSegment(), 30.0, 0.0, 2.0 * day},
+        {"global_shell", shell, globalGroundSegment(), 60.0, 0.0, day},
+        {"global_sso", sso, globalGroundSegment(), 120.0, 0.0, day},
+        // A streaming chunk: t0 > 0, and t1 off the t0 + k*step grid.
+        {"chunk_off_grid", shell, landsatGroundSegment(), 45.0,
+         day + 1234.5, 1.6 * day + 17.25},
+        {"empty_interval", sso, globalGroundSegment(), 30.0, 5000.0,
+         5000.0},
+        {"mask_30deg", shell, withMask(globalGroundSegment(), 30.0), 30.0,
+         0.0, day},
+    };
+}
+
+TEST(ContactSweepProps, OnePassMatchesPerPairOracleAtAnyThreadCount)
+{
+    for (const ScanCase &c : scanCases()) {
+        SCOPED_TRACE(c.name);
+        std::vector<orbit::J2Propagator> sats(c.satellites.begin(),
+                                              c.satellites.end());
+        const ContactFinder finder(c.step);
+        const auto oracle = kodan::testing::findAllOracle(
+            finder, sats, c.stations, c.t0, c.t1);
+        for (const int threads : {1, 4, 16}) {
+            SCOPED_TRACE(threads);
+            util::setGlobalThreads(threads);
+            kodan::testing::expectWindowsIdentical(
+                finder.findAllParallel(sats, c.stations, c.t0, c.t1),
+                oracle);
         }
     }
+    util::setGlobalThreads(0);
 }
 
 TEST(ContactSweepProps, ParallelSweepMatchesSerialAtAnyThreadCount)
@@ -180,12 +214,13 @@ TEST(ContactSweepProps, ParallelSweepMatchesSerialAtAnyThreadCount)
         sats.emplace_back(elems);
     }
     const ContactFinder finder(30.0);
-    const auto serial = finder.findAll(sats, stations, 0.0, 86400.0);
+    const auto serial =
+        kodan::testing::findAllOracle(finder, sats, stations, 0.0, 86400.0);
     for (const int threads : {1, 4, 16}) {
         util::setGlobalThreads(threads);
         const auto parallel =
             finder.findAllParallel(sats, stations, 0.0, 86400.0);
-        expectWindowsIdentical(parallel, serial);
+        kodan::testing::expectWindowsIdentical(parallel, serial);
     }
     util::setGlobalThreads(0);
 }

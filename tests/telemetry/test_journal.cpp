@@ -312,6 +312,37 @@ TEST(Journal, JsonlExportRoundTripsThroughJsonReader)
 #endif
 }
 
+TEST(Journal, JsonlExportEscapesTypeNamesAndText)
+{
+    JournalEvent event;
+    event.region = 7;
+    event.slot = 2;
+    event.ord = 5;
+    event.type = "a\"b\\c\x01" "d";
+    JournalField count;
+    count.name = "n\"a\\m\te";
+    count.kind = JournalField::Kind::Int;
+    count.i = -42;
+    JournalField ratio;
+    ratio.name = "f";
+    ratio.kind = JournalField::Kind::Float;
+    ratio.f = 0.1;
+    JournalField note;
+    note.name = "t\x1f";
+    note.kind = JournalField::Kind::Text;
+    note.s = "x\"y\\z\nw";
+    event.fields = {count, ratio, note};
+
+    std::ostringstream out;
+    writeJournalJsonl({event}, 3, out);
+    EXPECT_EQ(out.str(),
+              "{\"kodan_journal\": 1, \"events\": 1, \"dropped\": 3}\n"
+              R"({"seq": 0, "region": 7, "slot": 2, "ord": 5, )"
+              R"("type": "a\"b\\c\u0001d", "fields": {"n\"a\\m\te": -42, )"
+              R"("f": 0.10000000000000001, "t\u001f": "x\"y\\z\nw"}})"
+              "\n");
+}
+
 TEST(Journal, ChromeTraceExportRoundTripsThroughJsonReader)
 {
 #ifdef KODAN_TELEMETRY_DISABLED

@@ -7,6 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -174,6 +180,42 @@ TEST(Export, JsonEscapeHandlesSpecials)
     EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
     EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+}
+
+/** The format every exporter's doubles must reproduce byte for byte. */
+std::string
+printf17g(double value)
+{
+    char buffer[40];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return buffer;
+}
+
+TEST(Export, NumberMatchesPrintf17g)
+{
+    using limits = std::numeric_limits<double>;
+    const double two53 = 9007199254740992.0;
+    const double specials[] = {
+        0.0, -0.0, limits::infinity(), -limits::infinity(),
+        limits::quiet_NaN(), -limits::quiet_NaN(), DBL_MIN, -DBL_MIN,
+        DBL_TRUE_MIN, std::bit_cast<double>(0x000FFFFFFFFFFFFFULL),
+        std::bit_cast<double>(0x0000000123456789ULL), DBL_MAX, -DBL_MAX,
+        two53 - 1.0, two53, two53 + 1.0, two53 + 2.0, 0.1, -0.1, 1.0 / 3.0,
+        1e300, 1e-300, -1e300, 1e16, 1e17, 1e-5, 1e-4, 123456.789};
+    for (const double v : specials) {
+        EXPECT_EQ(jsonNumber(v), printf17g(v))
+            << "bits " << std::hex << std::bit_cast<std::uint64_t>(v);
+    }
+    std::mt19937_64 rng(0x5EED17ULL);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t bits = rng();
+        const double v = std::bit_cast<double>(bits);
+        ASSERT_EQ(jsonNumber(v), printf17g(v))
+            << "bits " << std::hex << bits;
+    }
+    std::string appended = "x=";
+    appendNumber(appended, 0.5);
+    EXPECT_EQ(appended, "x=0.5");
 }
 
 #ifndef KODAN_TELEMETRY_DISABLED
