@@ -288,8 +288,8 @@ main(int argc, char **argv)
     // requantize-store GEMM) — the kernel sequence
     // QuantizedMlp::forwardBatch issues for the hidden stack, floored
     // at >= 2.5x over the blocked double GEMM on the same shapes. The
-    // (16->1) head is a GEMV, not a GEMM (its padded channel tile would
-    // time 16x dead lanes); it is covered by mlp_forward_i8_tier7.
+    // (16->1) head is not in the chain; it is covered by
+    // mlp_forward_i8_tier7.
     {
         const std::size_t m = std::size_t{256} * data::kBlocksPerTile;
         const int reps = 8;

@@ -56,11 +56,12 @@ fi
 
 # Suites whose dispatch changes under the int8 precision knob: the
 # kernel equivalence grid itself plus the runtime/data-plane paths that
-# route inference through the quantized siblings. Rerun under
+# route inference through the quantized siblings, and the core suite,
+# whose runtime cost accounting follows the active precision. Rerun under
 # KODAN_QUANT=int8 so the integer kernels' concurrency (scratch arenas,
 # packed-weight sharing, concurrent data-plane lanes) gets the same
 # sanitizer coverage as the fp64 path.
-QUANT_LABELS='mlkernels|dataplane|parallel'
+QUANT_LABELS='mlkernels|dataplane|parallel|core'
 
 sanitized_pass() {
     local kind="$1" dir="$2"

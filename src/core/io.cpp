@@ -1,8 +1,10 @@
 #include "core/io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "util/log.hpp"
 
@@ -221,11 +223,26 @@ loadZoo(std::istream &is)
         std::string quant_tag;
         is >> quant_tag;
         if (quant_tag == "quant") {
+            // One activation scale per linear layer, each a finite
+            // positive number: checked here because QuantizedMlp only
+            // asserts it, and the count sizes an allocation.
+            const std::size_t layers = zoo.entries.back().net.layerCount();
             std::size_t scale_count = 0;
             is >> scale_count;
+            if (!is || scale_count != layers) {
+                util::fatal("kodan::core::io: zoo entry " +
+                            std::to_string(e) + " needs " +
+                            std::to_string(layers) + " quant scales");
+            }
             std::vector<double> scales(scale_count);
             for (auto &s : scales) {
                 is >> s;
+                if (!is || !std::isfinite(s) || s <= 0.0) {
+                    util::fatal("kodan::core::io: zoo entry " +
+                                std::to_string(e) +
+                                " has a quant scale that is not a "
+                                "finite positive number");
+                }
             }
             zoo.entries.back().quant =
                 std::make_shared<ml::QuantizedMlp>(

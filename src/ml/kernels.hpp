@@ -19,6 +19,7 @@
 #ifndef KODAN_ML_KERNELS_HPP
 #define KODAN_ML_KERNELS_HPP
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -276,14 +277,47 @@ saturateI8(std::int32_t v, std::int32_t lo)
 }
 
 /**
+ * The one rounding rule of weight and input quantization:
+ * round(v * inv_scale) half away from zero (requantize()'s tie rule),
+ * computed as truncate(s + copysign(0.5, s)) after a clamp to
+ * [-127, 127], so -128 is never produced. The +/-0.5 form can differ
+ * from llround by one ulp of double rounding at representation
+ * boundaries; either way it is a fixed deterministic rule, which is
+ * all the bit-identity contract needs. A NaN fails both clamp compares
+ * and is pinned to 0 by an explicit select: converting NaN to an
+ * integer is undefined. quantizeRows() is the vector form of exactly
+ * this expression.
+ */
+inline std::int8_t
+quantizeValue(double v, double inv_scale)
+{
+    double s = v * inv_scale;
+    s = s > 127.0 ? 127.0 : s;
+    s = s < -127.0 ? -127.0 : s;
+    s = s == s ? s : 0.0;
+    return static_cast<std::int8_t>(
+        static_cast<std::int32_t>(s + std::copysign(0.5, s)));
+}
+
+/**
+ * out[i] = quantizeValue(x[i], inv_scale) for i < @p count — the int8
+ * input quantization of a row-major activation block, vectorized in
+ * the -O3 kernel TU. Bit-identical to the scalar rule for every input,
+ * NaN and +/-inf included.
+ */
+void quantizeRows(const double *x, std::size_t count, double inv_scale,
+                  std::int8_t *out);
+
+/**
  * Weight operand of the blocked int8 kernels, packed once and reused
  * across calls — the int8 analogue of Mlp's eagerly-refreshed
  * transposes. Rows are indexed by PAIRS of reduction indices with
  * each output channel contributing an adjacent int16 (W[j][2h],
- * W[j][2h+1]) pair, zero-padded to even k and a vector multiple of
- * channels, which is exactly the shape one pmaddwd consumes. Padding
- * cannot change bits (zero products) and packing per construction
- * instead of per call removes the dominant overhead on small layers.
+ * W[j][2h+1]) pair, zero-padded to even k and to the channel tile
+ * sized to the layer (n_pad), which is exactly the shape one pmaddwd
+ * consumes. Padding cannot change bits (zero products) and packing per
+ * construction instead of per call removes the dominant overhead on
+ * small layers.
  */
 struct PackedI8
 {
@@ -300,7 +334,13 @@ struct PackedI8
     std::size_t n = 0;
     /** ceil(k / 2): reduction pairs per packed row. */
     std::size_t k_half = 0;
-    /** n rounded up to the kernel's channel-tile width. */
+    /**
+     * n rounded up to the smallest channel tile that covers it: one or
+     * two vectors of int32 lanes when n <= 8 (4 or 8 channels under
+     * SSE2, 8 under AVX2), otherwise a multiple of 16. The deployed
+     * tier-1 layers (18 -> 4 -> 1) would waste 4x and 16x of every
+     * multiply-add on a fixed 16-wide tile.
+     */
     std::size_t n_pad = 0;
     /** k_half rows of 2 * n_pad int16 interleaved channel pairs. */
     std::vector<std::int16_t> wpack;

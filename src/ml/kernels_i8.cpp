@@ -16,10 +16,15 @@
  * accumulators stay vertical in vector registers for the whole
  * reduction, so there are NO horizontal reductions and no padding
  * waste beyond rounding k up to even (autovectorized dot-product
- * forms lost half their throughput to exactly those two costs). A is
- * walked two rows at a time so every packed weight row feeds two
- * accumulator sets per load. Non-x86 targets fall back to a portable
- * form of the same layout that the autovectorizer handles adequately.
+ * forms lost half their throughput to exactly those two costs). The
+ * channel tile is sized to the layer (PackedI8::n_pad), so a layer of
+ * a few channels, like the deployed 18 -> 4 -> 1 models', runs one
+ * vector per row rather than a mostly padded 16-wide tile. A is walked
+ * several rows at a time so every packed weight row feeds that many
+ * accumulator sets per load. One microkernel template, instantiated
+ * over rows per call and vectors per tile, covers every tile on both
+ * ISAs. Non-x86 targets fall back to a portable form of the same
+ * layout that the autovectorizer handles adequately.
  *
  * Nothing here depends on evaluation order, padding, tiling, or ISA
  * for the bits: pmaddwd on int8-range values is exact (no saturation
@@ -61,269 +66,259 @@ namespace {
 constexpr std::size_t kMaxK =
     ((std::size_t{1} << 31) - (std::size_t{1} << 30)) / (127 * 127);
 
-/** Output channels advance in vector tiles of this width; the packed
- *  weight rows and the accumulator rows are zero-padded to it. */
+/** Wide layers advance in channel tiles of this width; their packed
+ *  weight rows and accumulator rows are zero-padded to a multiple of
+ *  it. A layer of at most 8 channels gets a tile of one or two vectors
+ *  instead (channelPad). */
 constexpr std::size_t kTileN = 16;
-
-/** Pack one A row into broadcastable int16-pair lanes. */
-inline void
-packARow(const std::int8_t *a_row, std::size_t k, std::size_t k_half,
-         std::int32_t *a_pairs)
-{
-    for (std::size_t h = 0; h + 1 < k_half; ++h) {
-        const std::uint16_t lo = static_cast<std::uint16_t>(
-            static_cast<std::int16_t>(a_row[2 * h]));
-        const std::uint16_t hi = static_cast<std::uint16_t>(
-            static_cast<std::int16_t>(a_row[2 * h + 1]));
-        a_pairs[h] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(lo) |
-            (static_cast<std::uint32_t>(hi) << 16));
-    }
-    // Last pair: the second lane is zero when k is odd.
-    const std::size_t h = k_half - 1;
-    const std::uint16_t lo = static_cast<std::uint16_t>(
-        static_cast<std::int16_t>(a_row[2 * h]));
-    const std::uint16_t hi =
-        2 * h + 1 < k ? static_cast<std::uint16_t>(
-                            static_cast<std::int16_t>(a_row[2 * h + 1]))
-                      : 0;
-    a_pairs[h] = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(lo) |
-        (static_cast<std::uint32_t>(hi) << 16));
-}
 
 #ifdef KODAN_I8_SIMD
 
+// The vector operations of the microkernel, one set per ISA: a vector
+// holds kLanes int32 accumulators, or kLanes int16 channel pairs.
 #ifdef __AVX2__
+constexpr std::size_t kLanes = 8;
+using VecI = __m256i;
 
-/** One packed A row x packed weights -> acc[0, n_pad). */
-void
-simdRow1(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+inline VecI
+vload(const void *p)
 {
-    const std::size_t stride = 2 * pw.n_pad;
-    for (std::size_t jt = 0; jt < pw.n_pad; jt += kTileN) {
-        __m256i acc0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pw.bias_pad.data() + jt));
-        __m256i acc1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                pw.bias_pad.data() + jt + 8));
-        const std::int16_t *w = pw.wpack.data() + 2 * jt;
-        for (std::size_t h = 0; h < pw.k_half; ++h) {
-            const __m256i ap = _mm256_set1_epi32(a_pairs[h]);
-            const std::int16_t *w_row = w + h * stride;
-            acc0 = _mm256_add_epi32(
-                acc0,
-                _mm256_madd_epi16(
-                    ap, _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(w_row))));
-            acc1 = _mm256_add_epi32(
-                acc1, _mm256_madd_epi16(
-                          ap, _mm256_loadu_si256(
-                                  reinterpret_cast<const __m256i *>(
-                                      w_row + 16))));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + jt), acc0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + jt + 8),
-                            acc1);
-    }
+    return _mm256_loadu_si256(static_cast<const __m256i *>(p));
 }
 
-/** Two packed A rows x packed weights -> acc rows 0 and n_pad; each
- *  weight load feeds both rows' accumulator chains. */
-void
-simdRow2(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+inline void
+vstore(void *p, VecI v)
 {
-    const std::size_t stride = 2 * pw.n_pad;
-    const std::int32_t *a1 = a_pairs + pw.k_half;
-    for (std::size_t jt = 0; jt < pw.n_pad; jt += kTileN) {
-        const __m256i b0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(pw.bias_pad.data() + jt));
-        const __m256i b1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                pw.bias_pad.data() + jt + 8));
-        __m256i r0c0 = b0;
-        __m256i r0c1 = b1;
-        __m256i r1c0 = b0;
-        __m256i r1c1 = b1;
-        const std::int16_t *w = pw.wpack.data() + 2 * jt;
-        for (std::size_t h = 0; h < pw.k_half; ++h) {
-            const std::int16_t *w_row = w + h * stride;
-            const __m256i w0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(w_row));
-            const __m256i w1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(w_row + 16));
-            const __m256i ap0 = _mm256_set1_epi32(a_pairs[h]);
-            const __m256i ap1 = _mm256_set1_epi32(a1[h]);
-            r0c0 = _mm256_add_epi32(r0c0, _mm256_madd_epi16(ap0, w0));
-            r0c1 = _mm256_add_epi32(r0c1, _mm256_madd_epi16(ap0, w1));
-            r1c0 = _mm256_add_epi32(r1c0, _mm256_madd_epi16(ap1, w0));
-            r1c1 = _mm256_add_epi32(r1c1, _mm256_madd_epi16(ap1, w1));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + jt), r0c0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + jt + 8),
-                            r0c1);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(acc + pw.n_pad + jt), r1c0);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(acc + pw.n_pad + jt + 8), r1c1);
-    }
+    _mm256_storeu_si256(static_cast<__m256i *>(p), v);
 }
 
+inline VecI
+vbroadcast(std::int32_t pair)
+{
+    return _mm256_set1_epi32(pair);
+}
+
+/** acc + pmaddwd(a, w): two reduction steps for kLanes channels. */
+inline VecI
+vmadd(VecI acc, VecI a, VecI w)
+{
+    return _mm256_add_epi32(acc, _mm256_madd_epi16(a, w));
+}
 #else // SSE2
+constexpr std::size_t kLanes = 4;
+using VecI = __m128i;
 
-void
-simdRow1(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+inline VecI
+vload(const void *p)
 {
-    const std::size_t stride = 2 * pw.n_pad;
-    for (std::size_t jt = 0; jt < pw.n_pad; jt += kTileN) {
-        __m128i acc0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(pw.bias_pad.data() + jt));
-        __m128i acc1 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-            pw.bias_pad.data() + jt + 4));
-        __m128i acc2 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-            pw.bias_pad.data() + jt + 8));
-        __m128i acc3 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-            pw.bias_pad.data() + jt + 12));
-        const std::int16_t *w = pw.wpack.data() + 2 * jt;
-        for (std::size_t h = 0; h < pw.k_half; ++h) {
-            const __m128i ap = _mm_set1_epi32(a_pairs[h]);
-            const std::int16_t *w_row = w + h * stride;
-            acc0 = _mm_add_epi32(
-                acc0,
-                _mm_madd_epi16(
-                    ap, _mm_loadu_si128(
-                            reinterpret_cast<const __m128i *>(w_row))));
-            acc1 = _mm_add_epi32(
-                acc1, _mm_madd_epi16(
-                          ap, _mm_loadu_si128(
-                                  reinterpret_cast<const __m128i *>(
-                                      w_row + 8))));
-            acc2 = _mm_add_epi32(
-                acc2, _mm_madd_epi16(
-                          ap, _mm_loadu_si128(
-                                  reinterpret_cast<const __m128i *>(
-                                      w_row + 16))));
-            acc3 = _mm_add_epi32(
-                acc3, _mm_madd_epi16(
-                          ap, _mm_loadu_si128(
-                                  reinterpret_cast<const __m128i *>(
-                                      w_row + 24))));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt), acc0);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt + 4), acc1);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt + 8), acc2);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt + 12),
-                         acc3);
-    }
+    return _mm_loadu_si128(static_cast<const __m128i *>(p));
 }
 
-/** SSE2 advances 8 channels per row pair (8 accumulators + 2 weight
- *  vectors + 2 broadcasts stays within the 16 xmm registers). */
-void
-simdRow2(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+inline void
+vstore(void *p, VecI v)
 {
-    const std::size_t stride = 2 * pw.n_pad;
-    const std::int32_t *a1 = a_pairs + pw.k_half;
-    for (std::size_t jt = 0; jt < pw.n_pad; jt += 8) {
-        const __m128i b0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(pw.bias_pad.data() + jt));
-        const __m128i b1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-                pw.bias_pad.data() + jt + 4));
-        __m128i r0c0 = b0;
-        __m128i r0c1 = b1;
-        __m128i r1c0 = b0;
-        __m128i r1c1 = b1;
-        const std::int16_t *w = pw.wpack.data() + 2 * jt;
-        for (std::size_t h = 0; h < pw.k_half; ++h) {
-            const std::int16_t *w_row = w + h * stride;
-            const __m128i w0 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(w_row));
-            const __m128i w1 = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(w_row + 8));
-            const __m128i ap0 = _mm_set1_epi32(a_pairs[h]);
-            const __m128i ap1 = _mm_set1_epi32(a1[h]);
-            r0c0 = _mm_add_epi32(r0c0, _mm_madd_epi16(ap0, w0));
-            r0c1 = _mm_add_epi32(r0c1, _mm_madd_epi16(ap0, w1));
-            r1c0 = _mm_add_epi32(r1c0, _mm_madd_epi16(ap1, w0));
-            r1c1 = _mm_add_epi32(r1c1, _mm_madd_epi16(ap1, w1));
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt), r0c0);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + jt + 4),
-                         r0c1);
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(acc + pw.n_pad + jt), r1c0);
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(acc + pw.n_pad + jt + 4), r1c1);
-    }
+    _mm_storeu_si128(static_cast<__m128i *>(p), v);
 }
 
+inline VecI
+vbroadcast(std::int32_t pair)
+{
+    return _mm_set1_epi32(pair);
+}
+
+inline VecI
+vmadd(VecI acc, VecI a, VecI w)
+{
+    return _mm_add_epi32(acc, _mm_madd_epi16(a, w));
+}
 #endif // __AVX2__
 
 #else // !KODAN_I8_SIMD
 
-/** Portable fallback: the same packed pair layout evaluated with
- *  scalar pair multiply-adds the autovectorizer can widen. */
-void
-simdRow1(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+/** The portable fallback loops over any n_pad; its tiles follow SSE2. */
+constexpr std::size_t kLanes = 4;
+
+#endif // KODAN_I8_SIMD
+
+/** The channel tile that covers @p n (see PackedI8::n_pad). */
+std::size_t
+channelPad(std::size_t n)
 {
+    for (std::size_t tile = kLanes; tile < kTileN; tile *= 2) {
+        if (n <= tile) {
+            return tile;
+        }
+    }
+    return (n + kTileN - 1) / kTileN * kTileN;
+}
+
+/** Pack one A row into broadcastable int16-pair lanes (the last pair's
+ *  second lane is zero when k is odd). */
+inline void
+packARow(const std::int8_t *a_row, std::size_t k, std::int32_t *a_pairs)
+{
+    const auto pair = [](std::int8_t lo, std::int8_t hi) {
+        return static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(static_cast<std::uint16_t>(lo)) |
+            (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi))
+             << 16));
+    };
+    std::size_t p = 0;
+#ifdef KODAN_I8_SIMD
+    // The pair lanes ARE the row sign-extended to little-endian int16:
+    // unpack each byte into the high half of a word, then shift it back
+    // down arithmetically.
+    for (; p + 16 <= k; p += 16) {
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(a_row + p));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(a_pairs + p / 2),
+                         _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(a_pairs + p / 2 + 4),
+            _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8));
+    }
+#endif
+    for (; p + 1 < k; p += 2) {
+        a_pairs[p / 2] = pair(a_row[p], a_row[p + 1]);
+    }
+    if (p < k) {
+        a_pairs[p / 2] = pair(a_row[p], 0);
+    }
+}
+
+#ifdef KODAN_I8_SIMD
+
+/**
+ * The microkernel: @p Rows packed A rows (a_pairs rows k_half apart)
+ * x packed weights -> acc rows n_pad apart, one channel tile of
+ * @p Vecs vectors at a time. Each weight load feeds every row's
+ * accumulator chain, and the accumulators stay in registers for the
+ * whole reduction. runPacked picks the instantiations.
+ */
+template <std::size_t Rows, std::size_t Vecs>
+void
+microkernel(const PackedI8 &pw, const std::int32_t *a_pairs,
+            std::int32_t *acc)
+{
+    const std::size_t k_half = pw.k_half;
     const std::size_t stride = 2 * pw.n_pad;
-    std::memcpy(acc, pw.bias_pad.data(), pw.n_pad * sizeof(std::int32_t));
-    for (std::size_t h = 0; h < pw.k_half; ++h) {
-        const std::int32_t pair = a_pairs[h];
-        const auto a0 = static_cast<std::int32_t>(
-            static_cast<std::int16_t>(pair & 0xffff));
-        const auto a1 = static_cast<std::int32_t>(
-            static_cast<std::int16_t>(static_cast<std::uint32_t>(pair) >>
-                                      16));
-        const std::int16_t *w_row = pw.wpack.data() + h * stride;
-        for (std::size_t j = 0; j < pw.n_pad; ++j) {
-            acc[j] += a0 * w_row[2 * j] + a1 * w_row[2 * j + 1];
+    for (std::size_t jt = 0; jt < pw.n_pad; jt += Vecs * kLanes) {
+        VecI c[Rows][Vecs];
+        for (std::size_t v = 0; v < Vecs; ++v) {
+            const VecI b = vload(pw.bias_pad.data() + jt + v * kLanes);
+            for (std::size_t r = 0; r < Rows; ++r) {
+                c[r][v] = b;
+            }
+        }
+        const std::int16_t *w = pw.wpack.data() + 2 * jt;
+        for (std::size_t h = 0; h < k_half; ++h) {
+            const std::int16_t *w_row = w + h * stride;
+            VecI wv[Vecs];
+            for (std::size_t v = 0; v < Vecs; ++v) {
+                wv[v] = vload(w_row + 2 * v * kLanes);
+            }
+            for (std::size_t r = 0; r < Rows; ++r) {
+                const VecI ap = vbroadcast(a_pairs[r * k_half + h]);
+                for (std::size_t v = 0; v < Vecs; ++v) {
+                    c[r][v] = vmadd(c[r][v], ap, wv[v]);
+                }
+            }
+        }
+        for (std::size_t r = 0; r < Rows; ++r) {
+            for (std::size_t v = 0; v < Vecs; ++v) {
+                vstore(acc + r * pw.n_pad + jt + v * kLanes, c[r][v]);
+            }
         }
     }
 }
 
+#else // !KODAN_I8_SIMD
+
+/** Portable fallback: the same packed pair layout evaluated with
+ *  scalar pair multiply-adds the autovectorizer can widen, a row at a
+ *  time over all n_pad channels. */
+template <std::size_t Rows, std::size_t Vecs>
 void
-simdRow2(const PackedI8 &pw, const std::int32_t *a_pairs,
-         std::int32_t *acc)
+microkernel(const PackedI8 &pw, const std::int32_t *a_pairs,
+            std::int32_t *acc)
 {
-    simdRow1(pw, a_pairs, acc);
-    simdRow1(pw, a_pairs + pw.k_half, acc + pw.n_pad);
+    const std::size_t stride = 2 * pw.n_pad;
+    for (std::size_t r = 0; r < Rows; ++r) {
+        std::int32_t *acc_r = acc + r * pw.n_pad;
+        std::memcpy(acc_r, pw.bias_pad.data(),
+                    pw.n_pad * sizeof(std::int32_t));
+        for (std::size_t h = 0; h < pw.k_half; ++h) {
+            const std::int32_t pair = a_pairs[r * pw.k_half + h];
+            const auto a0 = static_cast<std::int32_t>(
+                static_cast<std::int16_t>(pair & 0xffff));
+            const auto a1 = static_cast<std::int32_t>(
+                static_cast<std::int16_t>(
+                    static_cast<std::uint32_t>(pair) >> 16));
+            const std::int16_t *w_row = pw.wpack.data() + h * stride;
+            for (std::size_t j = 0; j < pw.n_pad; ++j) {
+                acc_r[j] += a0 * w_row[2 * j] + a1 * w_row[2 * j + 1];
+            }
+        }
+    }
 }
 
 #endif // KODAN_I8_SIMD
 
 /**
- * Blocked driver over a packed weight operand: per pair of A rows run
- * the microkernel and hand each finished accumulator row to @p epi
- * (storing int32 or requantizing to int8 — inlined either way).
+ * Blocked driver over a packed weight operand: per @p Rows A rows run
+ * the Rows-row microkernel on tiles of @p VR vectors, on each
+ * remaining row the one-row microkernel on tiles of @p V1, and hand
+ * each finished accumulator row to @p epi (storing int32 or
+ * requantizing to int8 — inlined either way).
+ */
+template <std::size_t Rows, std::size_t VR, std::size_t V1, typename Epi>
+void
+runRows(std::size_t m, const PackedI8 &pw, const std::int8_t *a,
+        Epi &epi)
+{
+    Scratch::Frame frame(scratch());
+    auto *a_pairs =
+        scratch().allocArray<std::int32_t>(Rows * pw.k_half, 64);
+    auto *acc = scratch().allocArray<std::int32_t>(Rows * pw.n_pad, 64);
+    std::size_t i = 0;
+    for (; i + Rows <= m; i += Rows) {
+        for (std::size_t r = 0; r < Rows; ++r) {
+            packARow(a + (i + r) * pw.k, pw.k, a_pairs + r * pw.k_half);
+        }
+        microkernel<Rows, VR>(pw, a_pairs, acc);
+        for (std::size_t r = 0; r < Rows; ++r) {
+            epi(i + r, acc + r * pw.n_pad);
+        }
+    }
+    for (; i < m; ++i) {
+        packARow(a + i * pw.k, pw.k, a_pairs);
+        microkernel<1, V1>(pw, a_pairs, acc);
+        epi(i, acc);
+    }
+}
+
+/**
+ * Picks the microkernels for the layer's channel tile. A narrow tile
+ * runs 8 rows x 1 vector or 4 rows x 2 vectors per call: 8
+ * accumulators either way, which with the weight vectors and a
+ * broadcast fits the 16 vector registers, and amortizes the call and
+ * loop overhead that dominates a 4-channel layer. A wide layer keeps
+ * the tiling tuned on tier-7 shapes: one row x the 16-wide tile, and
+ * two rows x 2 vectors (under SSE2 that is 8 channels, so 8
+ * accumulators, 2 weight vectors and 2 broadcasts fit the 16 xmm
+ * registers).
  */
 template <typename Epi>
 void
 runPacked(std::size_t m, const PackedI8 &pw, const std::int8_t *a,
           Epi &&epi)
 {
-    Scratch::Frame frame(scratch());
-    auto *a_pairs = scratch().allocArray<std::int32_t>(2 * pw.k_half, 64);
-    auto *acc = scratch().allocArray<std::int32_t>(2 * pw.n_pad, 64);
-    std::size_t i = 0;
-    for (; i + 1 < m; i += 2) {
-        packARow(a + i * pw.k, pw.k, pw.k_half, a_pairs);
-        packARow(a + (i + 1) * pw.k, pw.k, pw.k_half,
-                 a_pairs + pw.k_half);
-        simdRow2(pw, a_pairs, acc);
-        epi(i, acc);
-        epi(i + 1, acc + pw.n_pad);
-    }
-    if (i < m) {
-        packARow(a + i * pw.k, pw.k, pw.k_half, a_pairs);
-        simdRow1(pw, a_pairs, acc);
-        epi(i, acc);
+    if (pw.n_pad == kLanes) {
+        runRows<8, 1, 1>(m, pw, a, epi);
+    } else if (pw.n_pad < kTileN) {
+        runRows<4, 2, 2>(m, pw, a, epi);
+    } else {
+        runRows<2, 2, kTileN / kLanes>(m, pw, a, epi);
     }
 }
 
@@ -487,10 +482,54 @@ class RequantStore
 
 } // namespace
 
+void
+quantizeRows(const double *x, std::size_t count, double inv_scale,
+             std::int8_t *out)
+{
+    std::size_t i = 0;
+#ifdef KODAN_I8_SIMD
+    // quantizeValue() two doubles at a time. minpd/maxpd return their
+    // SECOND operand when either input is NaN, so with the bound first
+    // a NaN passes both clamps exactly as it passes the scalar
+    // ternaries. cvttpd2dq truncates like the int32 cast, and the
+    // clamped values pass the saturating packs unchanged. A NaN
+    // converts to INT_MIN, which the packs carry to -128, a byte no
+    // other input produces; the final select pins those bytes to 0
+    // like the scalar select.
+    const __m128d inv = _mm_set1_pd(inv_scale);
+    const __m128d hi = _mm_set1_pd(127.0);
+    const __m128d lo = _mm_set1_pd(-127.0);
+    const __m128d sign = _mm_set1_pd(-0.0);
+    const __m128d half = _mm_set1_pd(0.5);
+    const __m128i nan_byte = _mm_set1_epi8(-128);
+    const auto quantize2 = [&](const double *p) {
+        __m128d s = _mm_mul_pd(_mm_loadu_pd(p), inv);
+        s = _mm_max_pd(lo, _mm_min_pd(hi, s));
+        return _mm_cvttpd_epi32(
+            _mm_add_pd(s, _mm_or_pd(_mm_and_pd(s, sign), half)));
+    };
+    const auto quantize4 = [&](const double *p) {
+        return _mm_unpacklo_epi64(quantize2(p), quantize2(p + 2));
+    };
+    for (; i + 16 <= count; i += 16) {
+        const __m128i q16_lo =
+            _mm_packs_epi32(quantize4(x + i), quantize4(x + i + 4));
+        const __m128i q16_hi =
+            _mm_packs_epi32(quantize4(x + i + 8), quantize4(x + i + 12));
+        const __m128i q = _mm_packs_epi16(q16_lo, q16_hi);
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
+                         _mm_andnot_si128(_mm_cmpeq_epi8(q, nan_byte), q));
+    }
+#endif
+    for (; i < count; ++i) {
+        out[i] = quantizeValue(x[i], inv_scale);
+    }
+}
+
 PackedI8::PackedI8(std::size_t n_arg, std::size_t k_arg,
                    const std::int8_t *w, const std::int32_t *bias)
     : k(k_arg), n(n_arg), k_half((k_arg + 1) / 2),
-      n_pad((n_arg + kTileN - 1) / kTileN * kTileN)
+      n_pad(channelPad(n_arg))
 {
     assert(k >= 1 && k <= kMaxK);
     wpack.assign(k_half * 2 * n_pad, 0);
@@ -521,8 +560,13 @@ gemmI8(std::size_t m, const PackedI8 &w, const std::int8_t *a,
         return;
     }
     const std::size_t n = w.n;
+    // A plain copy: the deployed head is one channel wide, where a
+    // memcpy call per row costs more than the row's multiply-adds.
     runPacked(m, w, a, [c, n](std::size_t row, const std::int32_t *acc) {
-        std::memcpy(c + row * n, acc, n * sizeof(std::int32_t));
+        std::int32_t *c_row = c + row * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            c_row[j] = acc[j];
+        }
     });
 }
 

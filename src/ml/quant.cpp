@@ -33,26 +33,6 @@ envPrecision()
  *  int32 for every k this codebase can produce (see kernels.hpp). */
 constexpr std::int32_t kBiasClamp = std::int32_t{1} << 30;
 
-/**
- * Input/weight quantization rounding: round half away from zero
- * (matching requantize()'s tie rule), computed as truncate(s +/- 0.5)
- * with a saturating clamp — branch-free so the per-sample input
- * quantization loop vectorizes (llround compiled to a libm call per
- * element and dominated the whole quantized forward). The +/-0.5 form
- * can differ from llround by one ulp of double rounding at
- * representation boundaries; either way it is a fixed deterministic
- * rule, which is all the bit-identity contract needs.
- */
-inline std::int8_t
-quantizeValue(double v, double inv_scale)
-{
-    double s = v * inv_scale;
-    s = s > 127.0 ? 127.0 : s;
-    s = s < -127.0 ? -127.0 : s;
-    return static_cast<std::int8_t>(
-        static_cast<std::int32_t>(s + std::copysign(0.5, s)));
-}
-
 double
 sigmoid(double z)
 {
@@ -146,7 +126,8 @@ QuantizedMlp::QuantizedMlp(const Mlp &net,
             lq.w_scale[o] = scale;
             const double inv = 1.0 / scale;
             for (std::size_t i = 0; i < lq.fan_in; ++i) {
-                lq.wq[o * lq.fan_in + i] = quantizeValue(w_row[i], inv);
+                lq.wq[o * lq.fan_in + i] =
+                    kernels::quantizeValue(w_row[i], inv);
             }
         }
 
@@ -235,11 +216,7 @@ QuantizedMlp::quantizeInput(const double *x, std::size_t rows,
                             std::int8_t *out) const
 {
     const auto in_dim = static_cast<std::size_t>(config_.input_dim);
-    const double inv = 1.0 / act_scales_[0];
-    const std::size_t count = rows * in_dim;
-    for (std::size_t i = 0; i < count; ++i) {
-        out[i] = quantizeValue(x[i], inv);
-    }
+    kernels::quantizeRows(x, rows * in_dim, 1.0 / act_scales_[0], out);
     return out;
 }
 

@@ -36,9 +36,19 @@ TEST(Runtime, ComputeTimeMatchesCostModel)
                           &pipeline.app4.zoo, hw::Target::Orin15W);
     const auto report =
         runtime.processFrame(pipeline.shared.val.front());
+    // The cost model at the active precision, for the entry every tile
+    // runs: under KODAN_QUANT=int8 a calibrated sibling runs quantized.
+    const ZooEntry &entry =
+        pipeline.app4.zoo.entries[pipeline.app4.zoo.reference];
+    ASSERT_EQ(entry.tier, 4);
+    const std::size_t params = hw::CostModel::tierParamCount(entry.tier);
+    const double model_time =
+        entry.runsQuantized()
+            ? hw::CostModel::modelTimeQuant(params, hw::Target::Orin15W)
+            : hw::CostModel::modelTime(params, hw::Target::Orin15W);
     const double expected =
-        36.0 * (hw::CostModel::contextEngineTime(hw::Target::Orin15W) +
-                hw::CostModel::tileTime(4, hw::Target::Orin15W));
+        36.0 *
+        (hw::CostModel::contextEngineTime(hw::Target::Orin15W) + model_time);
     EXPECT_NEAR(report.compute_time, expected, 1e-9);
     EXPECT_EQ(report.tiles_modeled, 36);
     EXPECT_EQ(report.tiles_discarded, 0);

@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "hw/target.hpp"
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
@@ -309,6 +311,113 @@ TEST(SaturateI8, ClampEdges)
 }
 
 // ---------------------------------------------------------------------
+// Input quantization: the vector quantizeRows against the scalar rule.
+
+TEST(QuantizeValue, PinsSpecialsIncludingNaN)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(kernels::quantizeValue(0.0, 1.0), 0);
+    EXPECT_EQ(kernels::quantizeValue(-0.0, 1.0), 0);
+    // Ties round away from zero.
+    EXPECT_EQ(kernels::quantizeValue(0.5, 1.0), 1);
+    EXPECT_EQ(kernels::quantizeValue(-0.5, 1.0), -1);
+    EXPECT_EQ(kernels::quantizeValue(1.5, 1.0), 2);
+    EXPECT_EQ(kernels::quantizeValue(-1.5, 1.0), -2);
+    EXPECT_EQ(kernels::quantizeValue(126.5, 1.0), 127);
+    EXPECT_EQ(kernels::quantizeValue(-126.5, 1.0), -127);
+    // The clamp keeps the range symmetric: -128 is never produced.
+    EXPECT_EQ(kernels::quantizeValue(127.5, 1.0), 127);
+    EXPECT_EQ(kernels::quantizeValue(-127.5, 1.0), -127);
+    EXPECT_EQ(kernels::quantizeValue(inf, 1.0), 127);
+    EXPECT_EQ(kernels::quantizeValue(-inf, 1.0), -127);
+    EXPECT_EQ(kernels::quantizeValue(std::numeric_limits<double>::max(),
+                                     1.0),
+              127);
+    EXPECT_EQ(kernels::quantizeValue(-std::numeric_limits<double>::max(),
+                                     1.0),
+              -127);
+    EXPECT_EQ(kernels::quantizeValue(nan, 1.0), 0);
+    EXPECT_EQ(kernels::quantizeValue(-nan, 1.0), 0);
+    EXPECT_EQ(kernels::quantizeValue(1.0, nan), 0);
+}
+
+/** quantizeRows over consecutive slices of @p x of every length 1-40
+ *  in turn, so every vector body and scalar tail runs, each slice
+ *  compared with the scalar rule element by element. */
+void
+expectRowsMatchScalar(const std::vector<double> &x, double inv_scale)
+{
+    std::vector<std::int8_t> out(x.size());
+    for (std::size_t len = 1; len <= 40; ++len) {
+        for (std::size_t start = 0; start + len <= x.size();
+             start += len) {
+            kernels::quantizeRows(x.data() + start, len, inv_scale,
+                                  out.data() + start);
+            for (std::size_t i = start; i < start + len; ++i) {
+                ASSERT_EQ(out[i], kernels::quantizeValue(x[i], inv_scale))
+                    << "x=" << x[i] << " inv_scale=" << inv_scale
+                    << " len=" << len << " i=" << i - start;
+                ASSERT_NE(out[i], -128);
+            }
+        }
+    }
+}
+
+TEST(QuantizeRows, MatchesScalarRuleOnSpecials)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> specials = {
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        1.5,
+        -1.5,
+        126.5,
+        -126.5,
+        127.5,
+        -127.5,
+        inf,
+        -inf,
+        nan,
+        -nan,
+        std::numeric_limits<double>::min(),
+        -std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+    };
+    // Repeat the specials at a stride coprime to every vector width,
+    // so each one lands in every lane of the body and of the tail.
+    std::vector<double> x;
+    for (int rep = 0; rep < 41; ++rep) {
+        for (std::size_t i = 0; i < specials.size(); ++i) {
+            x.push_back(specials[(i * 7 + static_cast<std::size_t>(rep)) %
+                                 specials.size()]);
+        }
+        x.push_back(static_cast<double>(rep) - 20.0);
+    }
+    expectRowsMatchScalar(x, 1.0);
+    expectRowsMatchScalar(x, 0.37);
+}
+
+TEST(QuantizeRows, MatchesScalarRuleOnSeededFiniteValues)
+{
+    util::Rng rng(4747);
+    std::vector<double> x(100000);
+    for (double &v : x) {
+        // Standardized-feature magnitudes, with enough spread to hit
+        // the clamp at the calibration scales below.
+        v = rng.normal() * 4.0;
+    }
+    expectRowsMatchScalar(x, 127.0 / 3.0);
+    expectRowsMatchScalar(x, 127.0 / 17.5);
+}
+
+// ---------------------------------------------------------------------
 // Quantization round trip: symmetric per-channel int8.
 
 TEST(QuantRoundTrip, ErrorBoundedByHalfStep)
@@ -348,10 +457,25 @@ struct I8Shape
     std::size_t n;
 };
 
-/** Odd/even k (packing pairs), n off the channel-tile grid (tails). */
+/**
+ * Odd/even k (packing pairs), n off the channel-tile grid (tails), the
+ * deployed tier-1 layers (18 -> 4 and 4 -> 1) at odd and even m, the
+ * channel-tile boundaries n in {4, 5, 8, 9, 16, 17}, and the vector
+ * A-row packing boundaries k in {15, 16, 17, 32, 33}. The m values run
+ * every microkernel's multi-row body and its one-row tail.
+ */
 const std::vector<I8Shape> kShapes = {
     {1, 1, 1},   {3, 5, 7},    {17, 18, 64}, {33, 64, 32},
     {64, 7, 16}, {13, 31, 33}, {129, 19, 1}, {40, 64, 100},
+    // Tier-1 hidden layer and head.
+    {1, 18, 4},  {2, 18, 4},   {9, 18, 4},   {64, 18, 4},
+    {1, 4, 1},   {8, 4, 1},    {13, 4, 1},   {64, 4, 1},
+    // Channel-tile boundaries.
+    {11, 17, 4}, {11, 17, 5},  {11, 17, 8},  {11, 17, 9},
+    {11, 17, 16}, {11, 17, 17},
+    // A-row packing boundaries.
+    {6, 15, 5},  {6, 16, 5},   {6, 17, 5},   {6, 32, 5},
+    {6, 33, 5},
 };
 
 void
@@ -552,46 +676,52 @@ makeTrainedNet(const MlpConfig &config, util::Rng &rng)
 TEST(QuantizedMlp, ThreadAndBlockingBitIdentityGrid)
 {
     const ThreadGuard cleanup;
-    MlpConfig config;
-    config.input_dim = 18;
-    config.hidden = {64, 32, 16};
-    config.output_dim = 1;
-    util::Rng rng(7001);
-    const Mlp net = makeTrainedNet(config, rng);
-    const std::size_t rows = 700; // spans two 512-row strips
-    const Matrix x = randomMatrix(rows, 18, rng);
-    const QuantizedMlp qnet =
-        QuantizedMlp::fromCalibration(net, x.data().data(), rows);
+    // Every tier's architecture: tier 1-2 layers take the narrow
+    // channel tiles, tier 7 the wide ones.
+    for (int tier = 1; tier <= hw::kAppCount; ++tier) {
+        SCOPED_TRACE("tier " + std::to_string(tier));
+        MlpConfig config;
+        config.input_dim = 18;
+        config.hidden = hw::CostModel::tierHidden(tier);
+        config.output_dim = 1;
+        util::Rng rng(7000 + static_cast<std::uint64_t>(tier));
+        const Mlp net = makeTrainedNet(config, rng);
+        const std::size_t rows = 700; // spans two 512-row strips
+        const Matrix x = randomMatrix(rows, 18, rng);
+        const QuantizedMlp qnet =
+            QuantizedMlp::fromCalibration(net, x.data().data(), rows);
 
-    // Reference: single-threaded Naive, whole batch at once.
-    std::vector<double> reference(rows);
-    {
-        const BackendGuard guard(kernels::Backend::Naive);
-        qnet.forwardBatch(x.data().data(), rows, reference.data());
-    }
+        // Reference: single-threaded Naive, whole batch at once.
+        std::vector<double> reference(rows);
+        {
+            util::setGlobalThreads(1);
+            const BackendGuard guard(kernels::Backend::Naive);
+            qnet.forwardBatch(x.data().data(), rows, reference.data());
+        }
 
-    for (const int threads : kThreadCounts) {
-        util::setGlobalThreads(threads);
-        for (const auto backend :
-             {kernels::Backend::Naive, kernels::Backend::Blocked}) {
-            const BackendGuard guard(backend);
-            // Shard the batch across the pool the way the runtime
-            // shards frames; every shard split must reproduce the
-            // reference bytes exactly.
-            for (const std::size_t shard : {std::size_t{1},
-                                            std::size_t{64},
-                                            std::size_t{257}}) {
-                std::vector<double> out(rows);
-                const std::size_t shards = (rows + shard - 1) / shard;
-                util::parallelFor(shards, [&](std::size_t sidx) {
-                    const std::size_t r0 = sidx * shard;
-                    const std::size_t count =
-                        std::min(shard, rows - r0);
-                    qnet.forwardBatch(x.data().data() + r0 * 18, count,
-                                      out.data() + r0);
-                });
-                expectSameBytes(reference, out,
-                                "thread/backend/shard grid");
+        for (const int threads : kThreadCounts) {
+            util::setGlobalThreads(threads);
+            for (const auto backend :
+                 {kernels::Backend::Naive, kernels::Backend::Blocked}) {
+                const BackendGuard guard(backend);
+                // Shard the batch across the pool the way the runtime
+                // shards frames; every shard split must reproduce the
+                // reference bytes exactly.
+                for (const std::size_t shard : {std::size_t{1},
+                                                std::size_t{64},
+                                                std::size_t{257}}) {
+                    std::vector<double> out(rows);
+                    const std::size_t shards = (rows + shard - 1) / shard;
+                    util::parallelFor(shards, [&](std::size_t sidx) {
+                        const std::size_t r0 = sidx * shard;
+                        const std::size_t count =
+                            std::min(shard, rows - r0);
+                        qnet.forwardBatch(x.data().data() + r0 * 18,
+                                          count, out.data() + r0);
+                    });
+                    expectSameBytes(reference, out,
+                                    "thread/backend/shard grid");
+                }
             }
         }
     }
