@@ -91,6 +91,14 @@ trap 'rm -rf "$WORKDIR"' EXIT
 
 STATUS=0
 
+# A bench that exits non-zero marks the run failed without ending it,
+# so every later bench, diff, and cmp still runs and reports (a bench
+# that wrote no output then fails its diff as well).
+bench_failed() {
+    echo "[check_regressions] $1 exited non-zero" >&2
+    STATUS=1
+}
+
 # Byte-exact guard for one deterministic export (skipped under
 # --rebaseline, which regenerates the baselines).
 cmp_baseline() {
@@ -107,18 +115,18 @@ echo "[check_regressions] running bench_fig02_downlink_gap ..."
 (cd "$WORKDIR" && "$FIG02_BENCH" \
     --telemetry-out "$WORKDIR/fig02_downlink_gap.metrics.json" \
     --journal-out "$WORKDIR/fig02_downlink_gap.journal.jsonl" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_fig02_downlink_gap
 cmp_baseline fig02_downlink_gap.journal.jsonl
 
 echo "[check_regressions] running bench_parallel_speedup ..."
 (cd "$WORKDIR" && "$SPEEDUP_BENCH" \
     --telemetry-out "$WORKDIR/parallel_speedup.metrics.json" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_parallel_speedup
 
 echo "[check_regressions] running bench_fig10 mission sweep ..."
 (cd "$WORKDIR" && "$FIG10_BENCH" --mission-only \
     --telemetry-out "$WORKDIR/fig10_mission.metrics.json" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_fig10_dvd_vs_time
 cmp_baseline fig10_mission.metrics.timeseries.json
 
 # bench_ml_kernels exits non-zero on any Blocked-vs-Naive bit mismatch,
@@ -128,7 +136,7 @@ cmp_baseline fig10_mission.metrics.timeseries.json
 echo "[check_regressions] running bench_ml_kernels ..."
 (cd "$WORKDIR" && "$MLKERN_BENCH" \
     --telemetry-out "$WORKDIR/ml_kernels.metrics.json" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_ml_kernels
 
 # bench_dataplane exits non-zero if any staged configuration's report
 # diverges from the batch path (bit-identity) or the steady-state
@@ -149,7 +157,7 @@ echo "[check_regressions] running bench_dataplane (KODAN_QUANT=int8) ..."
 (cd "$WORKDIR" && KODAN_QUANT=int8 "$DATAPLANE_BENCH" \
     --telemetry-out "$WORKDIR/dataplane.metrics.json" \
     --profile-out "$WORKDIR/dataplane.prof.json" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_dataplane
 
 # Constellation engine smoke: small scenario with the full recording
 # stack (metrics + journal + time series) for the bit-exact baseline
@@ -161,7 +169,7 @@ echo "[check_regressions] running bench_constellation smoke ..."
     --verify \
     --telemetry-out "$WORKDIR/constellation.metrics.json" \
     --journal-out "$WORKDIR/constellation.journal.jsonl" \
-    > /dev/null)
+    > /dev/null) || bench_failed "bench_constellation smoke"
 cmp_baseline constellation.journal.jsonl
 cmp_baseline constellation.metrics.timeseries.json
 
@@ -175,7 +183,7 @@ echo "[check_regressions] running bench_constellation golden (100 sats x 30 days
     --sats 100 --days 30 --planes 5 --stations landsat --bin-hours 6 \
     --assert-throughput 150 \
     --telemetry-out "$WORKDIR/constellation_golden.metrics.json" \
-    > /dev/null)
+    > /dev/null) || bench_failed "bench_constellation golden"
 cmp_baseline constellation_golden.metrics.timeseries.json
 
 # Fleet health plane guard: --verify byte-compares the degraded
@@ -188,16 +196,22 @@ echo "[check_regressions] running bench_health ..."
 (cd "$WORKDIR" && "$HEALTH_BENCH" --verify \
     --telemetry-out "$WORKDIR/health.metrics.json" \
     --alerts-out "$WORKDIR/health.alerts.jsonl" \
-    > /dev/null)
+    > /dev/null) || bench_failed bench_health
 cmp_baseline health.alerts.jsonl
 
 # CPU profiling plane guard: byte-identical journal/series/metrics with
 # profiling on vs off at 1/4/16 threads, plus the sampling overhead
 # ceiling — bench_prof exits non-zero on any violation.
 echo "[check_regressions] running bench_prof --verify ..."
-(cd "$WORKDIR" && "$PROF_BENCH" --verify > /dev/null)
+(cd "$WORKDIR" && "$PROF_BENCH" --verify > /dev/null) ||
+    bench_failed bench_prof
 
 if [[ "$REBASELINE" -eq 1 ]]; then
+    if [[ "$STATUS" -ne 0 ]]; then
+        echo "[check_regressions] a bench failed; baselines left as" \
+             "they are" >&2
+        exit 1
+    fi
     mkdir -p "$BASELINES"
     cp "$WORKDIR/fig02_downlink_gap.metrics.json" \
        "$WORKDIR/fig02_downlink_gap.journal.jsonl" \

@@ -183,6 +183,9 @@ ConstellationEngine::run(const ConstellationConfig &config,
     std::vector<std::vector<Interval>> closed(sat_count);
     std::vector<std::map<std::int64_t, BinAccum>> chunk_bins(
         bins_on ? sat_count : 0);
+    // Health-fold scratch reused across chunks: granted seconds per
+    // (station, bin) of the contact runs closed in one chunk.
+    std::vector<double> station_granted;
 
     const std::size_t chunk_count = static_cast<std::size_t>(
         std::ceil(mission.duration / config.chunk_s));
@@ -479,13 +482,20 @@ ConstellationEngine::run(const ConstellationConfig &config,
             telemetry::health::HealthPlane &plane =
                 telemetry::health::plane();
             using telemetry::health::EntityKind;
-            static const std::string sig_queue = "queue.depth_bits";
-            static const std::string sig_down = "downlink.bits";
-            static const std::string sig_dvd = "dvd";
-            static const std::string sig_frames = "frames.observed";
-            static const std::string sig_dropped =
-                "storage.dropped_bits";
-            static const std::string sig_granted = "contact.granted_s";
+            using telemetry::health::SignalId;
+            // Signal ids outlive plane resets: resolved once per process.
+            static const SignalId sig_queue =
+                plane.signal("queue.depth_bits");
+            static const SignalId sig_down = plane.signal("downlink.bits");
+            static const SignalId sig_dvd = plane.signal("dvd");
+            static const SignalId sig_frames =
+                plane.signal("frames.observed");
+            static const SignalId sig_dropped =
+                plane.signal("storage.dropped_bits");
+            static const SignalId sig_granted =
+                plane.signal("contact.granted_s");
+            // One hold of the plane's lock for the whole chunk.
+            telemetry::health::HealthPlane::Feed feed(plane);
             const std::int64_t chunk_last_bin = binOf(t1c) - 1;
             const double chunk_t =
                 static_cast<double>(chunk_last_bin) * bin_s;
@@ -501,40 +511,58 @@ ConstellationEngine::run(const ConstellationConfig &config,
                     sat_depth[s] += accum.queued_bits -
                                     accum.drained_bits -
                                     accum.dropped_bits;
-                    plane.observe(EntityKind::Satellite, sat,
-                                  sig_queue, bin, t, sat_depth[s]);
+                    feed.observe(EntityKind::Satellite, sat,
+                                 sig_queue, bin, t, sat_depth[s]);
                     ++observations;
                     if (accum.bits_down > 0.0) {
-                        plane.observe(EntityKind::Satellite, sat,
-                                      sig_down, bin, t,
-                                      accum.bits_down);
-                        plane.observe(EntityKind::Satellite, sat,
-                                      sig_dvd, bin, t,
-                                      accum.high_bits_down /
-                                          accum.bits_down);
+                        feed.observe(EntityKind::Satellite, sat,
+                                     sig_down, bin, t,
+                                     accum.bits_down);
+                        feed.observe(EntityKind::Satellite, sat,
+                                     sig_dvd, bin, t,
+                                     accum.high_bits_down /
+                                         accum.bits_down);
                         observations += 2;
                     }
                 }
                 // Chunk-grained signals: one observation per chunk so
                 // the storage threshold holds one alert across a
                 // sustained shed instead of refiring per bin.
-                plane.observe(EntityKind::Satellite, sat,
-                              sig_frames, chunk_last_bin,
-                              chunk_t,
-                              static_cast<double>(chunk_frames));
-                plane.observe(EntityKind::Satellite, sat,
-                              sig_dropped, chunk_last_bin,
-                              chunk_t, chunk_dropped);
+                feed.observe(EntityKind::Satellite, sat,
+                             sig_frames, chunk_last_bin,
+                             chunk_t,
+                             static_cast<double>(chunk_frames));
+                feed.observe(EntityKind::Satellite, sat,
+                             sig_dropped, chunk_last_bin,
+                             chunk_t, chunk_dropped);
                 observations += 2;
                 if (journal_on) {
-                    plane.observeLane(EntityKind::Satellite, sat,
-                                      journal_region.id(), s + 1,
-                                      ord_before[s],
-                                      state[s].journal_ord);
+                    feed.observeLane(EntityKind::Satellite, sat,
+                                     journal_region.id(), s + 1,
+                                     ord_before[s],
+                                     state[s].journal_ord);
                 }
             }
-            std::map<std::pair<std::size_t, std::int64_t>, double>
-                station_granted;
+            // Granted station-seconds per (station, bin) on a
+            // station-major grid over the bins this chunk's closed runs
+            // touch (a run covers bins binOf(start)..binOf(end)): each
+            // cell sums its runs in run order, and the cells that got
+            // time are observed in (station, bin) order.
+            double first_start = std::numeric_limits<double>::infinity();
+            double last_end = -std::numeric_limits<double>::infinity();
+            for (const auto &runs : closed) {
+                for (const auto &run : runs) {
+                    first_start = std::min(first_start, run.start);
+                    last_end = std::max(last_end, run.end);
+                }
+            }
+            const bool any_run = first_start <= last_end;
+            const std::int64_t grant_lo = any_run ? binOf(first_start) : 0;
+            const std::size_t width =
+                any_run ? static_cast<std::size_t>(binOf(last_end) -
+                                                   grant_lo + 1)
+                        : 0;
+            station_granted.assign(station_count * width, 0.0);
             for (const auto &runs : closed) {
                 for (const auto &run : runs) {
                     for (std::int64_t bin = binOf(run.start);
@@ -547,21 +575,29 @@ ConstellationEngine::run(const ConstellationConfig &config,
                             run.end,
                             static_cast<double>(bin + 1) * bin_s);
                         if (hi > lo) {
-                            station_granted[{run.station, bin}] +=
+                            station_granted[run.station * width +
+                                            static_cast<std::size_t>(
+                                                bin - grant_lo)] +=
                                 hi - lo;
                         }
                     }
                 }
             }
-            for (const auto &[key, seconds] : station_granted) {
-                plane.observe(EntityKind::Station,
-                              static_cast<std::int64_t>(key.first),
-                              sig_granted, key.second,
-                              static_cast<double>(key.second) * bin_s,
-                              seconds);
-                ++observations;
+            for (std::size_t cell = 0; cell < station_granted.size();
+                 ++cell) {
+                const double seconds = station_granted[cell];
+                if (seconds > 0.0) {
+                    const std::int64_t bin =
+                        grant_lo + static_cast<std::int64_t>(cell % width);
+                    feed.observe(EntityKind::Station,
+                                 static_cast<std::int64_t>(cell / width),
+                                 sig_granted, bin,
+                                 static_cast<double>(bin) * bin_s,
+                                 seconds);
+                    ++observations;
+                }
             }
-            plane.advance(chunk_last_bin, chunk_t);
+            feed.advance(chunk_last_bin, chunk_t);
             KODAN_COUNT_ADD("telemetry.health.observations",
                             observations);
         }

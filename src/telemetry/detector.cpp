@@ -3,15 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "telemetry/exact_sum.hpp"
-
 namespace kodan::telemetry::health {
-
-double
-detectorQuantize(double value)
-{
-    return detail::fromFixed(detail::toFixed(value));
-}
 
 EwmaLevelShift::EwmaLevelShift(const EwmaConfig &config) : config_(config)
 {
@@ -60,18 +52,44 @@ RobustZScore::RobustZScore(const RobustZConfig &config) : config_(config)
     if (config_.window == 0) {
         config_.window = 1;
     }
-    window_.assign(config_.window, 0.0);
+    ring_.assign(config_.window, 0.0);
+    sorted_.reserve(config_.window);
 }
 
 namespace {
 
-/** Median of the first @p n entries of @p values (sorts in place). */
+/** Median of ascending @p x (non-empty). */
 double
-medianOf(std::vector<double> &values, std::size_t n)
+sortedMedian(const std::vector<double> &x)
 {
-    std::sort(values.begin(), values.begin() + static_cast<long>(n));
-    return n % 2 == 1 ? values[n / 2]
-                      : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+    const std::size_t n = x.size();
+    return n % 2 == 1 ? x[n / 2] : 0.5 * (x[n / 2 - 1] + x[n / 2]);
+}
+
+/**
+ * Median of |x - med| over ascending @p x (non-empty), where @p med is
+ * sortedMedian(x). Everything left of index n/2 is <= med and
+ * everything from it on is >= med, and rounding is monotone, so the
+ * deviations ascend outward on both sides: merging the two runs visits
+ * them in sorted order, and the middle one (or two) is the MAD.
+ */
+double
+sortedMad(const std::vector<double> &x, double med)
+{
+    const std::size_t n = x.size();
+    std::size_t left = n / 2;  // next left candidate is x[left - 1]
+    std::size_t right = n / 2; // next right candidate is x[right]
+    double prev = 0.0;
+    double cur = 0.0;
+    for (std::size_t taken = 0; taken <= n / 2; ++taken) {
+        prev = cur;
+        const bool take_left =
+            left > 0 && (right == n || std::fabs(x[left - 1] - med) <=
+                                           std::fabs(x[right] - med));
+        cur = take_left ? std::fabs(x[--left] - med)
+                        : std::fabs(x[right++] - med);
+    }
+    return n % 2 == 1 ? cur : 0.5 * (prev + cur);
 }
 
 } // namespace
@@ -81,15 +99,10 @@ RobustZScore::step(double value)
 {
     const double v = detectorQuantize(value);
     Verdict verdict;
-    if (filled_ >= std::max<std::size_t>(config_.min_points, 2)) {
-        scratch_.assign(window_.begin(),
-                        window_.begin() + static_cast<long>(filled_));
-        const double med = medianOf(scratch_, filled_);
-        for (std::size_t i = 0; i < filled_; ++i) {
-            scratch_[i] = std::fabs(scratch_[i] - med);
-        }
+    if (sorted_.size() >= std::max<std::size_t>(config_.min_points, 2)) {
+        const double med = sortedMedian(sorted_);
         // 1.4826 rescales MAD to the stddev of a normal distribution.
-        const double mad = medianOf(scratch_, filled_);
+        const double mad = sortedMad(sorted_, med);
         const double scale = std::max(
             1.4826 * mad,
             config_.min_scale + config_.rel_scale * std::fabs(med));
@@ -98,18 +111,24 @@ RobustZScore::step(double value)
             verdict.anomalous = verdict.score > 1.0;
         }
     }
-    window_[next_] = v;
+    // Slide: once full, the oldest value leaves (quantized values are
+    // never NaN, so lower_bound finds an equal one), then v goes in.
+    if (sorted_.size() == config_.window) {
+        sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(),
+                                       ring_[next_]));
+    }
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);
+    ring_[next_] = v;
     next_ = (next_ + 1) % config_.window;
-    filled_ = std::min(filled_ + 1, config_.window);
     return verdict;
 }
 
 void
 RobustZScore::reset()
 {
-    std::fill(window_.begin(), window_.end(), 0.0);
+    std::fill(ring_.begin(), ring_.end(), 0.0);
+    sorted_.clear();
     next_ = 0;
-    filled_ = 0;
 }
 
 Flatline::Flatline(const FlatlineConfig &config) : config_(config)
@@ -122,16 +141,15 @@ Flatline::Flatline(const FlatlineConfig &config) : config_(config)
 Verdict
 Flatline::step(double value)
 {
-    const detail::Fixed128 fixed = detail::toFixed(value);
-    const double v = detail::fromFixed(fixed);
-    if (run_ > 0 && fixed == detail::toFixed(last_)) {
+    const double v = detectorQuantize(value);
+    if (run_ > 0 && v == last_) {
         ++run_;
     } else {
         run_ = 1;
         last_ = v;
     }
     Verdict verdict;
-    if (config_.ignore_zero && fixed == detail::Fixed128{}) {
+    if (config_.ignore_zero && v == 0.0) {
         return verdict;
     }
     verdict.score = static_cast<double>(run_) /

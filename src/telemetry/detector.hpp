@@ -38,9 +38,12 @@
 #ifndef KODAN_TELEMETRY_DETECTOR_HPP
 #define KODAN_TELEMETRY_DETECTOR_HPP
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "telemetry/exact_sum.hpp"
 
 namespace kodan::telemetry::health {
 
@@ -56,8 +59,21 @@ struct Verdict
 
 /** Quantize @p value exactly as detector ingestion does (fixed point,
  *  scale 2^-64, truncation toward zero; NaN -> 0). Exposed so tests
- *  and callers can reproduce the detectors' view of a stream. */
-double detectorQuantize(double value);
+ *  and callers can reproduce the detectors' view of a stream.
+ *
+ *  Every double with |v| in [2^-11, 2^63) converts to fixed point
+ *  without rounding and back (exact_sum.hpp), so the round trip is the
+ *  identity there and only the rest of the line (zero, tiny values,
+ *  huge values, inf, NaN) pays for it. */
+inline double
+detectorQuantize(double value)
+{
+    const double magnitude = std::fabs(value);
+    if (magnitude >= 0x1p-11 && magnitude < 0x1p63) {
+        return value;
+    }
+    return detail::fromFixed(detail::toFixed(value));
+}
 
 /** Tuning for EwmaLevelShift. */
 struct EwmaConfig
@@ -115,6 +131,11 @@ struct RobustZConfig
  * Robust z-score detector: median + MAD over a sliding window. The
  * median/MAD pair has a 50% breakdown point, so the envelope is not
  * dragged by the very outliers it is flagging (an EWMA absorbs them).
+ *
+ * The window is kept sorted as it slides (the evicted value leaves, the
+ * new one is inserted in order), so the median is an index and the MAD
+ * is found by merging |x - median| outward from it in O(window): the
+ * same multiset yields the same median and MAD bits as sorting it.
  */
 class RobustZScore
 {
@@ -129,10 +150,9 @@ class RobustZScore
 
   private:
     RobustZConfig config_;
-    std::vector<double> window_; // ring buffer, size config_.window
-    std::size_t next_ = 0;
-    std::size_t filled_ = 0;
-    mutable std::vector<double> scratch_;
+    std::vector<double> ring_;   // arrival order, size config_.window
+    std::vector<double> sorted_; // the window's values, ascending
+    std::size_t next_ = 0;       // ring slot of the oldest value
 };
 
 /** Tuning for Flatline. */
@@ -148,7 +168,9 @@ struct FlatlineConfig
 /**
  * Stuck-at detector: a run of bit-identical quantized values at least
  * `window` long. Equality is exact in fixed point — two values compare
- * equal iff toFixed() maps them to the same 128-bit pattern.
+ * equal iff toFixed() maps them to the same 128-bit pattern, which for
+ * quantized doubles (never NaN or -0, one double per pattern) is plain
+ * double equality.
  */
 class Flatline
 {

@@ -5,38 +5,32 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <tuple>
 #include <utility>
+#include <variant>
 
 #include "telemetry/exact_sum.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/log.hpp"
 
 namespace kodan::telemetry::health {
 
 namespace {
 
-/** (kind, entity) — rollup key. */
+/** (kind, entity) — entity key, ordered as the absence sweep visits. */
 using EntityKey = std::pair<int, std::int64_t>;
 
-/** (kind, entity, signal) — stream key. Ordered maps keep every sweep
- *  (absence, snapshot) in a deterministic order. */
-using StreamKey = std::tuple<int, std::int64_t, std::string>;
-
-/** (rule index, kind, entity) — alert state key. */
-using RuleKey = std::tuple<std::size_t, int, std::int64_t>;
+/** Entity::last_bin of a stream that never reported (no bin is this
+ *  small). */
+constexpr std::int64_t kNeverReported =
+    std::numeric_limits<std::int64_t>::min();
 
 struct RuleState
 {
-    explicit RuleState(const DetectorSuiteConfig &detectors)
-        : ewma(detectors.ewma), robust(detectors.robust),
-          flatline(detectors.flatline)
-    {
-    }
-
     std::int64_t breach_streak = 0;
     std::int64_t clear_streak = 0;
     /** Index into Impl::alerts while firing, -1 otherwise. */
@@ -46,10 +40,22 @@ struct RuleState
     std::int64_t prev_bin = 0;
     /** Recent breaching observations, pending until the alert fires. */
     std::vector<AlertEvidence> pending;
-    EwmaLevelShift ewma;
-    RobustZScore robust;
-    Flatline flatline;
+    /** The Anomaly rule's detector, built on its first observation. */
+    std::variant<std::monostate, EwmaLevelShift, RobustZScore, Flatline>
+        detector;
 };
+
+/** Step @p state's detector of type D, building it on first use. */
+template <typename D, typename Config>
+Verdict
+stepDetector(RuleState &state, const Config &config, double value)
+{
+    D *detector = std::get_if<D>(&state.detector);
+    if (detector == nullptr) {
+        detector = &state.detector.emplace<D>(config);
+    }
+    return detector->step(value);
+}
 
 struct Rollup
 {
@@ -59,6 +65,34 @@ struct Rollup
     std::int64_t last_bin = 0;
     detail::Fixed128 score;
     JournalWindow lane;
+};
+
+/** One (kind, entity): its rollup and its per-rule alert state. */
+struct Entity
+{
+    EntityKey key;
+    Rollup rollup;
+    /** Indexed by rule; grown to the rule count on first evaluation. */
+    std::vector<RuleState> states;
+    /** Indexed by signal id: the last bin this entity reported the
+     *  signal in while an Absence rule watched it. */
+    std::vector<std::int64_t> last_bin;
+
+    EntityKind kind() const { return static_cast<EntityKind>(key.first); }
+};
+
+/** One interned signal name and the rules that watch it. */
+struct Signal
+{
+    std::string name;
+    /** Indices of the rules selecting this signal, in rule order. */
+    std::vector<std::uint32_t> rules;
+    /** An Absence rule selects this signal: observations record their
+     *  bin in Entity::last_bin. */
+    bool absence_watched = false;
+    /** Entities whose stream of this signal the absence sweep visits,
+     *  ordered by key. Kept across clearRules(), like their last bins. */
+    std::vector<std::uint32_t> reporters;
 };
 
 } // namespace
@@ -80,120 +114,125 @@ struct HealthPlane::Impl
     mutable std::mutex mutex;
     HealthConfig config;
     std::vector<AlertRule> rules;
-    /** Signals named by at least one Absence rule (deduped): only these
-     *  streams need last-bin bookkeeping, which keeps the per-signal
-     *  map update off the observe() hot path for everything else. */
-    std::vector<std::string> absence_signals;
-    std::map<EntityKey, Rollup> rollups;
-    std::map<RuleKey, RuleState> states;
-    /** Last bin each absence-watched stream reported in. */
-    std::map<StreamKey, std::int64_t> stream_last_bin;
+    /** rules[r]'s signal id. */
+    std::vector<SignalId> rule_signals;
+    /** Interned signal names; ids index this and never change. */
+    std::vector<Signal> signals;
+    std::vector<Entity> entities;
+    /** Entity slot by key, consulted when the entity changes. */
+    std::map<EntityKey, std::uint32_t> entity_slots;
+    /** The last entity looked up: the engine folds feed runs of
+     *  observations for one entity, so most lookups stop here. */
+    EntityKey last_key{-1, -1};
+    std::uint32_t last_slot = 0;
     std::vector<Alert> alerts;
     std::uint64_t next_alert_id = 1;
     std::int64_t observations = 0;
     std::int64_t alerts_fired = 0;
 
-    void rebuildAbsenceSignals()
+    SignalId intern(std::string_view name)
     {
-        absence_signals.clear();
-        for (const AlertRule &rule : rules) {
-            if (rule.kind != AlertRule::Kind::Absence) {
-                continue;
-            }
-            bool seen = false;
-            for (const std::string &signal : absence_signals) {
-                if (signal == rule.signal) {
-                    seen = true;
-                    break;
-                }
-            }
-            if (!seen) {
-                absence_signals.push_back(rule.signal);
+        for (std::size_t i = 0; i < signals.size(); ++i) {
+            if (signals[i].name == name) {
+                return static_cast<SignalId>(i);
             }
         }
+        signals.push_back({std::string(name), {}, false, {}});
+        return static_cast<SignalId>(signals.size() - 1);
     }
 
-    bool absenceWatched(const std::string &signal) const
+    /** Drop every rule and rule state; streams and rollups stay. */
+    void dropRules()
     {
-        for (const std::string &watched : absence_signals) {
-            if (watched == signal) {
-                return true;
-            }
+        rules.clear();
+        rule_signals.clear();
+        for (Signal &signal : signals) {
+            signal.rules.clear();
+            signal.absence_watched = false;
         }
-        return false;
+        for (Entity &entity : entities) {
+            entity.states.clear();
+        }
     }
 
-    /** One-entry memos for the observe() hot path: the engine folds
-     *  feed runs of consecutive observations for the same entity, and
-     *  node-based map values stay put, so a pointer memo skips the
-     *  tree walk. Cleared whenever the backing maps are. */
-    EntityKey memo_rollup_key{-1, -1};
-    Rollup *memo_rollup = nullptr;
-    RuleKey memo_state_key{0, -1, -1};
-    RuleState *memo_state = nullptr;
-
-    void dropMemos()
+    /** The slot of (kind, id), made on first sight. */
+    std::uint32_t slotFor(EntityKind kind, std::int64_t id)
     {
-        memo_rollup = nullptr;
-        memo_state = nullptr;
+        const EntityKey key{static_cast<int>(kind), id};
+        return key == last_key ? last_slot : lookupSlot(key);
     }
 
-    Rollup &rollupFor(EntityKind kind, std::int64_t entity)
+    std::uint32_t lookupSlot(const EntityKey &key);
+
+    RuleState &stateFor(Entity &entity, std::size_t rule_idx)
     {
-        const EntityKey key{static_cast<int>(kind), entity};
-        if (memo_rollup != nullptr && memo_rollup_key == key) {
-            return *memo_rollup;
+        if (entity.states.size() <= rule_idx) {
+            entity.states.resize(rules.size());
         }
-        Rollup &rollup = rollups[key];
-        memo_rollup_key = key;
-        memo_rollup = &rollup;
-        return rollup;
+        return entity.states[rule_idx];
     }
 
-    RuleState &stateFor(std::size_t rule_idx, EntityKind kind,
-                        std::int64_t entity)
+    /** Record that @p slot reported absence-watched @p signal in @p bin. */
+    void noteReport(std::uint32_t slot, SignalId signal, std::int64_t bin)
     {
-        const RuleKey key{rule_idx, static_cast<int>(kind), entity};
-        if (memo_state != nullptr && memo_state_key == key) {
-            return *memo_state;
+        Entity &entity = entities[slot];
+        if (entity.last_bin.size() <= signal) {
+            entity.last_bin.resize(signals.size(), kNeverReported);
         }
-        auto it = states.find(key);
-        if (it == states.end()) {
-            it = states.emplace(key, RuleState(config.detectors)).first;
+        if (entity.last_bin[signal] == kNeverReported) {
+            std::vector<std::uint32_t> &reporters =
+                signals[signal].reporters;
+            reporters.insert(
+                std::upper_bound(reporters.begin(), reporters.end(),
+                                 entity.key,
+                                 [this](const EntityKey &key,
+                                        std::uint32_t other) {
+                                     return key < entities[other].key;
+                                 }),
+                slot);
         }
-        memo_state_key = key;
-        memo_state = &it->second;
-        return it->second;
+        entity.last_bin[signal] = bin;
     }
 
-    /** Drive one rule's firing→resolved machine with one evaluation. */
+    /** Drive one rule's firing→resolved machine with one evaluation.
+     *  The clear path is the common one and stays small. */
     void transition(const AlertRule &rule, RuleState &state,
-                    Rollup &rollup, EntityKind kind, std::int64_t entity,
-                    bool breach, std::int64_t bin, double t_s,
-                    double value)
+                    Entity &entity, bool breach, std::int64_t bin,
+                    double t_s, double value)
     {
-        if (!breach) {
-            state.breach_streak = 0;
-            state.pending.clear();
-            ++state.clear_streak;
-            if (state.open_alert >= 0 &&
-                state.clear_streak >= rule.clear_after) {
-                Alert &alert =
-                    alerts[static_cast<std::size_t>(state.open_alert)];
-                alert.firing = false;
-                state.open_alert = -1;
-                KODAN_COUNT("health.alerts.resolved");
-                if (journalEnabled()) {
-                    JournalEventBuilder("health.alert.resolve")
-                        .text("rule", rule.name)
-                        .text("entity_kind", entityKindName(kind))
-                        .i64("entity", entity)
-                        .i64("bin", bin)
-                        .f64("value", value);
-                }
-            }
+        if (breach) {
+            onBreach(rule, state, entity, bin, t_s, value);
             return;
         }
+        state.breach_streak = 0;
+        state.pending.clear();
+        ++state.clear_streak;
+        if (state.open_alert >= 0 &&
+            state.clear_streak >= rule.clear_after) {
+            resolve(rule, state, entity, bin, value);
+        }
+    }
+
+    void resolve(const AlertRule &rule, RuleState &state,
+                 const Entity &entity, std::int64_t bin, double value)
+    {
+        alerts[static_cast<std::size_t>(state.open_alert)].firing = false;
+        state.open_alert = -1;
+        KODAN_COUNT("health.alerts.resolved");
+        if (journalEnabled()) {
+            JournalEventBuilder("health.alert.resolve")
+                .text("rule", rule.name)
+                .text("entity_kind", entityKindName(entity.kind()))
+                .i64("entity", entity.key.second)
+                .i64("bin", bin)
+                .f64("value", value);
+        }
+    }
+
+    void onBreach(const AlertRule &rule, RuleState &state, Entity &entity,
+                  std::int64_t bin, double t_s, double value)
+    {
+        Rollup &rollup = entity.rollup;
         state.clear_streak = 0;
         ++state.breach_streak;
         if (state.pending.size() >= config.max_evidence &&
@@ -209,8 +248,8 @@ struct HealthPlane::Impl
             alert.id = next_alert_id++;
             alert.rule = rule.name;
             alert.signal = rule.signal;
-            alert.entity_kind = kind;
-            alert.entity = entity;
+            alert.entity_kind = entity.kind();
+            alert.entity = entity.key.second;
             alert.firing = true;
             alert.first_bin = state.pending.front().bin;
             alert.last_bin = bin;
@@ -234,8 +273,8 @@ struct HealthPlane::Impl
             if (journalEnabled()) {
                 JournalEventBuilder("health.alert.fire")
                     .text("rule", rule.name)
-                    .text("entity_kind", entityKindName(kind))
-                    .i64("entity", entity)
+                    .text("entity_kind", entityKindName(entity.kind()))
+                    .i64("entity", entity.key.second)
                     .i64("bin", bin)
                     .f64("value", value);
             }
@@ -270,22 +309,30 @@ struct HealthPlane::Impl
             if (rule.kind != AlertRule::Kind::Absence) {
                 continue;
             }
-            for (const auto &[key, last] : stream_last_bin) {
-                if (std::get<2>(key) != rule.signal) {
-                    continue;
-                }
-                const auto kind =
-                    static_cast<EntityKind>(std::get<0>(key));
-                const std::int64_t entity = std::get<1>(key);
-                const std::int64_t gap = bin - last;
-                transition(rule, stateFor(r, kind, entity),
-                           rollupFor(kind, entity), kind,
-                           entity, gap > rule.gap_bins, bin, t_s,
+            const SignalId signal = rule_signals[r];
+            for (const std::uint32_t slot : signals[signal].reporters) {
+                Entity &entity = entities[slot];
+                const std::int64_t gap = bin - entity.last_bin[signal];
+                transition(rule, stateFor(entity, r), entity,
+                           gap > rule.gap_bins, bin, t_s,
                            static_cast<double>(gap));
             }
         }
     }
 };
+
+std::uint32_t
+HealthPlane::Impl::lookupSlot(const EntityKey &key)
+{
+    const auto [it, inserted] = entity_slots.try_emplace(
+        key, static_cast<std::uint32_t>(entities.size()));
+    if (inserted) {
+        entities.push_back({key, {}, {}, {}});
+    }
+    last_key = key;
+    last_slot = it->second;
+    return last_slot;
+}
 
 HealthPlane::HealthPlane() : impl_(new Impl)
 {
@@ -303,12 +350,13 @@ HealthPlane::configure(const HealthConfig &config)
     {
         std::lock_guard<std::mutex> lock(impl_->mutex);
         impl_->config = config;
-        impl_->rules.clear();
-        impl_->absence_signals.clear();
-        impl_->dropMemos();
-        impl_->rollups.clear();
-        impl_->states.clear();
-        impl_->stream_last_bin.clear();
+        impl_->dropRules();
+        for (Signal &signal : impl_->signals) {
+            signal.reporters.clear();
+        }
+        impl_->entities.clear();
+        impl_->entity_slots.clear();
+        impl_->last_key = {-1, -1};
         impl_->alerts.clear();
         impl_->next_alert_id = 1;
         impl_->observations = 0;
@@ -334,18 +382,22 @@ void
 HealthPlane::addRule(const AlertRule &rule)
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->rules.push_back(rule);
-    impl_->rebuildAbsenceSignals();
+    Impl &impl = *impl_;
+    const SignalId signal = impl.intern(rule.signal);
+    impl.signals[signal].rules.push_back(
+        static_cast<std::uint32_t>(impl.rules.size()));
+    if (rule.kind == AlertRule::Kind::Absence) {
+        impl.signals[signal].absence_watched = true;
+    }
+    impl.rules.push_back(rule);
+    impl.rule_signals.push_back(signal);
 }
 
 void
 HealthPlane::clearRules()
 {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->rules.clear();
-    impl_->absence_signals.clear();
-    impl_->dropMemos();
-    impl_->states.clear();
+    impl_->dropRules();
 }
 
 std::vector<AlertRule>
@@ -355,38 +407,70 @@ HealthPlane::rules() const
     return impl_->rules;
 }
 
+SignalId
+HealthPlane::signal(std::string_view name)
+{
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    return impl_->intern(name);
+}
+
 void
 HealthPlane::observe(EntityKind kind, std::int64_t entity,
                      const std::string &signal, std::int64_t bin,
                      double t_s, double value)
 {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    Impl &impl = *impl_;
-    const double v = detectorQuantize(value);
-    if (impl.absenceWatched(signal)) {
-        impl.stream_last_bin[{static_cast<int>(kind), entity, signal}] =
-            bin;
+    const SignalId id = this->signal(signal);
+    Feed(*this).observe(kind, entity, id, bin, t_s, value);
+}
+
+void
+HealthPlane::advance(std::int64_t bin, double t_s)
+{
+    Feed(*this).advance(bin, t_s);
+}
+
+void
+HealthPlane::finish(std::int64_t bin, double t_s)
+{
+    advance(bin, t_s);
+}
+
+HealthPlane::Feed::Feed(HealthPlane &plane) : impl_(*plane.impl_)
+{
+    impl_.mutex.lock();
+}
+
+HealthPlane::Feed::~Feed()
+{
+    impl_.mutex.unlock();
+}
+
+void
+HealthPlane::Feed::observe(EntityKind kind, std::int64_t entity,
+                           SignalId signal, std::int64_t bin, double t_s,
+                           double value)
+{
+    Impl &impl = impl_;
+    if (signal >= impl.signals.size()) {
+        util::panic("health: observe() with unknown signal id " +
+                    std::to_string(signal));
     }
-    Rollup &rollup = impl.rollupFor(kind, entity);
+    const double v = detectorQuantize(value);
+    const std::uint32_t slot = impl.slotFor(kind, entity);
+    if (impl.signals[signal].absence_watched) {
+        impl.noteReport(slot, signal, bin);
+    }
+    Entity &ent = impl.entities[slot];
+    Rollup &rollup = ent.rollup;
     ++rollup.observations;
     rollup.last_bin = bin;
     ++impl.observations;
 
     double worst_score = 0.0;
     bool any_breach = false;
-    for (std::size_t r = 0; r < impl.rules.size(); ++r) {
+    for (const std::uint32_t r : impl.signals[signal].rules) {
         const AlertRule &rule = impl.rules[r];
-        if (rule.signal != signal) {
-            continue;
-        }
-        if (rule.kind == AlertRule::Kind::Absence) {
-            // A fresh observation is the absence rule's all-clear.
-            RuleState &state = impl.stateFor(r, kind, entity);
-            impl.transition(rule, state, rollup, kind, entity, false,
-                            bin, t_s, v);
-            continue;
-        }
-        RuleState &state = impl.stateFor(r, kind, entity);
+        RuleState &state = impl.stateFor(ent, r);
         bool breach = false;
         double score = 0.0;
         switch (rule.kind) {
@@ -398,7 +482,7 @@ HealthPlane::observe(EntityKind kind, std::int64_t entity,
                                   : 1.0)
                            : 0.0;
             break;
-          case AlertRule::Kind::Rate: {
+          case AlertRule::Kind::Rate:
             if (state.have_prev && bin > state.prev_bin) {
                 const double rate =
                     std::fabs(v - state.prev_value) /
@@ -413,29 +497,33 @@ HealthPlane::observe(EntityKind kind, std::int64_t entity,
             state.prev_value = v;
             state.prev_bin = bin;
             break;
-          }
+          case AlertRule::Kind::Absence:
+            // A fresh observation is the absence rule's all-clear.
+            impl.transition(rule, state, ent, false, bin, t_s, v);
+            continue;
           case AlertRule::Kind::Anomaly: {
+            const DetectorSuiteConfig &detectors = impl.config.detectors;
             Verdict verdict;
             switch (rule.detector) {
               case AlertRule::Detector::Ewma:
-                verdict = state.ewma.step(v);
+                verdict = stepDetector<EwmaLevelShift>(
+                    state, detectors.ewma, v);
                 break;
               case AlertRule::Detector::Robust:
-                verdict = state.robust.step(v);
+                verdict = stepDetector<RobustZScore>(
+                    state, detectors.robust, v);
                 break;
               case AlertRule::Detector::Flatline:
-                verdict = state.flatline.step(v);
+                verdict = stepDetector<Flatline>(
+                    state, detectors.flatline, v);
                 break;
             }
             breach = verdict.anomalous;
             score = verdict.score;
             break;
           }
-          case AlertRule::Kind::Absence:
-            break;
         }
-        impl.transition(rule, state, rollup, kind, entity, breach, bin,
-                        t_s, v);
+        impl.transition(rule, state, ent, breach, bin, t_s, v);
         if (breach) {
             any_breach = true;
             worst_score = std::max(worst_score, score);
@@ -448,12 +536,12 @@ HealthPlane::observe(EntityKind kind, std::int64_t entity,
 }
 
 void
-HealthPlane::observeLane(EntityKind kind, std::int64_t entity,
-                         std::uint64_t region, std::uint64_t slot,
-                         std::uint32_t ord_lo, std::uint32_t ord_hi)
+HealthPlane::Feed::observeLane(EntityKind kind, std::int64_t entity,
+                               std::uint64_t region, std::uint64_t slot,
+                               std::uint32_t ord_lo, std::uint32_t ord_hi)
 {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    JournalWindow &lane = impl_->rollupFor(kind, entity).lane;
+    JournalWindow &lane =
+        impl_.entities[impl_.slotFor(kind, entity)].rollup.lane;
     if (lane.valid && lane.region == region && lane.slot == slot) {
         lane.ord_lo = std::min(lane.ord_lo, ord_lo);
         lane.ord_hi = std::max(lane.ord_hi, ord_hi);
@@ -463,16 +551,9 @@ HealthPlane::observeLane(EntityKind kind, std::int64_t entity,
 }
 
 void
-HealthPlane::advance(std::int64_t bin, double t_s)
+HealthPlane::Feed::advance(std::int64_t bin, double t_s)
 {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->sweepAbsence(bin, t_s);
-}
-
-void
-HealthPlane::finish(std::int64_t bin, double t_s)
-{
-    advance(bin, t_s);
+    impl_.sweepAbsence(bin, t_s);
 }
 
 HealthSnapshot
@@ -481,7 +562,7 @@ HealthPlane::snapshot() const
     std::lock_guard<std::mutex> lock(impl_->mutex);
     const Impl &impl = *impl_;
     HealthSnapshot out;
-    out.entities = static_cast<std::int64_t>(impl.rollups.size());
+    out.entities = static_cast<std::int64_t>(impl.entities.size());
     out.observations = impl.observations;
     out.alerts_fired = impl.alerts_fired;
     out.alerts = impl.alerts;
@@ -491,12 +572,15 @@ HealthPlane::snapshot() const
         }
     }
 
+    // The sort below is a total order (ties break on kind, entity), so
+    // the entities' slot order does not reach the output.
     std::vector<RollupEntry> entries;
-    entries.reserve(impl.rollups.size());
-    for (const auto &[key, rollup] : impl.rollups) {
+    entries.reserve(impl.entities.size());
+    for (const Entity &entity : impl.entities) {
+        const Rollup &rollup = entity.rollup;
         RollupEntry entry;
-        entry.kind = static_cast<EntityKind>(key.first);
-        entry.entity = key.second;
+        entry.kind = static_cast<EntityKind>(entity.key.first);
+        entry.entity = entity.key.second;
         entry.members = 1;
         entry.observations = rollup.observations;
         entry.anomalous = rollup.anomalous;

@@ -40,6 +40,13 @@
  * the determinism contract additionally requires callers to feed each
  * stream in a deterministic serial order (the engines' index-order
  * folds do). snapshot() is safe at quiescence.
+ *
+ * Cost: the engines' serial folds feed the plane on the mission's
+ * critical path, so an observation does no searching. Signal names are
+ * interned once (signal()), each signal lists the rules that watch it,
+ * an entity's per-rule state is a vector indexed by rule holding only
+ * the detector its rule runs, and a Feed takes the lock once for a
+ * whole chunk.
  */
 
 #ifndef KODAN_TELEMETRY_HEALTH_HPP
@@ -49,6 +56,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/detector.hpp"
@@ -64,6 +72,9 @@ enum class EntityKind
 
 /** Stable lowercase name ("satellite", "station"). */
 const char *entityKindName(EntityKind kind);
+
+/** An interned signal name (HealthPlane::signal). */
+using SignalId = std::uint32_t;
 
 /** One declarative alert rule over a signal selector. */
 struct AlertRule
@@ -212,6 +223,8 @@ struct HealthConfig
 class HealthPlane
 {
   public:
+    class Feed;
+
     HealthPlane();
     ~HealthPlane();
     HealthPlane(const HealthPlane &) = delete;
@@ -228,14 +241,51 @@ class HealthPlane
     void clearRules();
     std::vector<AlertRule> rules() const;
 
-    /**
-     * Feed one observation. Callers must feed streams in a
-     * deterministic serial order (engine index-order folds); bin/t_s
-     * are sim time, never wall clock.
-     */
+    /** The id of signal @p name, interned on first use. Ids stay valid
+     *  for the plane's lifetime (configure() and reset() keep them), so
+     *  a caller resolves its signals once and feeds them by id. */
+    SignalId signal(std::string_view name);
+
+    /** Feed::observe() by signal name, as a one-call Feed. */
     void observe(EntityKind kind, std::int64_t entity,
                  const std::string &signal, std::int64_t bin, double t_s,
                  double value);
+
+    /** Feed::advance() as a one-call Feed. */
+    void advance(std::int64_t bin, double t_s);
+
+    /** Final advance at end of run; firing alerts stay firing. */
+    void finish(std::int64_t bin, double t_s);
+
+    HealthSnapshot snapshot() const;
+
+  private:
+    struct Impl;
+    Impl *impl_;
+};
+
+/**
+ * The plane's lock held across a run of calls: an engine's serial fold
+ * feeds a whole chunk through one Feed instead of locking once per
+ * observation. While a Feed is alive, its thread must not call the
+ * plane's own members (they would wait on the held lock).
+ */
+class HealthPlane::Feed
+{
+  public:
+    explicit Feed(HealthPlane &plane);
+    ~Feed();
+    Feed(const Feed &) = delete;
+    Feed &operator=(const Feed &) = delete;
+
+    /**
+     * Feed one observation of @p signal, an id from
+     * HealthPlane::signal(). Callers must feed streams in a
+     * deterministic serial order (engine index-order folds); bin/t_s
+     * are sim time, never wall clock.
+     */
+    void observe(EntityKind kind, std::int64_t entity, SignalId signal,
+                 std::int64_t bin, double t_s, double value);
 
     /** Update @p entity's journal lane window; subsequent alerts for
      *  the entity carry it as evidence. */
@@ -248,14 +298,8 @@ class HealthPlane
      *  (e.g. per engine chunk). */
     void advance(std::int64_t bin, double t_s);
 
-    /** Final advance at end of run; firing alerts stay firing. */
-    void finish(std::int64_t bin, double t_s);
-
-    HealthSnapshot snapshot() const;
-
   private:
-    struct Impl;
-    Impl *impl_;
+    Impl &impl_;
 };
 
 /** The process-wide plane fed by the engines. */

@@ -1,7 +1,9 @@
 /**
  * @file
  * Fleet health plane suite: detector step semantics (quantized inputs,
- * warmup, windows), the rules engine's firing→resolved hysteresis and
+ * warmup, windows), bit-exact oracles for the quantizer's fast path,
+ * the sorted-window robust z-score and the flatline's run equality,
+ * the rules engine's firing→resolved hysteresis and
  * evidence bounds, top-K rollup cardinality control, the alert JSONL
  * byte format, and the end-to-end determinism contract — byte-identical
  * alert exports from the degraded constellation scenario across
@@ -10,16 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/constellation.hpp"
 #include "telemetry/detector.hpp"
+#include "telemetry/exact_sum.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -147,6 +153,303 @@ TEST(Flatline, EqualityIsExactFixedPoint)
 }
 
 /* ------------------------------------------------------------------ */
+/* Bit-exact oracles for the detectors' fast paths                    */
+/* ------------------------------------------------------------------ */
+
+/** The quantizer by its definition: the fixed-point round trip. */
+double
+fixedRoundTrip(double value)
+{
+    return detail::fromFixed(detail::toFixed(value));
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+/** Doubles on and around every boundary the quantizer's fast path
+ *  draws, plus the special values. */
+std::vector<double>
+quantizerEdgeValues()
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    const double pivots[] = {0x1p-11, 0x1p-12, 0x1p-64, 0x1p-65,
+                             0x1p63,  0x1p64,  1.0,     1e12};
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::signaling_NaN(),
+        inf,
+        -inf,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        0x1p-1050,
+        1e-300,
+    };
+    for (const double pivot : pivots) {
+        values.push_back(pivot);
+        values.push_back(std::nextafter(pivot, 0.0));
+        values.push_back(std::nextafter(pivot, inf));
+    }
+    const std::size_t n = values.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        values.push_back(-values[i]);
+    }
+    return values;
+}
+
+TEST(DetectorQuantize, FastPathMatchesFixedPointRoundTrip)
+{
+    for (const double x : quantizerEdgeValues()) {
+        EXPECT_EQ(bitsOf(detectorQuantize(x)), bitsOf(fixedRoundTrip(x)))
+            << "x = " << x << " (bits " << bitsOf(x) << ")";
+    }
+    // Seeded doubles over the whole exponent range: uniform bit
+    // patterns (every exponent, NaN and inf included), then a uniform
+    // exponent with a random mantissa and sign.
+    std::mt19937_64 rng(0x9A17E5EEDULL);
+    std::uniform_int_distribution<int> exponent(-1074, 1023);
+    for (int i = 0; i < 200000; ++i) {
+        const double raw = std::bit_cast<double>(rng());
+        const double scaled = std::ldexp(
+            std::bit_cast<double>((rng() >> 12) | 0x3FF0000000000000ULL),
+            exponent(rng));
+        for (const double x : {raw, scaled, -scaled}) {
+            ASSERT_EQ(bitsOf(detectorQuantize(x)),
+                      bitsOf(fixedRoundTrip(x)))
+                << "x = " << x << " (bits " << bitsOf(x) << ")";
+        }
+    }
+}
+
+/** The sort-based robust z-score, kept as the oracle of the
+ *  sorted-window detector: copy the window, sort it for the median,
+ *  sort the absolute deviations for the MAD. */
+class SortingRobustZOracle
+{
+  public:
+    explicit SortingRobustZOracle(const RobustZConfig &config)
+        : config_(config)
+    {
+        if (config_.window == 0) {
+            config_.window = 1;
+        }
+        window_.assign(config_.window, 0.0);
+    }
+
+    Verdict step(double value)
+    {
+        const double v = fixedRoundTrip(value);
+        Verdict verdict;
+        if (filled_ >= std::max<std::size_t>(config_.min_points, 2)) {
+            std::vector<double> scratch(
+                window_.begin(),
+                window_.begin() + static_cast<long>(filled_));
+            const double med = medianOf(scratch);
+            for (double &x : scratch) {
+                x = std::fabs(x - med);
+            }
+            const double mad = medianOf(scratch);
+            const double scale = std::max(
+                1.4826 * mad,
+                config_.min_scale + config_.rel_scale * std::fabs(med));
+            if (scale > 0.0) {
+                verdict.score = std::fabs(v - med) / (config_.k * scale);
+                verdict.anomalous = verdict.score > 1.0;
+            }
+        }
+        window_[next_] = v;
+        next_ = (next_ + 1) % config_.window;
+        filled_ = std::min(filled_ + 1, config_.window);
+        return verdict;
+    }
+
+  private:
+    static double medianOf(std::vector<double> &values)
+    {
+        std::sort(values.begin(), values.end());
+        const std::size_t n = values.size();
+        return n % 2 == 1 ? values[n / 2]
+                          : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+    }
+
+    RobustZConfig config_;
+    std::vector<double> window_;
+    std::size_t next_ = 0;
+    std::size_t filled_ = 0;
+};
+
+/** A seeded stream at magnitude @p scale: a noisy level with repeats of
+ *  earlier values (ties), zeros, sign flips and outliers. */
+std::vector<double>
+robustStream(std::mt19937_64 &rng, double scale, std::size_t length)
+{
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::normal_distribution<double> noise(0.0, 1.0);
+    const double level = scale * (1.0 + 4.0 * unit(rng));
+    std::vector<double> out;
+    out.reserve(length);
+    for (std::size_t i = 0; i < length; ++i) {
+        const double pick = unit(rng);
+        double x;
+        if (!out.empty() && pick < 0.3) {
+            x = out[static_cast<std::size_t>(unit(rng) *
+                                             static_cast<double>(
+                                                 out.size()))];
+        } else if (pick < 0.35) {
+            x = 0.0;
+        } else if (pick < 0.40) {
+            x = level * (50.0 + 100.0 * unit(rng));
+        } else if (pick < 0.45) {
+            x = -level * (1.0 + noise(rng));
+        } else {
+            x = level + 0.05 * scale * noise(rng);
+        }
+        out.push_back(x);
+    }
+    return out;
+}
+
+TEST(RobustZScore, SortedWindowMatchesSortOracle)
+{
+    // From below the quantizer's exact range (2^-11 ~ 4.9e-4, where
+    // values truncate) to 1e12.
+    const double scales[] = {1e-6, 3e-4, 1e-2, 1.0, 1e3, 1e6, 1e12};
+    std::mt19937_64 rng(0xD0B57ULL);
+    std::size_t steps = 0;
+    std::size_t verdicts = 0;
+    std::size_t anomalous = 0;
+    for (std::size_t window = 1; window <= 40; ++window) {
+        for (const double scale : scales) {
+            RobustZConfig config;
+            config.window = window;
+            config.min_points = static_cast<std::size_t>(rng() % (window + 3));
+            RobustZScore detector(config);
+            SortingRobustZOracle oracle(config);
+            for (const double x : robustStream(rng, scale, 3 * window + 17)) {
+                const Verdict got = detector.step(x);
+                const Verdict want = oracle.step(x);
+                ASSERT_EQ(got.anomalous, want.anomalous)
+                    << "window " << window << " scale " << scale
+                    << " step " << steps;
+                ASSERT_EQ(bitsOf(got.score), bitsOf(want.score))
+                    << "window " << window << " scale " << scale
+                    << " step " << steps << ": " << got.score << " vs "
+                    << want.score;
+                ++steps;
+                verdicts += want.score != 0.0 ? 1 : 0;
+                anomalous += want.anomalous ? 1 : 0;
+            }
+        }
+    }
+    // The streams exercise real verdicts, not just warmup.
+    EXPECT_GT(verdicts, steps / 2);
+    EXPECT_GT(anomalous, 0u);
+    // reset() returns the detector to a fresh window.
+    RobustZScore detector;
+    SortingRobustZOracle oracle{RobustZConfig{}};
+    for (const double x : robustStream(rng, 1.0, 50)) {
+        detector.step(x);
+    }
+    detector.reset();
+    for (const double x : robustStream(rng, 1.0, 50)) {
+        const Verdict got = detector.step(x);
+        const Verdict want = oracle.step(x);
+        ASSERT_EQ(got.anomalous, want.anomalous);
+        ASSERT_EQ(bitsOf(got.score), bitsOf(want.score));
+    }
+}
+
+/** The flatline as first written, kept as the oracle of run equality:
+ *  two values continue a run iff their 128-bit fixed-point patterns
+ *  are equal. */
+class FixedPointFlatlineOracle
+{
+  public:
+    explicit FixedPointFlatlineOracle(std::int64_t window)
+        : window_(window)
+    {
+    }
+
+    Verdict step(double value)
+    {
+        const detail::Fixed128 fixed = detail::toFixed(value);
+        if (run_ > 0 && fixed == detail::toFixed(last_)) {
+            ++run_;
+        } else {
+            run_ = 1;
+            last_ = detail::fromFixed(fixed);
+        }
+        Verdict verdict;
+        if (fixed == detail::Fixed128{}) {
+            return verdict;
+        }
+        verdict.score =
+            static_cast<double>(run_) / static_cast<double>(window_);
+        verdict.anomalous = run_ >= window_;
+        return verdict;
+    }
+
+  private:
+    std::int64_t window_;
+    double last_ = 0.0;
+    std::int64_t run_ = 0;
+};
+
+TEST(Flatline, QuantizedEqualityMatchesFixedPointEquality)
+{
+    // Groups of values that share one fixed-point pattern (so they must
+    // continue a run) next to their one-ulp neighbours (which must not).
+    const std::vector<double> edges = quantizerEdgeValues();
+    std::vector<double> pool = edges;
+    for (const double x : {1e-25, 3e-21, 0x1p-64 * 1.5, 7e-20}) {
+        pool.push_back(x); // below or at the 2^-64 step: truncates
+    }
+    std::mt19937_64 rng(0xF1A7ULL);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_int_distribution<int> exponent(-80, 70);
+    for (int i = 0; i < 64; ++i) {
+        pool.push_back(std::ldexp(1.0 + unit(rng), exponent(rng)));
+    }
+    std::size_t steps = 0;
+    std::size_t fired = 0;
+    for (const std::int64_t window : {2, 3, 5, 12}) {
+        FlatlineConfig config;
+        config.window = window;
+        Flatline detector(config);
+        FixedPointFlatlineOracle oracle(window);
+        double prev = 0.0;
+        for (int i = 0; i < 20000; ++i) {
+            const double pick = unit(rng);
+            double x;
+            if (pick < 0.55) {
+                x = prev; // extend the run
+            } else if (pick < 0.65) {
+                x = std::nextafter(prev, unit(rng) < 0.5 ? 0.0 : 1e300);
+            } else {
+                x = pool[static_cast<std::size_t>(
+                    unit(rng) * static_cast<double>(pool.size()))];
+            }
+            const Verdict got = detector.step(x);
+            const Verdict want = oracle.step(x);
+            ASSERT_EQ(got.anomalous, want.anomalous)
+                << "window " << window << " step " << i << " x = " << x;
+            ASSERT_EQ(bitsOf(got.score), bitsOf(want.score))
+                << "window " << window << " step " << i << " x = " << x;
+            fired += want.anomalous ? 1 : 0;
+            ++steps;
+            prev = x;
+        }
+    }
+    EXPECT_GT(fired, steps / 20);
+}
+
+/* ------------------------------------------------------------------ */
 /* Rules engine                                                        */
 /* ------------------------------------------------------------------ */
 
@@ -259,6 +562,99 @@ TEST(RulesEngine, AbsenceFiresAfterGapAndCarriesLastSighting)
     EXPECT_TRUE(snapshot.alerts.front().firing);
     EXPECT_EQ(snapshot.alerts.front().rule, "silent");
     EXPECT_EQ(snapshot.alerts.front().entity, 2);
+}
+
+// The sweep visits an absence signal's streams in (kind, entity) order,
+// whatever order they first reported in, so alert ids follow it.
+TEST(RulesEngine, AbsenceSweepVisitsStreamsInEntityOrder)
+{
+    HealthPlane plane;
+    plane.configure(bareConfig());
+    AlertRule rule;
+    rule.name = "silent";
+    rule.signal = "beacon";
+    rule.kind = AlertRule::Kind::Absence;
+    rule.gap_bins = 2;
+    plane.addRule(rule);
+
+    plane.observe(EntityKind::Station, 1, "beacon", 0, 0.0, 1.0);
+    plane.observe(EntityKind::Satellite, 9, "beacon", 0, 0.0, 1.0);
+    plane.observe(EntityKind::Satellite, 4, "beacon", 0, 0.0, 1.0);
+    plane.advance(5, 50.0);
+    const HealthSnapshot snapshot = plane.snapshot();
+    ASSERT_EQ(snapshot.alerts.size(), 3u);
+    EXPECT_EQ(snapshot.alerts[0].entity_kind, EntityKind::Satellite);
+    EXPECT_EQ(snapshot.alerts[0].entity, 4);
+    EXPECT_EQ(snapshot.alerts[1].entity_kind, EntityKind::Satellite);
+    EXPECT_EQ(snapshot.alerts[1].entity, 9);
+    EXPECT_EQ(snapshot.alerts[2].entity_kind, EntityKind::Station);
+    EXPECT_EQ(snapshot.alerts[2].entity, 1);
+}
+
+// A Feed observing by interned id is the one-call observe() by name,
+// and ids survive configure(): engines resolve them once per process.
+TEST(RulesEngine, FeedByIdMatchesObserveByName)
+{
+    HealthConfig config;
+    config.top_k = 4;
+    HealthPlane by_name;
+    HealthPlane by_id;
+    by_name.configure(config);
+    const SignalId queue = by_id.signal("queue.depth_bits");
+    const SignalId dropped = by_id.signal("storage.dropped_bits");
+    by_id.configure(config);
+    EXPECT_EQ(by_id.signal("queue.depth_bits"), queue);
+    EXPECT_NE(queue, dropped);
+
+    {
+        HealthPlane::Feed feed(by_id);
+        for (std::int64_t bin = 0; bin < 40; ++bin) {
+            for (std::int64_t sat = 0; sat < 3; ++sat) {
+                const double depth = sat == 1 ? 5e9 : 1e9 + 1e7 * bin;
+                const double drop = bin > 20 && sat == 2 ? 1e6 : 0.0;
+                feed.observe(EntityKind::Satellite, sat, queue, bin,
+                             60.0 * bin, depth);
+                feed.observe(EntityKind::Satellite, sat, dropped, bin,
+                             60.0 * bin, drop);
+                by_name.observe(EntityKind::Satellite, sat,
+                                "queue.depth_bits", bin, 60.0 * bin,
+                                depth);
+                by_name.observe(EntityKind::Satellite, sat,
+                                "storage.dropped_bits", bin, 60.0 * bin,
+                                drop);
+            }
+        }
+        feed.advance(40, 2400.0);
+    }
+    by_name.advance(40, 2400.0);
+
+    const HealthSnapshot a = by_name.snapshot();
+    const HealthSnapshot b = by_id.snapshot();
+    std::ostringstream alerts_a;
+    std::ostringstream alerts_b;
+    writeAlertsJsonl(a.alerts, alerts_a);
+    writeAlertsJsonl(b.alerts, alerts_b);
+    EXPECT_EQ(alerts_a.str(), alerts_b.str());
+    EXPECT_EQ(a.alerts_fired, 2); // queue.stuck on 1, storage.drop on 2
+    std::ostringstream table_a;
+    std::ostringstream table_b;
+    writeHealthTable(a, table_a);
+    writeHealthTable(b, table_b);
+    EXPECT_EQ(table_a.str(), table_b.str());
+    EXPECT_EQ(b.observations, 240);
+}
+
+TEST(RulesEngineDeathTest, FeedRejectsUnknownSignalId)
+{
+    HealthPlane plane;
+    plane.configure(bareConfig());
+    const SignalId known = plane.signal("temp");
+    EXPECT_DEATH(
+        {
+            HealthPlane::Feed feed(plane);
+            feed.observe(EntityKind::Satellite, 0, known + 1, 0, 0.0, 1.0);
+        },
+        "unknown signal id");
 }
 
 TEST(RulesEngine, TopKRollupFoldsOverflowIntoOther)
