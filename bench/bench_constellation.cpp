@@ -8,10 +8,7 @@
  * wall-clock second) and its determinism contract.
  *
  * Results go to stdout and BENCH_constellation.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory); the
- * committed BENCH_constellation.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
+ * KODAN_BENCH_CSV_DIR when set, else the bench cache directory).
  *
  * Flags (after the harness's --telemetry-out/--journal-out):
  *   --sats N               total satellites            (default 500)

@@ -28,10 +28,7 @@
  * at all — the zero-copy claim, enforced.
  *
  * Results go to stdout and BENCH_dataplane.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory). The
- * committed BENCH_dataplane.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
+ * KODAN_BENCH_CSV_DIR when set, else the bench cache directory).
  *
  * --assert-speedup enforces the acceptance floor (staged_burst8 >=
  * 1.05x runtime_batch); left off in the timer-tolerant regression
@@ -375,11 +372,9 @@ main(int argc, char **argv)
     util::setGlobalThreads(0);
 
     // Feed the measurements into the telemetry snapshot so the
-    // kodan-report pipeline (check_regressions.sh baseline diff +
-    // BENCH_dataplane.json trajectory) sees them: wall-clock as timers
+    // check_regressions.sh baseline diff sees them: wall-clock as timers
     // (diffed with the machine-noise tolerance), derived ratios under
-    // bench.dataplane.ratio.* (excluded from the diff, recorded in the
-    // trajectory).
+    // bench.dataplane.ratio.* (excluded from the diff).
 #ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &reg = telemetry::registry();
@@ -417,7 +412,7 @@ main(int argc, char **argv)
               << steady_allocs << ".\n";
     bench::emitCsv("bench_dataplane", table);
 
-    // JSON record for the perf trajectory.
+    // JSON run record.
     const std::string path = bench::runRecordPath("dataplane");
     std::ofstream json(path);
     if (json) {

@@ -25,10 +25,7 @@
  * speedup that changed the numbers would be a bug, not a win.
  *
  * Results go to stdout and to BENCH_ml_kernels.run.json (in
- * KODAN_BENCH_CSV_DIR when set, else the bench cache directory). The
- * committed BENCH_ml_kernels.json at the repo root is the cross-PR
- * trajectory maintained by `kodan-report aggregate` (see
- * scripts/check_regressions.sh).
+ * KODAN_BENCH_CSV_DIR when set, else the bench cache directory).
  *
  * --assert-speedup enforces the acceptance floors (>= 3x mlp_forward,
  * >= 1.5x transform_sweep, >= 2.5x gemm_i8 over blocked fp64); left off
@@ -527,11 +524,9 @@ main(int argc, char **argv)
     }
 
     // Feed the measurements into the telemetry snapshot so the
-    // kodan-report pipeline (check_regressions.sh baseline diff +
-    // BENCH_ml_kernels.json trajectory) sees them: wall-clock as timers
+    // check_regressions.sh baseline diff sees them: wall-clock as timers
     // (diffed with the machine-noise tolerance), derived ratios under
-    // bench.ml_kernels.ratio.* (excluded from the diff, recorded in the
-    // trajectory).
+    // bench.ml_kernels.ratio.* (excluded from the diff).
 #ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &reg = telemetry::registry();
@@ -569,7 +564,7 @@ main(int argc, char **argv)
                  "blocking.\n";
     bench::emitCsv("bench_ml_kernels", table);
 
-    // JSON record for the perf trajectory.
+    // JSON run record.
     const std::string path = bench::runRecordPath("ml_kernels");
     std::ofstream json(path);
     if (json) {

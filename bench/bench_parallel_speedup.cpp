@@ -4,11 +4,7 @@
  * the three hot paths (transformer sweep, batch runtime, mission sim),
  * swept over thread counts. Results go to stdout and to
  * BENCH_parallel_speedup.run.json (in KODAN_BENCH_CSV_DIR when set, else
- * the bench cache directory). The committed BENCH_parallel_speedup.json at
- * the repo root is the cross-PR trajectory maintained by `kodan-report
- * aggregate` (see scripts/check_regressions.sh) — the raw run file uses
- * a different name so running the bench from the repo root can never
- * clobber the trajectory.
+ * the bench cache directory).
  *
  * Every workload is also checked for thread-count invariance while it is
  * being timed: a speedup that changed the numbers would be a bug, not a
@@ -186,7 +182,7 @@ main(int argc, char **argv)
                  "bit-identical at every thread count by construction)\n";
     bench::emitCsv("bench_parallel_speedup", table);
 
-    // JSON record for the perf trajectory.
+    // JSON run record.
     const std::string path = bench::runRecordPath("parallel_speedup");
     std::ofstream json(path);
     if (json) {

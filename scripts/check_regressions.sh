@@ -28,11 +28,8 @@
 # Usage:
 #   scripts/check_regressions.sh [--build-dir DIR] [--rebaseline]
 #
-# --rebaseline regenerates bench/baselines/ from the current build and
-# appends an entry (labeled with the current git commit) to the
-# BENCH_parallel_speedup.json, BENCH_ml_kernels.json,
-# BENCH_dataplane.json, BENCH_constellation.json, and BENCH_health.json
-# trajectories at the repo root, instead of diffing.
+# --rebaseline regenerates bench/baselines/ from the current build
+# instead of diffing.
 #
 # Baseline caveat: the committed baselines are toolchain-pinned. Counters,
 # gauges, journals, and time series are bit-deterministic for a given
@@ -132,7 +129,7 @@ cmp_baseline fig10_mission.metrics.timeseries.json
 # bench_ml_kernels exits non-zero on any Blocked-vs-Naive bit mismatch,
 # so this run is the kernel-correctness smoke as well as the perf probe;
 # no --assert-speedup here because the diff's timers already tolerate
-# machine noise (floors are asserted when the trajectory is recorded).
+# machine noise (only scripts/ci.sh's native pass asserts the floors).
 echo "[check_regressions] running bench_ml_kernels ..."
 (cd "$WORKDIR" && "$MLKERN_BENCH" \
     --telemetry-out "$WORKDIR/ml_kernels.metrics.json" \
@@ -232,23 +229,6 @@ if [[ "$REBASELINE" -eq 1 ]]; then
     # Despite the name, this is a full profile document; only its span
     # table is asserted by the diff below (frames are machine-shaped).
     cp "$WORKDIR/dataplane.prof.json" "$BASELINES/prof.spans.json"
-    LABEL="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null ||
-             echo local)"
-    "$REPORT" aggregate --name parallel_speedup --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_parallel_speedup.json" \
-        "$WORKDIR/parallel_speedup.metrics.json"
-    "$REPORT" aggregate --name ml_kernels --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_ml_kernels.json" \
-        "$WORKDIR/ml_kernels.metrics.json"
-    "$REPORT" aggregate --name dataplane --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_dataplane.json" \
-        "$WORKDIR/dataplane.metrics.json"
-    "$REPORT" aggregate --name constellation --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_constellation.json" \
-        "$WORKDIR/constellation_golden.metrics.json"
-    "$REPORT" aggregate --name health --label "$LABEL" \
-        --out "$REPO_ROOT/BENCH_health.json" \
-        "$WORKDIR/health.metrics.json"
     echo "[check_regressions] baselines rebaselined in $BASELINES"
     exit 0
 fi
@@ -273,8 +253,7 @@ echo "[check_regressions] diffing parallel_speedup against baseline ..."
     --tol-timer 100 || STATUS=1
 
 # Ratio gauges (speedup, GFLOP/s) measure this machine and vary with
-# load, so they are recorded in the trajectory but not diffed; the
-# deterministic counters/histograms and the bench's own bit-identity
+# load, so they are not diffed; the deterministic counters/histograms and the bench's own bit-identity
 # exit code are the correctness guard.
 echo "[check_regressions] diffing ml_kernels against baseline ..."
 "$REPORT" diff \

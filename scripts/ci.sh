@@ -16,7 +16,12 @@
 # The sanitizer passes rerun only the labeled suites — determinism,
 # telemetry, journal, report, time-series, and data-plane tests —
 # because those are the ones that exercise cross-thread merges, the
-# data plane's concurrent lanes, and the recorder hot paths.
+# data plane's concurrent lanes, and the recorder hot paths. The
+# `loader` label (test_failures) rides along for AddressSanitizer: its
+# death tests feed the on-disk loaders malformed input, and ASan
+# reports any out-of-bounds access that input provokes before the
+# loader dies. Its forked death tests run clean under ThreadSanitizer
+# too, so both passes run it.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -41,7 +46,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
-LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof'
+LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof|loader'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"

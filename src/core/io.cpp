@@ -30,6 +30,18 @@ expectTag(std::istream &is, const std::string &expected)
     }
 }
 
+/** The ActionKind stored as @p code; fatal when it names none. */
+ActionKind
+actionKindFrom(int code)
+{
+    if (code < static_cast<int>(ActionKind::Discard) ||
+        code > static_cast<int>(ActionKind::RunModel)) {
+        util::fatal("kodan::core::io: action kind " +
+                    std::to_string(code) + " is out of range");
+    }
+    return static_cast<ActionKind>(code);
+}
+
 } // namespace
 
 void
@@ -65,19 +77,21 @@ loadTable(std::istream &is)
     if (!is || contexts < 0) {
         util::fatal("kodan::core::io: malformed table header");
     }
-    table.contexts.resize(contexts);
-    table.actions.resize(contexts);
-    table.stats.resize(contexts);
+    // The declared counts size nothing: each context and action is
+    // appended as it is read, and reading stops at the first stream
+    // failure, so memory grows only with the input.
     for (int c = 0; c < contexts; ++c) {
         expectTag(is, "context");
         std::size_t action_count = 0;
-        auto &info = table.contexts[c];
+        auto &info = table.contexts.emplace_back();
         is >> info.id >> info.tile_share >> info.prevalence >>
             info.description >> action_count;
         if (info.description == "-") {
             info.description.clear();
         }
-        for (std::size_t a = 0; a < action_count; ++a) {
+        auto &actions = table.actions.emplace_back();
+        auto &stats_row = table.stats.emplace_back();
+        for (std::size_t a = 0; a < action_count && is; ++a) {
             int kind = 0;
             Action action;
             ActionStats stats;
@@ -85,10 +99,10 @@ loadTable(std::istream &is)
             is >> kind >> action.model >> stats.bits_fraction >>
                 stats.high_fraction >> stats.cell_accuracy >>
                 stats.model_params >> quantized;
-            action.kind = static_cast<ActionKind>(kind);
+            action.kind = actionKindFrom(kind);
             stats.quantized = quantized != 0;
-            table.actions[c].push_back(action);
-            table.stats[c].push_back(stats);
+            actions.push_back(action);
+            stats_row.push_back(stats);
         }
     }
     if (!is) {
@@ -166,11 +180,12 @@ loadLogic(std::istream &is)
     SelectionLogic logic;
     std::size_t contexts = 0;
     is >> logic.tiles_per_side >> contexts;
-    for (std::size_t c = 0; c < contexts; ++c) {
+    // As in loadTable: grow with the input, not the declared count.
+    for (std::size_t c = 0; c < contexts && is; ++c) {
         int kind = 0;
         Action action;
         is >> kind >> action.model;
-        action.kind = static_cast<ActionKind>(kind);
+        action.kind = actionKindFrom(kind);
         logic.per_context.push_back(action);
     }
     if (!is) {
@@ -278,9 +293,24 @@ DeploymentPackage::load(std::istream &is)
     if (version != 2) {
         util::fatal("kodan::core::io: deployment version mismatch");
     }
+    if (target < 0 || target >= hw::kTargetCount) {
+        util::fatal("kodan::core::io: deployment target " +
+                    std::to_string(target) + " is out of range");
+    }
     SelectionLogic logic = loadLogic(is);
     ContextEngine engine = ContextEngine::load(is);
     SpecializedZoo zoo = loadZoo(is);
+    // Every model the logic runs must ship in the package's zoo.
+    for (const Action &action : logic.per_context) {
+        if (action.kind == ActionKind::RunModel &&
+            (action.model < 0 ||
+             static_cast<std::size_t>(action.model) >= zoo.entries.size())) {
+            util::fatal("kodan::core::io: logic runs model " +
+                        std::to_string(action.model) + " of a " +
+                        std::to_string(zoo.entries.size()) +
+                        "-entry zoo");
+        }
+    }
     return DeploymentPackage{std::move(logic), std::move(engine),
                              std::move(zoo),
                              static_cast<hw::Target>(target)};

@@ -99,8 +99,8 @@ class GroundSegmentScheduler
          * Granted contact runs per satellite, each coalesced over the
          * scheduler's steps and sorted by (start, station). One interval
          * per granted pass, so downstream models can place downlinked
-         * bits on the mission timeline (queue drain times, lineage
-         * stamps) instead of only knowing the daily total.
+         * bits on the mission timeline (queue drain times) instead of
+         * only knowing the daily total.
          */
         std::vector<std::vector<Interval>> intervals_per_satellite;
         /** Total station-seconds that had at least one visible satellite. */

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +46,7 @@ struct BitPool
 /** One sim-time bin of one satellite's chunk accounting. */
 struct BinAccum
 {
+    bool touched = false; ///< recorded into this chunk (even a zero)
     std::int64_t frames = 0;
     std::int64_t processed = 0;
     double queued_bits = 0.0;
@@ -128,6 +127,8 @@ ConstellationEngine::run(const ConstellationConfig &config,
         deadlines[s] = capture.frameDeadline(sats[s]);
         state[s].result.frame_deadline = deadlines[s];
     }
+    const double max_deadline =
+        *std::max_element(deadlines.begin(), deadlines.end());
 
     const ground::ContactFinder finder(mission.contact_scan_step);
     const ground::GroundSegmentScheduler scheduler(mission.scheduler_step);
@@ -181,10 +182,12 @@ ConstellationEngine::run(const ConstellationConfig &config,
     ground::GroundSegmentScheduler::Allocation final_allocation;
     using Interval = ground::GroundSegmentScheduler::Interval;
     std::vector<std::vector<Interval>> closed(sat_count);
-    std::vector<std::map<std::int64_t, BinAccum>> chunk_bins(
-        bins_on ? sat_count : 0);
-    // Health-fold scratch reused across chunks: granted seconds per
-    // (station, bin) of the contact runs closed in one chunk.
+    // Scratch reused across chunks, each a flat window over the bins
+    // one chunk can touch: every satellite's bins (satellite-major) and
+    // the granted seconds of the contact runs closed in the chunk per
+    // bin and per (station, bin).
+    std::vector<BinAccum> chunk_bins;
+    std::vector<double> granted;
     std::vector<double> station_granted;
 
     const std::size_t chunk_count = static_cast<std::size_t>(
@@ -229,6 +232,22 @@ ConstellationEngine::run(const ConstellationConfig &config,
             }
         }
 
+        // The chunk's bin window: frames land in binOf(t0c) on, their
+        // products by binOf(t1c + deadline), and a closed run grants
+        // time from binOf(run.start) and drains into a bin no earlier.
+        double first_start = t0c;
+        for (const auto &runs : closed) {
+            for (const auto &run : runs) {
+                first_start = std::min(first_start, run.start);
+            }
+        }
+        const std::int64_t bin_lo = binOf(first_start);
+        const auto width = static_cast<std::size_t>(
+            binOf(t1c + max_deadline) - bin_lo + 1);
+        if (bins_on) {
+            chunk_bins.assign(sat_count * width, BinAccum{});
+        }
+
         // Sharded satellite pass: capture, filter, enforce storage,
         // drain the closed contact runs. Each satellite touches only
         // its own state, so shards and threads are scheduling detail.
@@ -240,8 +259,15 @@ ConstellationEngine::run(const ConstellationConfig &config,
                 SatState &st = state[s];
                 telemetry::JournalScope lane(journal_region.id(), s,
                                              st.journal_ord);
-                auto *bins =
-                    bins_on ? &chunk_bins[s] : nullptr;
+                BinAccum *bins =
+                    bins_on ? &chunk_bins[s * width] : nullptr;
+                const auto binAt = [bins,
+                                    bin_lo](std::int64_t bin) -> BinAccum & {
+                    BinAccum &accum =
+                        bins[static_cast<std::size_t>(bin - bin_lo)];
+                    accum.touched = true;
+                    return accum;
+                };
                 const double deadline = deadlines[s];
                 const double processed_fraction =
                     filter.frame_time <= deadline
@@ -269,7 +295,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                         processed_fraction >= 1.0 ||
                         st.rng.bernoulli(processed_fraction);
                     if (bins != nullptr) {
-                        BinAccum &bin = (*bins)[binOf(t)];
+                        BinAccum &bin = binAt(binOf(t));
                         ++bin.frames;
                         if (processed) {
                             ++bin.processed;
@@ -280,8 +306,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                             st.raws.bits += frame_bits;
                             st.raws.high_bits += frame_bits * value;
                             if (bins != nullptr) {
-                                (*bins)[binOf(t)].queued_bits +=
-                                    frame_bits;
+                                binAt(binOf(t)).queued_bits += frame_bits;
                             }
                         }
                         continue;
@@ -304,7 +329,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                     st.products.bits += bits;
                     st.products.high_bits += high_bits;
                     if (bins != nullptr) {
-                        (*bins)[binOf(decided_t)].queued_bits += bits;
+                        binAt(binOf(decided_t)).queued_bits += bits;
                     }
                 }
 
@@ -327,7 +352,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                     if (bins != nullptr) {
                         const std::int64_t drop_bin = std::max(
                             binOf(t0c), binOf(t1c) - 1);
-                        (*bins)[drop_bin].dropped_bits += dropped;
+                        binAt(drop_bin).dropped_bits += dropped;
                     }
                 }
 
@@ -379,7 +404,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                     chunk_drained += sent;
                     if (bins != nullptr && sent > 0.0) {
                         BinAccum &bin =
-                            (*bins)[binOf(std::min(run.end, t1c))];
+                            binAt(binOf(std::min(run.end, t1c)));
                         bin.drained_bits += sent;
                         bin.bits_down += sent;
                         bin.high_bits_down += high_sent;
@@ -401,51 +426,18 @@ ConstellationEngine::run(const ConstellationConfig &config,
             }
         });
 
-        // Serial fold of this chunk's bins into the global time series,
-        // in satellite index order — the recorded multiset is invariant
-        // to threads and shards.
+        // Granted seconds of the runs closed this chunk, in one pass:
+        // per bin for the utilization series and per (station, bin) on
+        // a station-major grid for the health plane, each cell summed
+        // in (satellite, run) order. A run covers bins
+        // binOf(start)..binOf(end).
         if (ts_on) {
-            std::map<std::int64_t, BinAccum> merged;
-            for (auto &bins : chunk_bins) {
-                for (const auto &[bin, accum] : bins) {
-                    BinAccum &into = merged[bin];
-                    into.frames += accum.frames;
-                    into.processed += accum.processed;
-                    into.queued_bits += accum.queued_bits;
-                    into.drained_bits += accum.drained_bits;
-                    into.bits_down += accum.bits_down;
-                    into.high_bits_down += accum.high_bits_down;
-                    into.dropped_bits += accum.dropped_bits;
-                }
-            }
-            for (const auto &[bin, accum] : merged) {
-                const double t = static_cast<double>(bin) * bin_s;
-                telemetry::timeSeriesRecord(
-                    id_observed, t,
-                    static_cast<double>(accum.frames));
-                telemetry::timeSeriesRecord(
-                    id_processed, t,
-                    static_cast<double>(accum.processed));
-                telemetry::timeSeriesRecord(id_bits, t, accum.bits_down);
-                telemetry::timeSeriesRecord(id_high_bits, t,
-                                            accum.high_bits_down);
-                if (accum.bits_down > 0.0) {
-                    telemetry::timeSeriesRecord(
-                        id_dvd, t,
-                        accum.high_bits_down / accum.bits_down);
-                }
-                depth_bits += accum.queued_bits - accum.drained_bits -
-                              accum.dropped_bits;
-                telemetry::timeSeriesRecord(id_depth, t, depth_bits);
-                if (accum.dropped_bits > 0.0) {
-                    telemetry::timeSeriesRecord(id_dropped, t,
-                                                accum.dropped_bits);
-                }
-            }
-            // Contact utilization: granted station-seconds per bin over
-            // the segment's capacity. Runs closed this chunk may reach
-            // back into earlier bins; the series sums contributions.
-            std::map<std::int64_t, double> granted;
+            granted.assign(width, 0.0);
+        }
+        if (health_on) {
+            station_granted.assign(station_count * width, 0.0);
+        }
+        if (ts_on || health_on) {
             for (const auto &runs : closed) {
                 for (const auto &run : runs) {
                     for (std::int64_t bin = binOf(run.start);
@@ -458,16 +450,83 @@ ConstellationEngine::run(const ConstellationConfig &config,
                             run.end,
                             static_cast<double>(bin + 1) * bin_s);
                         if (hi > lo) {
-                            granted[bin] += hi - lo;
+                            const auto i =
+                                static_cast<std::size_t>(bin - bin_lo);
+                            if (ts_on) {
+                                granted[i] += hi - lo;
+                            }
+                            if (health_on) {
+                                station_granted[run.station * width + i] +=
+                                    hi - lo;
+                            }
                         }
                     }
                 }
             }
-            for (const auto &[bin, seconds] : granted) {
+        }
+
+        // Serial fold of this chunk's bins into the global time series,
+        // in satellite index order — the recorded multiset is invariant
+        // to threads and shards.
+        if (ts_on) {
+            for (std::size_t i = 0; i < width; ++i) {
+                BinAccum merged;
+                for (std::size_t s = 0; s < sat_count; ++s) {
+                    const BinAccum &accum = chunk_bins[s * width + i];
+                    if (!accum.touched) {
+                        continue;
+                    }
+                    merged.touched = true;
+                    merged.frames += accum.frames;
+                    merged.processed += accum.processed;
+                    merged.queued_bits += accum.queued_bits;
+                    merged.drained_bits += accum.drained_bits;
+                    merged.bits_down += accum.bits_down;
+                    merged.high_bits_down += accum.high_bits_down;
+                    merged.dropped_bits += accum.dropped_bits;
+                }
+                if (!merged.touched) {
+                    continue;
+                }
+                const double t =
+                    static_cast<double>(bin_lo +
+                                        static_cast<std::int64_t>(i)) *
+                    bin_s;
                 telemetry::timeSeriesRecord(
-                    id_util, static_cast<double>(bin) * bin_s,
-                    util_capacity > 0.0 ? seconds / util_capacity
-                                        : 0.0);
+                    id_observed, t,
+                    static_cast<double>(merged.frames));
+                telemetry::timeSeriesRecord(
+                    id_processed, t,
+                    static_cast<double>(merged.processed));
+                telemetry::timeSeriesRecord(id_bits, t, merged.bits_down);
+                telemetry::timeSeriesRecord(id_high_bits, t,
+                                            merged.high_bits_down);
+                if (merged.bits_down > 0.0) {
+                    telemetry::timeSeriesRecord(
+                        id_dvd, t,
+                        merged.high_bits_down / merged.bits_down);
+                }
+                depth_bits += merged.queued_bits - merged.drained_bits -
+                              merged.dropped_bits;
+                telemetry::timeSeriesRecord(id_depth, t, depth_bits);
+                if (merged.dropped_bits > 0.0) {
+                    telemetry::timeSeriesRecord(id_dropped, t,
+                                                merged.dropped_bits);
+                }
+            }
+            // Contact utilization: granted station-seconds per bin over
+            // the segment's capacity. Runs closed this chunk may reach
+            // back into earlier bins; the series sums contributions.
+            for (std::size_t i = 0; i < width; ++i) {
+                if (granted[i] > 0.0) {
+                    telemetry::timeSeriesRecord(
+                        id_util,
+                        static_cast<double>(
+                            bin_lo + static_cast<std::int64_t>(i)) *
+                            bin_s,
+                        util_capacity > 0.0 ? granted[i] / util_capacity
+                                            : 0.0);
+                }
             }
         }
 
@@ -504,7 +563,14 @@ ConstellationEngine::run(const ConstellationConfig &config,
                 const auto sat = static_cast<std::int64_t>(s);
                 std::int64_t chunk_frames = 0;
                 double chunk_dropped = 0.0;
-                for (const auto &[bin, accum] : chunk_bins[s]) {
+                const BinAccum *bins = &chunk_bins[s * width];
+                for (std::size_t i = 0; i < width; ++i) {
+                    const BinAccum &accum = bins[i];
+                    if (!accum.touched) {
+                        continue;
+                    }
+                    const std::int64_t bin =
+                        bin_lo + static_cast<std::int64_t>(i);
                     const double t = static_cast<double>(bin) * bin_s;
                     chunk_frames += accum.frames;
                     chunk_dropped += accum.dropped_bits;
@@ -543,52 +609,13 @@ ConstellationEngine::run(const ConstellationConfig &config,
                                      state[s].journal_ord);
                 }
             }
-            // Granted station-seconds per (station, bin) on a
-            // station-major grid over the bins this chunk's closed runs
-            // touch (a run covers bins binOf(start)..binOf(end)): each
-            // cell sums its runs in run order, and the cells that got
-            // time are observed in (station, bin) order.
-            double first_start = std::numeric_limits<double>::infinity();
-            double last_end = -std::numeric_limits<double>::infinity();
-            for (const auto &runs : closed) {
-                for (const auto &run : runs) {
-                    first_start = std::min(first_start, run.start);
-                    last_end = std::max(last_end, run.end);
-                }
-            }
-            const bool any_run = first_start <= last_end;
-            const std::int64_t grant_lo = any_run ? binOf(first_start) : 0;
-            const std::size_t width =
-                any_run ? static_cast<std::size_t>(binOf(last_end) -
-                                                   grant_lo + 1)
-                        : 0;
-            station_granted.assign(station_count * width, 0.0);
-            for (const auto &runs : closed) {
-                for (const auto &run : runs) {
-                    for (std::int64_t bin = binOf(run.start);
-                         static_cast<double>(bin) * bin_s < run.end;
-                         ++bin) {
-                        const double lo =
-                            std::max(run.start,
-                                     static_cast<double>(bin) * bin_s);
-                        const double hi = std::min(
-                            run.end,
-                            static_cast<double>(bin + 1) * bin_s);
-                        if (hi > lo) {
-                            station_granted[run.station * width +
-                                            static_cast<std::size_t>(
-                                                bin - grant_lo)] +=
-                                hi - lo;
-                        }
-                    }
-                }
-            }
+            // The cells that got time, in (station, bin) order.
             for (std::size_t cell = 0; cell < station_granted.size();
                  ++cell) {
                 const double seconds = station_granted[cell];
                 if (seconds > 0.0) {
                     const std::int64_t bin =
-                        grant_lo + static_cast<std::int64_t>(cell % width);
+                        bin_lo + static_cast<std::int64_t>(cell % width);
                     feed.observe(EntityKind::Station,
                                  static_cast<std::int64_t>(cell / width),
                                  sig_granted, bin,
@@ -600,11 +627,6 @@ ConstellationEngine::run(const ConstellationConfig &config,
             feed.advance(chunk_last_bin, chunk_t);
             KODAN_COUNT_ADD("telemetry.health.observations",
                             observations);
-        }
-        if (bins_on) {
-            for (auto &bins : chunk_bins) {
-                bins.clear();
-            }
         }
         for (auto &runs : closed) {
             runs.clear();

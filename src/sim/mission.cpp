@@ -244,13 +244,10 @@ MissionSim::run(const MissionConfig &config,
     const sense::FrameCapture capture(config.camera, grid);
 
     // Recording gates, resolved once. The timing walk (queue drain
-    // times, lineage stamps, per-bin downlink accounting) only runs when
-    // some recorder will consume it; the default path is unchanged.
+    // times, per-bin downlink accounting) only runs when some recorder
+    // will consume it; the default path is unchanged.
     const bool ts_on = telemetry::enabled();
-    const bool journal_on = telemetry::journalEnabled();
-    const bool lineage_on = telemetry::lineageEnabled();
-    const bool bins_on = ts_on || journal_on;
-    const bool want_timing = bins_on || lineage_on;
+    const bool want_timing = ts_on || telemetry::journalEnabled();
     const double bin_s =
         config.telemetry_bin_s > 0.0 ? config.telemetry_bin_s : 1800.0;
     const auto binOf = [bin_s](double t) {
@@ -290,7 +287,6 @@ MissionSim::run(const MissionConfig &config,
             double high_bits;
             double capture_t;
             double enqueue_t;
-            std::uint64_t ord; // capture ordinal (lineage id)
         };
         std::vector<QueueItem> products;
         std::vector<QueueItem> raws;
@@ -299,23 +295,14 @@ MissionSim::run(const MissionConfig &config,
         for (const auto &frame : frames) {
             const double value =
                 frameValueFraction(frame.center, frame.time, rng);
-            const auto ord =
-                static_cast<std::uint64_t>(sat_result.frames_observed);
-            const std::uint64_t frame_id =
-                telemetry::lineageFrameId(s, ord);
             ++sat_result.frames_observed;
             sat_result.bits_observed += frame_bits;
             sat_result.high_bits_observed += frame_bits * value;
-            if (lineage_on) {
-                telemetry::recordLineageSpan(
-                    frame_id, telemetry::LineageStage::Captured,
-                    frame.time);
-            }
 
             const bool processed =
                 processed_fraction >= 1.0 ||
                 rng.bernoulli(processed_fraction);
-            if (tm != nullptr && bins_on) {
+            if (tm != nullptr) {
                 BinAccum &bin = tm->bins[binOf(frame.time)];
                 ++bin.frames;
                 if (processed) {
@@ -327,16 +314,11 @@ MissionSim::run(const MissionConfig &config,
                     // Raw pass-through: no decision stage, enqueued at
                     // capture.
                     raws.push_back({frame_bits, frame_bits * value,
-                                    frame.time, frame.time, ord});
+                                    frame.time, frame.time});
                     fifo.push_back(raws.back());
-                    if (tm != nullptr && bins_on) {
+                    if (tm != nullptr) {
                         tm->bins[binOf(frame.time)].queued_bits +=
                             frame_bits;
-                    }
-                    if (lineage_on) {
-                        telemetry::recordLineageSpan(
-                            frame_id, telemetry::LineageStage::Enqueued,
-                            frame.time);
                     }
                 }
                 continue;
@@ -346,11 +328,6 @@ MissionSim::run(const MissionConfig &config,
             // frame_time, bounded by the capture deadline.
             const double decided_t =
                 frame.time + std::min(filter.frame_time, deadline);
-            if (lineage_on) {
-                telemetry::recordLineageSpan(
-                    frame_id, telemetry::LineageStage::Decided,
-                    decided_t);
-            }
             const bool high = value >= 0.5;
             const double keep_prob =
                 high ? filter.keep_high : filter.keep_low;
@@ -362,16 +339,10 @@ MissionSim::run(const MissionConfig &config,
                 filter.product_precision >= 0.0
                     ? bits * filter.product_precision
                     : frame_bits * filter.product_fraction * value;
-            products.push_back(
-                {bits, high_bits, frame.time, decided_t, ord});
+            products.push_back({bits, high_bits, frame.time, decided_t});
             fifo.push_back(products.back());
-            if (tm != nullptr && bins_on) {
+            if (tm != nullptr) {
                 tm->bins[binOf(decided_t)].queued_bits += bits;
-            }
-            if (lineage_on) {
-                telemetry::recordLineageSpan(
-                    frame_id, telemetry::LineageStage::Enqueued,
-                    decided_t);
             }
         }
 
@@ -413,40 +384,20 @@ MissionSim::run(const MissionConfig &config,
                     frame_bits > 0.0 ? sent / frame_bits : 0.0;
                 budget -= sent;
                 ++items_sent;
-                if (!want_timing) {
+                if (tm == nullptr) {
                     continue;
                 }
-                const double service_t = walk.position();
-                const double contact_t =
-                    std::max(item.enqueue_t, service_t);
                 const double done_t = walk.finish(sent);
                 drain_clock =
                     std::max({drain_clock, item.enqueue_t, done_t});
                 const double down_t = drain_clock;
-                if (tm != nullptr && bins_on) {
-                    BinAccum &bin = tm->bins[binOf(down_t)];
-                    bin.drained_bits += sent;
-                    bin.bits_down += sent;
-                    bin.high_bits_down += item.high_bits * frac;
-                }
-                if (tm != nullptr && ts_on) {
+                BinAccum &bin = tm->bins[binOf(down_t)];
+                bin.drained_bits += sent;
+                bin.bits_down += sent;
+                bin.high_bits_down += item.high_bits * frac;
+                if (ts_on) {
                     tm->latencies.emplace_back(down_t,
                                                down_t - item.capture_t);
-                }
-                if (lineage_on) {
-                    const std::uint64_t frame_id =
-                        telemetry::lineageFrameId(s, item.ord);
-                    telemetry::recordLineageSpan(
-                        frame_id, telemetry::LineageStage::Contact,
-                        contact_t);
-                    telemetry::recordLineageSpan(
-                        frame_id, telemetry::LineageStage::Downlinked,
-                        down_t);
-                    // Ground receipt: propagation delay is below the
-                    // model's resolution.
-                    telemetry::recordLineageSpan(
-                        frame_id, telemetry::LineageStage::Received,
-                        down_t);
                 }
             }
         };

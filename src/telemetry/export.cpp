@@ -224,66 +224,6 @@ writeMetricsTable(const RegistrySnapshot &snapshot, std::ostream &os)
     table.print(os);
 }
 
-namespace {
-
-/** `runtime.frames.processed` -> `kodan_runtime_frames_processed`. */
-std::string
-prometheusName(const std::string &name)
-{
-    std::string out = "kodan_";
-    for (const char c : name) {
-        const bool keep = (c >= 'a' && c <= 'z') ||
-                          (c >= 'A' && c <= 'Z') ||
-                          (c >= '0' && c <= '9');
-        out += keep ? c : '_';
-    }
-    return out;
-}
-
-} // namespace
-
-void
-writePrometheusText(const RegistrySnapshot &snapshot, std::ostream &os)
-{
-    for (const MetricSample &m : snapshot.metrics) {
-        const std::string name = prometheusName(m.name);
-        switch (m.kind) {
-          case MetricSample::Kind::Counter:
-            os << "# TYPE " << name << " counter\n"
-               << name << " " << m.count << "\n";
-            break;
-          case MetricSample::Kind::Gauge:
-            os << "# TYPE " << name << " gauge\n"
-               << name << " " << jsonNumber(m.sum) << "\n";
-            break;
-          case MetricSample::Kind::Histogram: {
-            os << "# TYPE " << name << " histogram\n";
-            std::int64_t cumulative = 0;
-            for (std::size_t b = 0; b < m.buckets.size(); ++b) {
-                cumulative += m.buckets[b];
-                os << name << "_bucket{le=\"";
-                if (b < m.edges.size()) {
-                    os << jsonNumber(m.edges[b]);
-                } else {
-                    os << "+Inf";
-                }
-                os << "\"} " << cumulative << "\n";
-            }
-            os << name << "_sum " << jsonNumber(m.sum) << "\n"
-               << name << "_count " << m.count << "\n";
-            break;
-          }
-          case MetricSample::Kind::Timer:
-            os << "# TYPE " << name << "_seconds summary\n"
-               << name << "_seconds_count " << m.count << "\n"
-               << name << "_seconds_sum " << jsonNumber(m.sum) << "\n"
-               << "# TYPE " << name << "_seconds_max gauge\n"
-               << name << "_seconds_max " << jsonNumber(m.max) << "\n";
-            break;
-        }
-    }
-}
-
 void
 writeChromeTrace(const std::vector<TraceEvent> &events,
                  std::uint64_t dropped, std::ostream &os)

@@ -42,16 +42,6 @@ void writeMetricsJson(const RegistrySnapshot &snapshot, std::ostream &os);
 void writeMetricsTable(const RegistrySnapshot &snapshot, std::ostream &os);
 
 /**
- * Write a metrics snapshot in the Prometheus text exposition format
- * (metric names prefixed `kodan_`, dots mangled to underscores).
- * Counters/gauges map directly; histograms emit cumulative `_bucket`
- * series plus `_sum`/`_count`; timers emit a summary-style
- * `_seconds_count`/`_seconds_sum` pair and a `_seconds_max` gauge.
- */
-void writePrometheusText(const RegistrySnapshot &snapshot,
-                         std::ostream &os);
-
-/**
  * Write events as a Chrome trace_event JSON document ("X" complete
  * events; instant events as "i"). @p dropped is reported in the trace
  * metadata.

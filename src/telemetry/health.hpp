@@ -3,7 +3,7 @@
  * Fleet health plane: streaming rollups + declarative alerting over the
  * deterministic telemetry streams.
  *
- * PRs 2-4 record everything (metrics, journal, TimeSeries, lineage) but
+ * PRs 2-4 record everything (metrics, journal, TimeSeries) but
  * interpret nothing while the mission runs; a constellation can spend a
  * simulated year degraded and nobody notices until a post-hoc
  * kodan-report diff. The health plane is the online interpreter:

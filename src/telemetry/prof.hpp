@@ -19,7 +19,7 @@
  * No malloc, no locks, no iostream, no util::log.
  *
  * Determinism contract: the profiler writes nothing into the metrics
- * registry, the journal, the time series, or the lineage/health planes,
+ * registry, the journal, the time series, or the health plane,
  * and never logs through util::log while armed (the telemetry log tap
  * counts warnings) — so journal/metrics/report bytes are bit-identical
  * with profiling on or off at any KODAN_THREADS (bench_prof --verify).

@@ -320,43 +320,6 @@ loadTimeSeries(const std::string &path, TimeSeriesDoc &out,
     return true;
 }
 
-bool
-loadLineage(const std::string &path, std::vector<LineageSpan> &out,
-            std::string *error)
-{
-    std::string text;
-    if (!readFile(path, text, error)) {
-        return false;
-    }
-    std::vector<json::Value> lines;
-    if (!json::parseLines(text, lines, error)) {
-        if (error != nullptr) {
-            *error = path + ": " + *error;
-        }
-        return false;
-    }
-    if (lines.empty() || lines.front().find("kodan_lineage") == nullptr) {
-        fail(error, path + ": first line is not a kodan_lineage header");
-        return false;
-    }
-    out.clear();
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        const json::Value &entry = lines[i];
-        LineageSpan span;
-        span.frame_id =
-            static_cast<std::uint64_t>(entry.numberOr("frame", 0.0));
-        span.t_s = entry.numberOr("t_s", 0.0);
-        const std::string stage = entry.stringOr("stage", "");
-        if (!lineageStageFromName(stage, span.stage)) {
-            fail(error, path + ": line " + std::to_string(i + 1) +
-                            " has unknown stage \"" + stage + "\"");
-            return false;
-        }
-        out.push_back(span);
-    }
-    return true;
-}
-
 /* ------------------------------------------------------------------ */
 /* Alerts loading                                                      */
 /* ------------------------------------------------------------------ */
@@ -1237,138 +1200,6 @@ writeProfileDiffMarkdown(const ProfileDiffResult &diff,
                << " |\n";
         }
     }
-}
-
-/* ------------------------------------------------------------------ */
-/* Trajectories                                                        */
-/* ------------------------------------------------------------------ */
-
-bool
-parseTrajectory(const std::string &text, Trajectory &out,
-                std::string *error)
-{
-    json::Value doc;
-    if (!json::parse(text, doc, error)) {
-        return false;
-    }
-    out.name = doc.stringOr("name", "");
-    if (out.name.empty()) {
-        fail(error, "trajectory has no \"name\"");
-        return false;
-    }
-    out.entries.clear();
-    const json::Value *entries = doc.find("entries");
-    if (entries == nullptr) {
-        return true; // empty trajectory
-    }
-    if (!entries->isArray()) {
-        fail(error, "trajectory \"entries\" is not an array");
-        return false;
-    }
-    for (const json::Value &raw : entries->array()) {
-        TrajectoryEntry entry;
-        entry.label = raw.stringOr("label", "");
-        const json::Value *metrics = raw.find("metrics");
-        if (metrics != nullptr && metrics->isArray()) {
-            for (const json::Value &m : metrics->array()) {
-                MetricReading reading;
-                reading.name = m.stringOr("name", "");
-                reading.type = m.stringOr("type", "");
-                reading.count =
-                    static_cast<std::int64_t>(m.numberOr("count", 0.0));
-                reading.sum = m.numberOr("sum", 0.0);
-                reading.max = m.numberOr("max", 0.0);
-                entry.snapshot.metrics.push_back(std::move(reading));
-            }
-            std::sort(entry.snapshot.metrics.begin(),
-                      entry.snapshot.metrics.end(),
-                      [](const MetricReading &a, const MetricReading &b) {
-                          return a.name < b.name;
-                      });
-        }
-        out.entries.push_back(std::move(entry));
-    }
-    return true;
-}
-
-void
-writeTrajectory(const Trajectory &trajectory, std::ostream &os)
-{
-    os << "{\n  \"name\": \"" << trajectory.name
-       << "\",\n  \"entries\": [\n";
-    for (std::size_t e = 0; e < trajectory.entries.size(); ++e) {
-        const TrajectoryEntry &entry = trajectory.entries[e];
-        os << "    {\"label\": \"" << entry.label
-           << "\", \"metrics\": [\n";
-        const auto &metrics = entry.snapshot.metrics;
-        for (std::size_t i = 0; i < metrics.size(); ++i) {
-            const MetricReading &m = metrics[i];
-            os << "      {\"name\": \"" << m.name << "\", \"type\": \""
-               << m.type << "\", \"count\": " << m.count
-               << ", \"sum\": " << jsonNumber(m.sum)
-               << ", \"max\": " << jsonNumber(m.max) << "}"
-               << (i + 1 < metrics.size() ? "," : "") << "\n";
-        }
-        os << "    ]}" << (e + 1 < trajectory.entries.size() ? "," : "")
-           << "\n";
-    }
-    os << "  ]\n}\n";
-}
-
-void
-writeTrajectoryCsv(const Trajectory &trajectory, std::ostream &os)
-{
-    os << "label,metric,type,count,sum,max\n";
-    for (const TrajectoryEntry &entry : trajectory.entries) {
-        for (const MetricReading &m : entry.snapshot.metrics) {
-            os << entry.label << "," << m.name << "," << m.type << ","
-               << m.count << "," << jsonNumber(m.sum) << ","
-               << jsonNumber(m.max) << "\n";
-        }
-    }
-}
-
-bool
-appendTrajectory(const std::string &path, const std::string &name,
-                 const TrajectoryEntry &entry, std::string *error)
-{
-    Trajectory trajectory;
-    std::string text;
-    std::ifstream existing(path, std::ios::binary);
-    if (existing) {
-        std::ostringstream buffer;
-        buffer << existing.rdbuf();
-        text = buffer.str();
-    }
-    existing.close();
-    if (!text.empty()) {
-        if (!parseTrajectory(text, trajectory, error)) {
-            if (error != nullptr) {
-                *error = path + ": " + *error;
-            }
-            return false;
-        }
-    } else {
-        trajectory.name = name;
-    }
-    bool replaced = false;
-    for (TrajectoryEntry &existing_entry : trajectory.entries) {
-        if (existing_entry.label == entry.label) {
-            existing_entry = entry;
-            replaced = true;
-            break;
-        }
-    }
-    if (!replaced) {
-        trajectory.entries.push_back(entry);
-    }
-    std::ofstream out_file(path, std::ios::binary | std::ios::trunc);
-    if (!out_file) {
-        fail(error, "cannot write " + path);
-        return false;
-    }
-    writeTrajectory(trajectory, out_file);
-    return true;
 }
 
 } // namespace kodan::telemetry::report

@@ -2,8 +2,7 @@
  * @file
  * kodan-report engine: load metrics snapshots (writeMetricsJson output)
  * and flight-recorder journals (writeJournalJsonl output), diff two
- * runs with configurable tolerances, emit a markdown summary, and
- * maintain BENCH_<name>.json trajectory files.
+ * runs with configurable tolerances, and emit a markdown summary.
  *
  * Lives in the kodan_telemetry library (not the CLI) so the gtest
  * targets exercise the exact code the `kodan-report` binary ships.
@@ -17,8 +16,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "telemetry/lineage.hpp"
 
 namespace kodan::telemetry::report {
 
@@ -111,10 +108,6 @@ bool parseTimeSeries(const std::string &text, TimeSeriesDoc &out,
 /** Read + parse a time-series file. */
 bool loadTimeSeries(const std::string &path, TimeSeriesDoc &out,
                     std::string *error = nullptr);
-
-/** Read + parse a writeLineageJsonl file. */
-bool loadLineage(const std::string &path, std::vector<LineageSpan> &out,
-                 std::string *error = nullptr);
 
 /** One alert parsed back from the health plane's JSONL export. */
 struct AlertReading
@@ -357,43 +350,6 @@ void writeProfileDiffMarkdown(const ProfileDiffResult &diff,
  */
 void writeMarkdown(const DiffResult &diff, const std::string &base_label,
                    const std::string &cur_label, std::ostream &os);
-
-/* ------------------------------------------------------------------ */
-/* Trajectory files (BENCH_<name>.json)                                */
-/* ------------------------------------------------------------------ */
-
-/** One run recorded in a trajectory file. */
-struct TrajectoryEntry
-{
-    std::string label;
-    Snapshot snapshot;
-};
-
-struct Trajectory
-{
-    std::string name;
-    std::vector<TrajectoryEntry> entries;
-};
-
-/** Parse a trajectory document. */
-bool parseTrajectory(const std::string &text, Trajectory &out,
-                     std::string *error = nullptr);
-
-/** Serialize a trajectory document. */
-void writeTrajectory(const Trajectory &trajectory, std::ostream &os);
-
-/** Serialize a trajectory as CSV (label,metric,type,count,sum,max; one
- *  row per metric of each entry) for spreadsheet/plotting pipelines. */
-void writeTrajectoryCsv(const Trajectory &trajectory, std::ostream &os);
-
-/**
- * Append @p entry to the trajectory file at @p path, creating it (with
- * @p name) when absent. An existing entry with the same label is
- * replaced in place so re-runs do not grow the file.
- */
-bool appendTrajectory(const std::string &path, const std::string &name,
-                      const TrajectoryEntry &entry,
-                      std::string *error = nullptr);
 
 } // namespace kodan::telemetry::report
 

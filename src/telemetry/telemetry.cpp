@@ -16,7 +16,6 @@ namespace {
 std::mutex g_output_mutex;
 std::string g_output_path;         // guarded by g_output_mutex
 std::string g_journal_output_path; // guarded by g_output_mutex
-std::string g_lineage_output_path; // guarded by g_output_mutex
 std::string g_alerts_output_path;  // guarded by g_output_mutex
 std::atomic<bool> g_exit_hook_armed{false};
 
@@ -89,12 +88,6 @@ configureFromArgs(int &argc, char **argv)
         } else if (std::strncmp(arg, "--journal-out=", 14) == 0) {
             setJournalOutputPath(arg + 14);
             setJournalEnabled(true);
-        } else if (std::strcmp(arg, "--lineage-out") == 0 && i + 1 < argc) {
-            setLineageOutputPath(argv[++i]);
-            setLineageEnabled(true);
-        } else if (std::strncmp(arg, "--lineage-out=", 14) == 0) {
-            setLineageOutputPath(arg + 14);
-            setLineageEnabled(true);
         } else if (std::strcmp(arg, "--alerts-out") == 0 &&
                    i + 1 < argc) {
             setAlertsOutputPath(argv[++i]);
@@ -118,8 +111,8 @@ configureFromArgs(int &argc, char **argv)
     // KODAN_PROF can also enable the profiling plane (possibly with a
     // path-like value as the output path).
     prof::configureFromEnv();
-    if (enabled() || journalEnabled() || lineageEnabled() ||
-        health::healthEnabled() || prof::profilingEnabled()) {
+    if (enabled() || journalEnabled() || health::healthEnabled() ||
+        prof::profilingEnabled()) {
         armExitHook();
         return true;
     }
@@ -156,23 +149,6 @@ setJournalOutputPath(const std::string &path)
     {
         std::lock_guard<std::mutex> lock(g_output_mutex);
         g_journal_output_path = path;
-    }
-    armExitHook();
-}
-
-std::string
-lineageOutputPath()
-{
-    std::lock_guard<std::mutex> lock(g_output_mutex);
-    return g_lineage_output_path;
-}
-
-void
-setLineageOutputPath(const std::string &path)
-{
-    {
-        std::lock_guard<std::mutex> lock(g_output_mutex);
-        g_lineage_output_path = path;
     }
     armExitHook();
 }
@@ -242,16 +218,6 @@ writeMetricsOutputs(const std::string &path)
         std::cerr << "[kodan-telemetry] wrote Chrome trace to "
                   << trace_path << " (load at chrome://tracing)\n";
     }
-    const std::string prom_path = siblingPathFor(path, ".prom");
-    std::ofstream prom_file(prom_path);
-    if (!prom_file) {
-        std::cerr << "[kodan-telemetry] cannot write " << prom_path
-                  << "\n";
-    } else {
-        writePrometheusText(snapshot, prom_file);
-        std::cerr << "[kodan-telemetry] wrote Prometheus exposition to "
-                  << prom_path << "\n";
-    }
     const TimeSeriesSnapshot series = timeSeriesSnapshot();
     const std::string ts_json_path =
         siblingPathFor(path, ".timeseries.json");
@@ -264,35 +230,6 @@ writeMetricsOutputs(const std::string &path)
         std::cerr << "[kodan-telemetry] wrote " << series.series.size()
                   << " time series to " << ts_json_path << "\n";
     }
-    const std::string ts_csv_path =
-        siblingPathFor(path, ".timeseries.csv");
-    std::ofstream ts_csv(ts_csv_path);
-    if (!ts_csv) {
-        std::cerr << "[kodan-telemetry] cannot write " << ts_csv_path
-                  << "\n";
-    } else {
-        writeTimeSeriesCsv(series, ts_csv);
-    }
-}
-
-void
-writeLineageOutputs(const std::string &path)
-{
-    const std::vector<LineageSpan> spans = collectLineage();
-    if (path.empty()) {
-        std::cerr << "[kodan-lineage] " << spans.size()
-                  << " span(s) recorded (set --lineage-out <path> for "
-                     "the JSONL)\n";
-        return;
-    }
-    std::ofstream lineage_file(path);
-    if (!lineage_file) {
-        std::cerr << "[kodan-lineage] cannot write " << path << "\n";
-        return;
-    }
-    writeLineageJsonl(spans, lineage_file);
-    std::cerr << "[kodan-lineage] wrote " << spans.size()
-              << " span(s) to " << path << "\n";
 }
 
 void
@@ -347,21 +284,16 @@ writeOutputs()
     util::flushLogSuppressed();
     std::string metrics_path;
     std::string journal_path;
-    std::string lineage_path;
     {
         std::lock_guard<std::mutex> lock(g_output_mutex);
         metrics_path = g_output_path;
         journal_path = g_journal_output_path;
-        lineage_path = g_lineage_output_path;
     }
     if (enabled()) {
         writeMetricsOutputs(metrics_path);
     }
     if (journalEnabled()) {
         writeJournalOutputs(journal_path);
-    }
-    if (lineageEnabled()) {
-        writeLineageOutputs(lineage_path);
     }
     if (health::healthEnabled()) {
         writeAlertsOutputs(alertsOutputPath());
@@ -378,7 +310,6 @@ resetAll()
     Tracer::instance().reset();
     clearJournal();
     clearTimeSeries();
-    clearLineage();
     health::plane().reset();
     prof::resetProfile();
     prof::resetSpanTable();

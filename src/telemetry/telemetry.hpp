@@ -27,7 +27,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/journal.hpp"
-#include "telemetry/lineage.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/perf_counters.hpp"
 #include "telemetry/prof.hpp"
@@ -44,8 +43,6 @@ namespace kodan::telemetry {
  *    beside it (foo.json -> foo.trace.json);
  *  - `--journal-out <path>` (or `=<path>`): enables the flight
  *    recorder and writes the journal JSONL to <path> at exit;
- *  - `--lineage-out <path>` (or `=<path>`): enables per-frame lineage
- *    spans and writes their JSONL to <path> at exit;
  *  - `--alerts-out <path>` (or `=<path>`): enables the fleet health
  *    plane and writes the alert JSONL to <path> at exit;
  *  - `--profile-out <path>` (or `=<path>`): enables the CPU profiling
@@ -53,12 +50,11 @@ namespace kodan::telemetry {
  *    prof.hpp) and writes the profile JSON to <path> and the folded
  *    stacks beside it (foo.json -> foo.folded) at exit.
  * With `--telemetry-out foo.json`, the exit hook also writes the
- * sim-time series beside it (foo.timeseries.json + foo.timeseries.csv)
- * and the Prometheus text exposition of the final metrics (foo.prom).
- * Honors the KODAN_TELEMETRY / KODAN_JOURNAL / KODAN_LINEAGE /
- * KODAN_ALERTS / KODAN_PROF env toggles either way (enabled without a
- * path, the exit hook prints a summary to stderr instead; path-like
- * KODAN_ALERTS / KODAN_PROF values are used as output paths).
+ * sim-time series beside it (foo.timeseries.json). Honors the
+ * KODAN_TELEMETRY / KODAN_JOURNAL / KODAN_ALERTS / KODAN_PROF env
+ * toggles either way (enabled without a path, the exit hook prints a
+ * summary to stderr instead; path-like KODAN_ALERTS / KODAN_PROF
+ * values are used as output paths).
  *
  * @return true if any recording is enabled after parsing.
  */
@@ -76,12 +72,6 @@ std::string journalOutputPath();
 /** Set/replace the journal JSONL path and arm the exit hook. */
 void setJournalOutputPath(const std::string &path);
 
-/** Lineage output path set by configureFromArgs/setLineageOutputPath. */
-std::string lineageOutputPath();
-
-/** Set/replace the lineage JSONL path and arm the exit hook. */
-void setLineageOutputPath(const std::string &path);
-
 /** Alert output path set by configureFromArgs/setAlertsOutputPath
  *  (falls back to a path-like KODAN_ALERTS value; "" = none). */
 std::string alertsOutputPath();
@@ -98,7 +88,7 @@ void setAlertsOutputPath(const std::string &path);
 void writeOutputs();
 
 /** Zero all metrics, drop all trace events, clear the journal, the
- *  time series, the lineage spans, and the health plane. */
+ *  time series, and the health plane. */
 void resetAll();
 
 } // namespace kodan::telemetry

@@ -279,20 +279,4 @@ writeTimeSeriesJson(const TimeSeriesSnapshot &snapshot, std::ostream &os)
     os << (snapshot.series.empty() ? "]}\n" : "\n]}\n");
 }
 
-void
-writeTimeSeriesCsv(const TimeSeriesSnapshot &snapshot, std::ostream &os)
-{
-    os << "series,bin,t_s,count,sum,min,max\n";
-    for (const SeriesSample &series : snapshot.series) {
-        for (const TimeSeriesBin &bin : series.bins) {
-            os << series.name << "," << bin.index << ","
-               << jsonNumber(static_cast<double>(bin.index) *
-                             series.bin_width_s)
-               << "," << bin.count << "," << jsonNumber(bin.sum) << ","
-               << jsonNumber(bin.min) << "," << jsonNumber(bin.max)
-               << "\n";
-        }
-    }
-}
-
 } // namespace kodan::telemetry

@@ -117,10 +117,6 @@ void clearTimeSeries();
 void writeTimeSeriesJson(const TimeSeriesSnapshot &snapshot,
                          std::ostream &os);
 
-/** Write a snapshot as CSV: series,bin,t_s,count,sum,min,max. */
-void writeTimeSeriesCsv(const TimeSeriesSnapshot &snapshot,
-                        std::ostream &os);
-
 } // namespace kodan::telemetry
 
 #endif // KODAN_TELEMETRY_TIMESERIES_HPP

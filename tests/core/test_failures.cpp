@@ -5,9 +5,11 @@
 #include <sstream>
 #include <string>
 
+#include "core/engine.hpp"
 #include "core/io.hpp"
 #include "core/specialize.hpp"
 #include "ml/mlp.hpp"
+#include "ml/transforms.hpp"
 #include "util/rng.hpp"
 
 namespace kodan::core {
@@ -43,11 +45,54 @@ TEST(FailureInjection, LoadTruncatedTableDies)
                 "expected 'context'");
 }
 
+TEST(FailureInjection, LoadTableRejectsHugeContextCount)
+{
+    // Two billion declared contexts, one present: contexts are appended
+    // as they are read, never sized from the header.
+    std::stringstream stream("table 6 2000000000\n"
+                             "context 0 0.5 0.5 ocean 0\n");
+    EXPECT_EXIT(loadTable(stream), ::testing::ExitedWithCode(1),
+                "expected 'context'");
+}
+
+TEST(FailureInjection, LoadTableRejectsHugeActionCount)
+{
+    // A trillion declared actions, one present: reading stops at the
+    // end of the input instead of appending defaults.
+    std::stringstream stream("table 6 1\n"
+                             "context 0 0.5 0.5 ocean 1000000000000\n"
+                             "2 0 0.5 0.4 0.9 100 0\n");
+    EXPECT_EXIT(loadTable(stream), ::testing::ExitedWithCode(1),
+                "truncated table");
+}
+
+TEST(FailureInjection, LoadTableRejectsOutOfRangeActionKind)
+{
+    std::stringstream stream("table 6 1\ncontext 0 0.5 0.5 ocean 1\n"
+                             "3 0 0.5 0.4 0.9 100 0\n");
+    EXPECT_EXIT(loadTable(stream), ::testing::ExitedWithCode(1),
+                "action kind 3 is out of range");
+}
+
 TEST(FailureInjection, LoadLogicRejectsGarbage)
 {
     std::stringstream stream("selection-magic 6 1\n");
     EXPECT_EXIT(loadLogic(stream), ::testing::ExitedWithCode(1),
                 "expected 'selection-logic'");
+}
+
+TEST(FailureInjection, LoadLogicRejectsHugeContextCount)
+{
+    std::stringstream stream("selection-logic 6 1000000000000\n0 -1\n");
+    EXPECT_EXIT(loadLogic(stream), ::testing::ExitedWithCode(1),
+                "truncated selection logic");
+}
+
+TEST(FailureInjection, LoadLogicRejectsOutOfRangeActionKind)
+{
+    std::stringstream stream("selection-logic 6 2\n0 -1\n-1 0\n");
+    EXPECT_EXIT(loadLogic(stream), ::testing::ExitedWithCode(1),
+                "action kind -1 is out of range");
 }
 
 TEST(FailureInjection, MlpLoadRejectsBadHeader)
@@ -128,6 +173,77 @@ TEST(FailureInjection, LoadZooRejectsNaNQuantScale)
     std::stringstream stream(zooWithQuantLine("quant 2 0.5 nan"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "not a finite positive number");
+}
+
+/**
+ * A saved deployment for @p target: a two-context logic that discards
+ * context 0 and runs zoo model @p model on context 1, an untrained
+ * two-context engine, and the one-entry zoo of zooWithQuantLine().
+ */
+std::string
+deploymentText(int target, int model)
+{
+    SelectionLogic logic;
+    logic.per_context = {Action{ActionKind::Discard, -1},
+                         Action{ActionKind::RunModel, model}};
+    ml::MlpConfig config;
+    config.input_dim = ContextEngine::kInputDim;
+    config.output_dim = 2;
+    config.output = ml::OutputKind::Softmax;
+    util::Rng rng(5);
+    std::ostringstream os;
+    os << "kodan-deployment 2 " << target << '\n';
+    saveLogic(os, logic);
+    os << "context-engine 2\n";
+    ml::Standardizer().save(os);
+    ml::Mlp(config, rng).save(os);
+    os << zooWithQuantLine("noquant");
+    return os.str();
+}
+
+TEST(FailureInjection, DeploymentLoadRejectsOutOfRangeTarget)
+{
+    std::stringstream stream(deploymentText(hw::kTargetCount, 0));
+    EXPECT_EXIT(DeploymentPackage::load(stream),
+                ::testing::ExitedWithCode(1),
+                "deployment target 3 is out of range");
+}
+
+TEST(FailureInjection, DeploymentLoadRejectsModelOutsideZoo)
+{
+    std::stringstream stream(deploymentText(0, 1));
+    EXPECT_EXIT(DeploymentPackage::load(stream),
+                ::testing::ExitedWithCode(1),
+                "logic runs model 1 of a 1-entry zoo");
+}
+
+TEST(FailureInjection, ValidTableAndDeploymentRoundTrip)
+{
+    const std::string table_text = "table 6 2\n"
+                                   "context 0 0.25 0.5 ocean 2\n"
+                                   "0 -1 0 0 1 0 0\n"
+                                   "2 0 0.5 0.25 0.75 100 1\n"
+                                   "context 1 0.75 0.5 - 1\n"
+                                   "1 -1 1 0.5 1 0 0\n";
+    std::stringstream table_in(table_text);
+    const ContextActionTable table = loadTable(table_in);
+    ASSERT_EQ(table.contextCount(), 2);
+    EXPECT_EQ(table.actions[0][1], (Action{ActionKind::RunModel, 0}));
+    EXPECT_TRUE(table.stats[0][1].quantized);
+    std::ostringstream table_out;
+    saveTable(table_out, table);
+    EXPECT_EQ(table_out.str(), table_text);
+
+    const std::string package_text =
+        deploymentText(static_cast<int>(hw::Target::Orin15W), 0);
+    std::stringstream package_in(package_text);
+    const DeploymentPackage package = DeploymentPackage::load(package_in);
+    EXPECT_EQ(package.target, hw::Target::Orin15W);
+    EXPECT_EQ(package.logic.per_context[1],
+              (Action{ActionKind::RunModel, 0}));
+    std::ostringstream package_out;
+    package.save(package_out);
+    EXPECT_EQ(package_out.str(), package_text);
 }
 
 TEST(FailureInjection, LoadZooAcceptsValidQuantScales)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/mission.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace kodan::sim {
 namespace {
@@ -176,6 +180,98 @@ TEST(MissionSim, HighValueYieldIsAFraction)
         EXPECT_GE(sat.highValueYield(), 0.0);
         EXPECT_LE(sat.highValueYield(), 1.0 + 1e-9);
     }
+}
+
+/** Turns the series and the journal on for one test; restores both
+ *  toggles and clears every recorder on exit. */
+class RecordingGuard
+{
+  public:
+    RecordingGuard()
+        : was_enabled_(telemetry::enabled()),
+          was_journal_(telemetry::journalEnabled())
+    {
+        telemetry::resetAll();
+        telemetry::setEnabled(true);
+        telemetry::setJournalEnabled(true);
+    }
+
+    ~RecordingGuard()
+    {
+        telemetry::setEnabled(was_enabled_);
+        telemetry::setJournalEnabled(was_journal_);
+        telemetry::resetAll();
+    }
+
+  private:
+    bool was_enabled_;
+    bool was_journal_;
+};
+
+TEST(MissionSim, DrainTimingDatesEverySentItem)
+{
+#ifdef KODAN_TELEMETRY_DISABLED
+    GTEST_SKIP() << "telemetry compiled out";
+#else
+    RecordingGuard guard;
+    MissionConfig config = MissionConfig::landsatConstellation(3);
+    config.duration = 6.0 * 3600.0;
+    config.scheduler_step = 30.0;
+    config.contact_scan_step = 60.0;
+    FilterBehavior filter;
+    filter.frame_time = 18.0;
+    filter.keep_high = 0.95;
+    filter.keep_low = 0.05;
+    filter.send_unprocessed = false;
+    const MissionSim sim(nullptr, 1.0 / 3.0);
+    sim.run(config, filter);
+
+    const telemetry::TimeSeriesSnapshot series =
+        telemetry::timeSeriesSnapshot();
+    const telemetry::SeriesSample *latency =
+        series.find("sim.latency.e2e_s");
+    const telemetry::SeriesSample *dvd = series.find("sim.dvd");
+    ASSERT_NE(latency, nullptr);
+    ASSERT_NE(dvd, nullptr);
+    ASSERT_FALSE(latency->bins.empty());
+    std::int64_t samples = 0;
+    double total_s = 0.0;
+    std::vector<std::int64_t> latency_bins;
+    for (const auto &bin : latency->bins) {
+        // Every item is a product, queued once its 18-s filter run ends.
+        EXPECT_GE(bin.min, filter.frame_time - 1e-6) << "bin " << bin.index;
+        samples += bin.count;
+        total_s += bin.sum;
+        latency_bins.push_back(bin.index);
+    }
+    std::vector<std::int64_t> dvd_bins;
+    for (const auto &bin : dvd->bins) {
+        dvd_bins.push_back(bin.index);
+    }
+    // A sample lands in the bin its bits were downlinked in, and only
+    // bins that downlinked bits have a DVD point.
+    EXPECT_EQ(latency_bins, dvd_bins);
+
+    // One latency sample per item that got downlink budget.
+    std::int64_t items_sent = 0;
+    for (const auto &event : telemetry::collectJournal()) {
+        if (event.type != "sim.satellite.queue") {
+            continue;
+        }
+        for (const auto &field : event.fields) {
+            if (field.name == "items_sent") {
+                items_sent += field.i;
+            }
+        }
+    }
+    EXPECT_EQ(telemetry::journalDroppedEvents(), 0U);
+    EXPECT_EQ(samples, items_sent);
+
+    // The 18 s of on-board compute is dwarfed by the wait for a
+    // contact and the queue behind it.
+    EXPECT_GT(total_s / static_cast<double>(samples),
+              2.0 * filter.frame_time);
+#endif
 }
 
 } // namespace

@@ -2,14 +2,11 @@
  * @file
  * kodan-report engine suite: snapshot/journal parsing, tolerance-driven
  * diffing (identical runs pass, a 2x timer regression and a flipped
- * elision verdict fail and are named in the markdown), and trajectory
- * file round trips.
+ * elision verdict fail and are named in the markdown).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -214,55 +211,6 @@ TEST(Report, MarkdownNamesVerdictAndOffenders)
     writeMarkdown(diffSnapshots(base, base, Tolerances{}), "a", "b",
                   clean);
     EXPECT_NE(clean.str().find("Verdict: OK"), std::string::npos);
-}
-
-TEST(Report, TrajectoryRoundTripsAndReplacesSameLabel)
-{
-    Trajectory trajectory;
-    trajectory.name = "unit";
-    TrajectoryEntry entry;
-    entry.label = "run1";
-    entry.snapshot = snapshotFromText(kBaseSnapshot);
-    trajectory.entries.push_back(entry);
-
-    std::ostringstream out;
-    writeTrajectory(trajectory, out);
-    Trajectory parsed;
-    std::string error;
-    ASSERT_TRUE(parseTrajectory(out.str(), parsed, &error)) << error;
-    EXPECT_EQ(parsed.name, "unit");
-    ASSERT_EQ(parsed.entries.size(), 1u);
-    EXPECT_EQ(parsed.entries[0].label, "run1");
-    ASSERT_EQ(parsed.entries[0].snapshot.metrics.size(),
-              entry.snapshot.metrics.size());
-    const MetricReading *timer =
-        parsed.entries[0].snapshot.find("runtime.frame.process");
-    ASSERT_NE(timer, nullptr);
-    EXPECT_EQ(timer->sum, 0.064);
-
-    // appendTrajectory: create, append a second label, replace run1.
-    const std::string path =
-        ::testing::TempDir() + "/kodan_report_trajectory.json";
-    std::remove(path.c_str());
-    ASSERT_TRUE(appendTrajectory(path, "unit", entry, &error)) << error;
-    TrajectoryEntry second = entry;
-    second.label = "run2";
-    ASSERT_TRUE(appendTrajectory(path, "unit", second, &error)) << error;
-    TrajectoryEntry replacement = entry; // same label as run1
-    replacement.snapshot.metrics[0].count = 999;
-    ASSERT_TRUE(appendTrajectory(path, "unit", replacement, &error))
-        << error;
-
-    Trajectory on_disk;
-    std::ifstream file(path);
-    std::stringstream text;
-    text << file.rdbuf();
-    ASSERT_TRUE(parseTrajectory(text.str(), on_disk, &error)) << error;
-    ASSERT_EQ(on_disk.entries.size(), 2u);
-    EXPECT_EQ(on_disk.entries[0].label, "run1");
-    EXPECT_EQ(on_disk.entries[1].label, "run2");
-    EXPECT_EQ(on_disk.entries[0].snapshot.metrics[0].count, 999);
-    std::remove(path.c_str());
 }
 
 TEST(Report, MalformedInputsReportErrors)

@@ -216,25 +216,6 @@ TEST(TimeSeries, MissionSeriesBytesInvariantToThreadCount)
 #endif
 }
 
-TEST(TimeSeries, CsvExportMatchesSnapshot)
-{
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
-    TimeSeriesGuard guard;
-    const SeriesId id = timeSeries("unit.csv", 2.0);
-    timeSeriesRecord(id, 0.0, 1.5);
-    timeSeriesRecord(id, 3.0, 2.5);
-    std::ostringstream out;
-    writeTimeSeriesCsv(timeSeriesSnapshot(), out);
-    const std::string csv = out.str();
-    EXPECT_NE(csv.find("series,bin,t_s,count,sum,min,max"),
-              std::string::npos);
-    EXPECT_NE(csv.find("unit.csv,0,0,1,1.5,1.5,1.5"), std::string::npos);
-    EXPECT_NE(csv.find("unit.csv,1,2,1,2.5,2.5,2.5"), std::string::npos);
-#endif
-}
-
 TEST(TimeSeries, DisabledRegistryRecordsNothing)
 {
 #ifndef KODAN_TELEMETRY_DISABLED

@@ -18,26 +18,6 @@
  *     or PATH with --markdown). Exit status: 0 when no regression, 1 on
  *     regression, 2 on usage/parse errors.
  *
- *   kodan-report aggregate --name NAME [--label LABEL] [--out PATH]
- *       <snapshot.json>...
- *     Folds one or more metrics snapshots into one trajectory entry and
- *     appends it to the BENCH_<NAME>.json trajectory file (default
- *     PATH: BENCH_<NAME>.json in the working directory). Counters,
- *     counts, and sums add across snapshots; max takes the max. An
- *     existing entry with the same label is replaced.
- *
- *   kodan-report trajectory <BENCH_name.json> [--format json|csv]
- *       [--out PATH]
- *     Re-emits a trajectory file (to stdout, or PATH with --out) in the
- *     requested format; csv yields label,metric,type,count,sum,max rows
- *     for spreadsheet/plotting pipelines.
- *
- *   kodan-report lineage <spans.jsonl>
- *     Assembles per-frame lineage spans (writeLineageJsonl output) into
- *     stage chains and prints end-to-end latency and per-stage
- *     attribution (compute / contact-wait / queue-wait). Exit status: 0
- *     on success, 2 on usage/parse errors.
- *
  *   kodan-report profile <profile.json> [--top K]
  *     Summarizes a CPU profile (--profile-out output): sample header,
  *     top K frames by self time, and the per-span counter table
@@ -70,7 +50,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -92,11 +71,6 @@ usage()
            "      [--timer-floor S]\n"
            "      [--tol NAME=F]... [--ignore PREFIX]... "
            "[--markdown PATH]\n"
-           "  kodan-report aggregate --name NAME [--label LABEL]\n"
-           "      [--out PATH] <snapshot.json>...\n"
-           "  kodan-report trajectory <BENCH_name.json>\n"
-           "      [--format json|csv] [--out PATH]\n"
-           "  kodan-report lineage <spans.jsonl>\n"
            "  kodan-report profile <profile.json> [--top K]\n"
            "  kodan-report profile diff <base.json> <current.json>\n"
            "      [--top K] [--assert] [--tol-calls F] [--tol-cost F]\n"
@@ -221,134 +195,6 @@ runDiff(const std::vector<std::string> &args)
         std::cerr << "kodan-report: wrote " << markdown_path << "\n";
     }
     return diff.hasRegression() ? 1 : 0;
-}
-
-/** Fold @p snapshot into @p into (sum counts/sums, max maxes). */
-void
-foldSnapshot(report::Snapshot &into, const report::Snapshot &snapshot)
-{
-    for (const report::MetricReading &m : snapshot.metrics) {
-        bool merged = false;
-        for (report::MetricReading &existing : into.metrics) {
-            if (existing.name == m.name) {
-                existing.count += m.count;
-                existing.sum += m.sum;
-                existing.max = std::max(existing.max, m.max);
-                merged = true;
-                break;
-            }
-        }
-        if (!merged) {
-            into.metrics.push_back(m);
-        }
-    }
-}
-
-int
-runAggregate(const std::vector<std::string> &args)
-{
-    std::string name;
-    std::string label = "latest";
-    std::string out_path;
-    std::vector<std::string> snapshots;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--name" && i + 1 < args.size()) {
-            name = args[++i];
-        } else if (arg == "--label" && i + 1 < args.size()) {
-            label = args[++i];
-        } else if (arg == "--out" && i + 1 < args.size()) {
-            out_path = args[++i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail("unknown aggregate option: " + arg);
-        } else {
-            snapshots.push_back(arg);
-        }
-    }
-    if (name.empty() || snapshots.empty()) {
-        return usage();
-    }
-    if (out_path.empty()) {
-        out_path = "BENCH_" + name + ".json";
-    }
-
-    report::TrajectoryEntry entry;
-    entry.label = label;
-    std::string error;
-    for (const std::string &path : snapshots) {
-        report::Snapshot snapshot;
-        if (!report::loadSnapshot(path, snapshot, &error)) {
-            return fail(error);
-        }
-        foldSnapshot(entry.snapshot, snapshot);
-    }
-    std::sort(entry.snapshot.metrics.begin(), entry.snapshot.metrics.end(),
-              [](const report::MetricReading &a,
-                 const report::MetricReading &b) { return a.name < b.name; });
-    if (!report::appendTrajectory(out_path, name, entry, &error)) {
-        return fail(error);
-    }
-    std::cerr << "kodan-report: appended entry \"" << label << "\" ("
-              << entry.snapshot.metrics.size() << " metric(s)) to "
-              << out_path << "\n";
-    return 0;
-}
-
-int
-runTrajectory(const std::vector<std::string> &args)
-{
-    std::string format = "json";
-    std::string out_path;
-    std::vector<std::string> positional;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--format" && i + 1 < args.size()) {
-            format = args[++i];
-        } else if (arg == "--out" && i + 1 < args.size()) {
-            out_path = args[++i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail("unknown trajectory option: " + arg);
-        } else {
-            positional.push_back(arg);
-        }
-    }
-    if (positional.size() != 1) {
-        return usage();
-    }
-    if (format != "json" && format != "csv") {
-        return fail("bad --format (want json or csv): " + format);
-    }
-
-    std::ifstream file(positional[0], std::ios::binary);
-    if (!file) {
-        return fail("cannot open " + positional[0]);
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    report::Trajectory trajectory;
-    std::string error;
-    if (!report::parseTrajectory(buffer.str(), trajectory, &error)) {
-        return fail(positional[0] + ": " + error);
-    }
-
-    const auto emit = [&](std::ostream &os) {
-        if (format == "csv") {
-            report::writeTrajectoryCsv(trajectory, os);
-        } else {
-            report::writeTrajectory(trajectory, os);
-        }
-    };
-    if (out_path.empty()) {
-        emit(std::cout);
-    } else {
-        std::ofstream out(out_path);
-        if (!out) {
-            return fail("cannot write " + out_path);
-        }
-        emit(out);
-        std::cerr << "kodan-report: wrote " << out_path << "\n";
-    }
-    return 0;
 }
 
 int
@@ -544,46 +390,6 @@ runProfile(const std::vector<std::string> &args)
     return 0;
 }
 
-int
-runLineage(const std::vector<std::string> &args)
-{
-    std::vector<std::string> positional;
-    for (const std::string &arg : args) {
-        if (!arg.empty() && arg[0] == '-') {
-            return fail("unknown lineage option: " + arg);
-        }
-        positional.push_back(arg);
-    }
-    if (positional.size() != 1) {
-        return usage();
-    }
-
-    namespace tm = kodan::telemetry;
-    std::vector<tm::LineageSpan> spans;
-    std::string error;
-    if (!report::loadLineage(positional[0], spans, &error)) {
-        return fail(error);
-    }
-    const std::vector<tm::FrameLineage> frames =
-        tm::assembleLineage(spans);
-    const tm::LineageStats stats = tm::summarizeLineage(frames);
-
-    std::cout << "# kodan-report: lineage `" << positional[0] << "`\n\n"
-              << "- frames: " << stats.frames << "\n"
-              << "- downlinked: " << stats.downlinked << "\n"
-              << "- mean end-to-end latency: " << stats.mean_end_to_end_s
-              << " s (max " << stats.max_end_to_end_s << " s)\n"
-              << "- mean data age at downlink: " << stats.mean_data_age_s
-              << " s\n\n"
-              << "| stage | mean wait (s) |\n| --- | --- |\n"
-              << "| compute | " << stats.mean_compute_s << " |\n"
-              << "| contact-wait | " << stats.mean_contact_wait_s
-              << " |\n"
-              << "| queue-wait | " << stats.mean_queue_wait_s << " |\n\n"
-              << "Dominant stage: **" << stats.dominantStage() << "**\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -596,15 +402,6 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 2, argv + argc);
     if (command == "diff") {
         return runDiff(args);
-    }
-    if (command == "aggregate") {
-        return runAggregate(args);
-    }
-    if (command == "trajectory") {
-        return runTrajectory(args);
-    }
-    if (command == "lineage") {
-        return runLineage(args);
     }
     if (command == "profile") {
         return runProfile(args);
