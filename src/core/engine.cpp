@@ -8,6 +8,7 @@
 #include <string>
 
 #include "ml/kernels.hpp"
+#include "util/log.hpp"
 
 namespace kodan::core {
 
@@ -120,9 +121,38 @@ ContextEngine::load(std::istream &is)
 {
     std::string tag;
     int context_count = 0;
-    is >> tag >> context_count;
+    is >> tag;
+    if (tag != "context-engine") {
+        util::fatal("ContextEngine::load: expected 'context-engine', got '" +
+                    tag + "'");
+    }
+    is >> context_count;
+    if (!is || context_count < 1) {
+        util::fatal("ContextEngine::load: needs at least one context");
+    }
+    // The runtime indexes by these widths: tileInput writes kInputDim
+    // values and transformRow standardizes as many as the scaler
+    // holds, and classifyBatch reads context_count outputs per row.
     ml::Standardizer scaler = ml::Standardizer::load(is);
+    if (scaler.mean().size() != static_cast<std::size_t>(kInputDim)) {
+        util::fatal("ContextEngine::load: scaler has " +
+                    std::to_string(scaler.mean().size()) +
+                    " dimensions, the engine input has " +
+                    std::to_string(kInputDim));
+    }
     ml::Mlp net = ml::Mlp::load(is);
+    if (net.config().input_dim != kInputDim) {
+        util::fatal("ContextEngine::load: net takes " +
+                    std::to_string(net.config().input_dim) +
+                    " inputs, the engine input has " +
+                    std::to_string(kInputDim));
+    }
+    if (net.config().output_dim != context_count) {
+        util::fatal("ContextEngine::load: net has " +
+                    std::to_string(net.config().output_dim) +
+                    " outputs for " + std::to_string(context_count) +
+                    " contexts");
+    }
     return ContextEngine(context_count, std::move(scaler),
                          std::move(net));
 }

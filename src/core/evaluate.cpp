@@ -82,16 +82,13 @@ struct BlockTruth
 
     explicit BlockTruth(const data::TileData &tile)
     {
-        for (int r = 0; r < tile.cell_rows; ++r) {
-            for (int c = 0; c < tile.cell_cols; ++c) {
-                const int block = tile.blockOfCell(r, c);
-                total[block] += 1.0;
-                if (!tile.cloudyLocal(r, c)) {
-                    high[block] += 1.0;
-                }
-            }
-        }
+        // Integer counts, so the doubles are exact.
+        std::array<int, data::kBlocksPerTile> high_cells{};
+        std::array<int, data::kBlocksPerTile> cells{};
+        tile.blockTruth(high_cells, cells);
         for (int b = 0; b < data::kBlocksPerTile; ++b) {
+            high[b] = high_cells[b];
+            total[b] = cells[b];
             tile_high += high[b];
             tile_total += total[b];
         }

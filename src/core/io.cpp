@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string>
 
+#include "data/tiler.hpp"
 #include "util/log.hpp"
 
 namespace kodan::core {
@@ -180,6 +181,11 @@ loadLogic(std::istream &is)
     SelectionLogic logic;
     std::size_t contexts = 0;
     is >> logic.tiles_per_side >> contexts;
+    if (is && logic.tiles_per_side < 1) {
+        util::fatal("kodan::core::io: selection logic tiles " +
+                    std::to_string(logic.tiles_per_side) +
+                    " per side; needs at least 1");
+    }
     // As in loadTable: grow with the input, not the declared count.
     for (std::size_t c = 0; c < contexts && is; ++c) {
         int kind = 0;
@@ -227,13 +233,32 @@ loadZoo(std::istream &is)
     std::size_t entries = 0;
     SpecializedZoo zoo;
     is >> entries >> zoo.reference;
+    // SpecializedZoo::tileInputs writes and standardizes exactly
+    // kBlockInputDim channels per row, and every model maps such a row
+    // to one cloud probability.
     zoo.scaler = ml::Standardizer::load(is);
+    if (zoo.scaler.mean().size() !=
+        static_cast<std::size_t>(data::kBlockInputDim)) {
+        util::fatal("kodan::core::io: zoo scaler has " +
+                    std::to_string(zoo.scaler.mean().size()) +
+                    " dimensions, model inputs have " +
+                    std::to_string(data::kBlockInputDim));
+    }
     for (std::size_t e = 0; e < entries; ++e) {
         expectTag(is, "entry");
         int tier = 0;
         int context = 0;
         is >> tier >> context;
         ml::Mlp net = ml::Mlp::load(is);
+        if (net.config().input_dim != data::kBlockInputDim ||
+            net.config().output_dim != 1) {
+            util::fatal("kodan::core::io: zoo entry " + std::to_string(e) +
+                        " maps " + std::to_string(net.config().input_dim) +
+                        " inputs to " +
+                        std::to_string(net.config().output_dim) +
+                        " outputs; models map " +
+                        std::to_string(data::kBlockInputDim) + " to 1");
+        }
         zoo.entries.push_back(ZooEntry{std::move(net), tier, context});
         std::string quant_tag;
         is >> quant_tag;
@@ -271,6 +296,12 @@ loadZoo(std::istream &is)
     if (!is) {
         util::fatal("kodan::core::io: truncated zoo");
     }
+    if (zoo.reference < 0 ||
+        static_cast<std::size_t>(zoo.reference) >= zoo.entries.size()) {
+        util::fatal("kodan::core::io: zoo reference " +
+                    std::to_string(zoo.reference) + " indexes no entry of " +
+                    std::to_string(zoo.entries.size()));
+    }
     return zoo;
 }
 
@@ -300,6 +331,14 @@ DeploymentPackage::load(std::istream &is)
     SelectionLogic logic = loadLogic(is);
     ContextEngine engine = ContextEngine::load(is);
     SpecializedZoo zoo = loadZoo(is);
+    // The runtime indexes the logic by the engine's context ids.
+    if (logic.per_context.size() !=
+        static_cast<std::size_t>(engine.contextCount())) {
+        util::fatal("kodan::core::io: logic has " +
+                    std::to_string(logic.per_context.size()) +
+                    " contexts, the engine has " +
+                    std::to_string(engine.contextCount()));
+    }
     // Every model the logic runs must ship in the package's zoo.
     for (const Action &action : logic.per_context) {
         if (action.kind == ActionKind::RunModel &&

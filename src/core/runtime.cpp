@@ -1,5 +1,6 @@
 #include "core/runtime.hpp"
 
+#include <array>
 #include <cassert>
 
 #include "data/tiler.hpp"
@@ -41,6 +42,14 @@ Runtime::stageTileClassify(const data::FrameSample &frame,
     // One batched engine forward over the frame's tiles; identical
     // context ids to the per-tile classify calls.
     engine_->classifyBatch(work.tiles, work.contexts);
+    // Decimate the modeled tiles now, while the frame the stats pass
+    // just read is still in cache.
+    for (std::size_t t = 0; t < work.tiles.size(); ++t) {
+        if (logic_.per_context[work.contexts[t]].kind ==
+            ActionKind::RunModel) {
+            data::Tiler::decimate(work.tiles[t]);
+        }
+    }
     // Sized here so the infer stage writes straight into it; entries of
     // elided tiles stay unwritten (and unread).
     work.keep.resize(work.tiles.size() * data::kBlocksPerTile);
@@ -80,11 +89,7 @@ Runtime::stageInfer(FrameWork *works, std::size_t count) const
                 if (!runs(work, t, m)) {
                     continue;
                 }
-                // Lazily tiled frames materialize the block grid here,
-                // for exactly the modeled tiles.
-                if (work.tiles[t].block_features.empty()) {
-                    data::Tiler::decimate(work.tiles[t]);
-                }
+                assert(!work.tiles[t].block_features.empty());
                 zoo_->tileInputs(work.tiles[t],
                                  scaled + row * static_cast<std::size_t>(
                                                     data::kBlockInputDim));
@@ -126,39 +131,41 @@ Runtime::stageElide(FrameWork &work) const
     const auto &tiles = work.tiles;
     const double frame_cells =
         static_cast<double>(work.frame->cellCount());
+    const double cell_share = 1.0 / frame_cells;
     const double engine_time = hw::CostModel::contextEngineTime(target_);
+    std::array<int, data::kBlocksPerTile> block_high{};
+    std::array<int, data::kBlocksPerTile> block_cells{};
 
+    // Cells are counted per tile from the truth mask and entered into
+    // the confusion with addWeighted. The product fractions take the
+    // same additions, in the same order, as a cell-by-cell pass: a
+    // Downlink tile adds its cell share once, and a modeled tile adds
+    // 1.0 / frame_cells once per kept (and per kept high-value) cell.
+    // Those addends are all one value, so only their count matters.
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         const auto &tile = tiles[t];
         report.compute_time += engine_time;
         const int ctx = work.contexts[t];
         const Action &action = logic_.per_context[ctx];
-        const double tile_cells = static_cast<double>(tile.cellCount());
+        const int cells = tile.cellCount();
 
         switch (action.kind) {
           case ActionKind::Discard: {
             ++report.tiles_discarded;
-            for (int r = 0; r < tile.cell_rows; ++r) {
-                for (int c = 0; c < tile.cell_cols; ++c) {
-                    report.cells.add(false, !tile.cloudyLocal(r, c));
-                }
-            }
+            const int high = tile.highCells();
+            report.cells.addWeighted(false, true, high);
+            report.cells.addWeighted(false, false, cells - high);
             break;
           }
           case ActionKind::Downlink: {
             ++report.tiles_downlinked;
-            double high_cells = 0.0;
-            for (int r = 0; r < tile.cell_rows; ++r) {
-                for (int c = 0; c < tile.cell_cols; ++c) {
-                    const bool high = !tile.cloudyLocal(r, c);
-                    report.cells.add(true, high);
-                    if (high) {
-                        high_cells += 1.0;
-                    }
-                }
-            }
-            report.product_fraction += tile_cells / frame_cells;
-            report.product_high_fraction += high_cells / frame_cells;
+            const int high = tile.highCells();
+            report.cells.addWeighted(true, true, high);
+            report.cells.addWeighted(true, false, cells - high);
+            report.product_fraction +=
+                static_cast<double>(cells) / frame_cells;
+            report.product_high_fraction +=
+                static_cast<double>(high) / frame_cells;
             break;
           }
           case ActionKind::RunModel: {
@@ -175,19 +182,28 @@ Runtime::stageElide(FrameWork &work) const
                     : hw::CostModel::modelTime(params, target_);
             const std::uint8_t *keep =
                 work.keep.data() + t * data::kBlocksPerTile;
-            for (int r = 0; r < tile.cell_rows; ++r) {
-                for (int c = 0; c < tile.cell_cols; ++c) {
-                    const bool kept = keep[tile.blockOfCell(r, c)] != 0;
-                    const bool high = !tile.cloudyLocal(r, c);
-                    report.cells.add(kept, high);
-                    if (kept) {
-                        report.product_fraction += 1.0 / frame_cells;
-                        if (high) {
-                            report.product_high_fraction +=
-                                1.0 / frame_cells;
-                        }
-                    }
-                }
+            tile.blockTruth(block_high, block_cells);
+            int high = 0;
+            int kept = 0;
+            int kept_high = 0;
+            // Branch-free: keep flags follow cloud edges, which a
+            // branch predicts poorly.
+            for (int b = 0; b < data::kBlocksPerTile; ++b) {
+                const int kept_block = keep[b] != 0 ? 1 : 0;
+                high += block_high[b];
+                kept += kept_block * block_cells[b];
+                kept_high += kept_block * block_high[b];
+            }
+            report.cells.addWeighted(true, true, kept_high);
+            report.cells.addWeighted(true, false, kept - kept_high);
+            report.cells.addWeighted(false, true, high - kept_high);
+            report.cells.addWeighted(false, false,
+                                     cells - kept - (high - kept_high));
+            for (int k = 0; k < kept; ++k) {
+                report.product_fraction += cell_share;
+            }
+            for (int k = 0; k < kept_high; ++k) {
+                report.product_high_fraction += cell_share;
             }
             break;
           }

@@ -59,7 +59,7 @@ struct FrameWork
 {
     /** The frame being processed (non-owning). */
     const data::FrameSample *frame = nullptr;
-    /** Tiles (filled by stageTileClassify; stageInfer decimates the
+    /** Tiles (filled by stageTileClassify, which decimates the
      *  modeled ones). */
     std::vector<data::TileData> tiles;
     /** Context id per tile (filled by stageTileClassify). */
@@ -157,14 +157,15 @@ class Runtime
 
     /**
      * Stage 1, tile/classify: compute @p frame's tile statistics
-     * (reusing @p work's buffers) and label every tile's context with
-     * one batched engine forward pass. Tiling is lazy
-     * (data::Tiler::statsInto): classification reads only the
-     * tile-level mean/stddev, so block decimation is left to
-     * stageInfer, for exactly the modeled tiles; elided tiles never pay
-     * the decimation pass. Reports match eager data::Tiler::tile
-     * tiling bit for bit: the elide and record stages read the frame's
-     * truth masks, never the tiles' block or truth fields.
+     * (reusing @p work's buffers), label every tile's context with one
+     * batched engine forward pass, and decimate the tiles the logic
+     * sends to a model. Tiling is lazy (data::Tiler::statsInto):
+     * classification reads only the tile-level mean/stddev, so
+     * elided tiles never pay the decimation pass, and the modeled ones
+     * pay it while the frame is still in cache. Reports match eager
+     * data::Tiler::tile tiling bit for bit: the elide and record
+     * stages read the frame's truth masks, never the tiles' block or
+     * truth fields.
      */
     void stageTileClassify(const data::FrameSample &frame,
                            FrameWork &work) const;
@@ -173,12 +174,12 @@ class Runtime
      * Stage 2, specialize/infer: write the keep/drop decisions of
      * every modeled tile of the @p count frames at @p works into their
      * work.keep, with one SpecializedZoo::predictRows call per model
-     * over the rows of all of that model's tiles. Modeled tiles that
-     * have no block grid yet (lazily tiled) are decimated first.
-     * Grouping rows across tiles and frames is bit-transparent: rows
-     * are standardized per tile, the network forward is
-     * row-independent, and the per-frame FP accumulation happens
-     * later, in stageElide, in fixed tile order.
+     * over the rows of all of that model's tiles, which must already
+     * be decimated (stageTileClassify does it). Grouping rows across
+     * tiles and frames is bit-transparent: rows are standardized per
+     * tile, the network forward is row-independent, and the per-frame
+     * FP accumulation happens later, in stageElide, in fixed tile
+     * order.
      */
     void stageInfer(FrameWork *works, std::size_t count) const;
 
@@ -190,9 +191,12 @@ class Runtime
     /**
      * Stage 3, elide: the per-tile accounting loop — compute time,
      * elision verdicts, product fractions, cell confusion — writing
-     * work.report. Reads work.keep for modeled tiles; accumulation
+     * work.report. Reads work.keep for modeled tiles and the frame's
+     * truth mask, counting cells per tile and block; accumulation
      * order is fixed (tile order, engine then model time), so the
      * report is bit-identical however the keep decisions were batched.
+     * Needs only the tiles' geometry, so tiles straight from
+     * data::Tiler::statsInto do.
      */
     void stageElide(FrameWork &work) const;
 

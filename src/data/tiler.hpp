@@ -78,6 +78,17 @@ struct TileData
     /** Ground cells covered by this tile. */
     int cellCount() const { return cell_rows * cell_cols; }
 
+    /** Truly high-value (non-cloudy) cells of the tile, counted from
+     *  the frame's truth mask. */
+    int highCells() const;
+
+    /**
+     * Per-block truth counts, read from the frame's truth mask: the
+     * high-value (non-cloudy) cells and all cells of each block.
+     */
+    void blockTruth(std::array<int, kBlocksPerTile> &high,
+                    std::array<int, kBlocksPerTile> &cells) const;
+
     /** Truth cloudiness of tile-local cell (r, c). */
     bool cloudyLocal(int local_r, int local_c) const
     {

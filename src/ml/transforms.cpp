@@ -9,6 +9,7 @@
 #include <string>
 
 #include "ml/kernels.hpp"
+#include "util/log.hpp"
 
 namespace kodan::ml {
 
@@ -85,12 +86,32 @@ Standardizer::load(std::istream &is)
 {
     std::string tag;
     std::size_t dim = 0;
-    is >> tag >> dim;
+    is >> tag;
+    if (tag != "standardizer") {
+        util::fatal("Standardizer::load: expected 'standardizer', got '" +
+                    tag + "'");
+    }
+    is >> dim;
+    // The declared dim sizes nothing: each (mean, std) pair is appended
+    // as it is read, so memory grows only with the input.
     Standardizer scaler;
-    scaler.mean_.resize(dim);
-    scaler.std_.resize(dim);
     for (std::size_t d = 0; d < dim; ++d) {
-        is >> scaler.mean_[d] >> scaler.std_[d];
+        double mean = 0.0;
+        double stddev = 0.0;
+        is >> mean >> stddev;
+        if (!is) {
+            break;
+        }
+        if (!std::isfinite(stddev) || stddev <= 0.0) {
+            util::fatal("Standardizer::load: std of dimension " +
+                        std::to_string(d) +
+                        " is not a finite positive number");
+        }
+        scaler.mean_.push_back(mean);
+        scaler.std_.push_back(stddev);
+    }
+    if (!is) {
+        util::fatal("Standardizer::load: truncated stream");
     }
     return scaler;
 }

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/engine.hpp"
 #include "core/io.hpp"
@@ -117,18 +118,120 @@ TEST(FailureInjection, DeploymentLoadRejectsWrongMagic)
                 "expected 'kodan-deployment'");
 }
 
-/**
- * A saved one-entry zoo (18 -> 4 -> 1, two linear layers) whose
- * entry carries @p quant_line in place of its "noquant" tag.
- */
+TEST(FailureInjection, StandardizerLoadRejectsWrongTag)
+{
+    std::stringstream stream("normalizer 1\n0.5 0.25\n");
+    EXPECT_EXIT(ml::Standardizer::load(stream),
+                ::testing::ExitedWithCode(1), "expected 'standardizer'");
+}
+
+TEST(FailureInjection, StandardizerLoadRejectsHugeDim)
+{
+    // A trillion declared dimensions, one pair present: pairs are
+    // appended as they are read, never sized from the header.
+    std::stringstream stream("standardizer 1000000000000\n0.5 0.25\n");
+    EXPECT_EXIT(ml::Standardizer::load(stream),
+                ::testing::ExitedWithCode(1), "truncated stream");
+}
+
+TEST(FailureInjection, StandardizerLoadRejectsNonPositiveStd)
+{
+    for (const char *text :
+         {"standardizer 2\n0 1\n0 0\n", "standardizer 2\n0 1\n0 -2\n"}) {
+        std::stringstream stream(text);
+        EXPECT_EXIT(ml::Standardizer::load(stream),
+                    ::testing::ExitedWithCode(1),
+                    "std of dimension 1 is not a finite positive number")
+            << text;
+    }
+}
+
+/** A standardizer fit to @p dim columns: finite, positive stds. */
+ml::Standardizer
+fittedScaler(std::size_t dim)
+{
+    ml::Matrix x(2, dim);
+    for (std::size_t d = 0; d < dim; ++d) {
+        x.at(1, d) = 1.0 + static_cast<double>(d);
+    }
+    ml::Standardizer scaler;
+    scaler.fit(x);
+    return scaler;
+}
+
+/** A saved context engine: @p tag and @p contexts head an
+ *  @p scaler_dim-wide scaler and a @p net_in -> 8 -> @p net_out
+ *  softmax net. */
 std::string
-zooWithQuantLine(const std::string &quant_line)
+engineText(const std::string &tag, int contexts, std::size_t scaler_dim,
+           int net_in, int net_out)
 {
     ml::MlpConfig config;
-    config.input_dim = 18;
+    config.input_dim = net_in;
+    config.hidden = {8};
+    config.output_dim = net_out;
+    config.output = ml::OutputKind::Softmax;
+    util::Rng rng(5);
+    std::ostringstream os;
+    os << tag << ' ' << contexts << '\n';
+    fittedScaler(scaler_dim).save(os);
+    ml::Mlp(config, rng).save(os);
+    return os.str();
+}
+
+TEST(FailureInjection, EngineLoadRejectsWrongTag)
+{
+    std::stringstream stream(engineText("not-an-engine", 7, 20, 20, 2));
+    EXPECT_EXIT(ContextEngine::load(stream), ::testing::ExitedWithCode(1),
+                "expected 'context-engine'");
+}
+
+TEST(FailureInjection, EngineLoadRejectsNoContexts)
+{
+    std::stringstream stream(engineText("context-engine", 0, 20, 20, 1));
+    EXPECT_EXIT(ContextEngine::load(stream), ::testing::ExitedWithCode(1),
+                "needs at least one context");
+}
+
+TEST(FailureInjection, EngineLoadRejectsScalerWidth)
+{
+    std::stringstream stream(engineText("context-engine", 2, 18, 20, 2));
+    EXPECT_EXIT(ContextEngine::load(stream), ::testing::ExitedWithCode(1),
+                "scaler has 18 dimensions, the engine input has 20");
+}
+
+TEST(FailureInjection, EngineLoadRejectsNetInputWidth)
+{
+    std::stringstream stream(engineText("context-engine", 2, 20, 18, 2));
+    EXPECT_EXIT(ContextEngine::load(stream), ::testing::ExitedWithCode(1),
+                "net takes 18 inputs, the engine input has 20");
+}
+
+TEST(FailureInjection, EngineLoadRejectsContextCountOtherThanNetOutputs)
+{
+    std::stringstream stream(engineText("context-engine", 7, 20, 20, 2));
+    EXPECT_EXIT(ContextEngine::load(stream), ::testing::ExitedWithCode(1),
+                "net has 2 outputs for 7 contexts");
+}
+
+/**
+ * A saved one-entry zoo with a @p scaler_dim-wide scaler, reference
+ * @p reference and an entry net @p net_in -> 4 -> @p net_out (two
+ * linear layers), whose entry carries @p quant_line in place of its
+ * "noquant" tag.
+ */
+std::string
+zooText(const std::string &quant_line, std::size_t scaler_dim = 18,
+        int reference = 0, int net_in = 18, int net_out = 1)
+{
+    ml::MlpConfig config;
+    config.input_dim = net_in;
     config.hidden = {4};
+    config.output_dim = net_out;
     util::Rng rng(3);
     SpecializedZoo zoo;
+    zoo.scaler = fittedScaler(scaler_dim);
+    zoo.reference = reference;
     zoo.entries.push_back(ZooEntry{ml::Mlp(config, rng), 1, -1, nullptr});
     std::ostringstream os;
     saveZoo(os, zoo);
@@ -138,9 +241,48 @@ zooWithQuantLine(const std::string &quant_line)
     return text;
 }
 
+TEST(FailureInjection, LoadZooRejectsScalerWidth)
+{
+    std::stringstream stream(zooText("noquant", 20));
+    EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
+                "zoo scaler has 20 dimensions, model inputs have 18");
+}
+
+TEST(FailureInjection, LoadZooRejectsEntryNetShape)
+{
+    for (const auto &[in, out] : {std::pair{20, 1}, std::pair{18, 2}}) {
+        std::stringstream stream(zooText("noquant", 18, 0, in, out));
+        EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
+                    "zoo entry 0 maps " + std::to_string(in) +
+                        " inputs to " + std::to_string(out) +
+                        " outputs; models map 18 to 1");
+    }
+}
+
+TEST(FailureInjection, LoadZooRejectsReferenceOutsideEntries)
+{
+    for (int reference : {1, -1}) {
+        std::stringstream stream(zooText("noquant", 18, reference));
+        EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
+                    "zoo reference " + std::to_string(reference) +
+                        " indexes no entry of 1");
+    }
+}
+
+TEST(FailureInjection, LoadLogicRejectsTilesPerSideBelowOne)
+{
+    for (const char *text : {"selection-logic 0 1\n0 -1\n",
+                             "selection-logic -3 1\n0 -1\n"}) {
+        std::stringstream stream(text);
+        EXPECT_EXIT(loadLogic(stream), ::testing::ExitedWithCode(1),
+                    "per side; needs at least 1")
+            << text;
+    }
+}
+
 TEST(FailureInjection, LoadZooRejectsShortQuantScaleList)
 {
-    std::stringstream stream(zooWithQuantLine("quant 1 0.5"));
+    std::stringstream stream(zooText("quant 1 0.5"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "needs 2 quant scales");
 }
@@ -149,55 +291,52 @@ TEST(FailureInjection, LoadZooRejectsHugeQuantScaleCount)
 {
     // Rejected before the count sizes an allocation.
     std::stringstream stream(
-        zooWithQuantLine("quant 1000000000000 0.5 0.5"));
+        zooText("quant 1000000000000 0.5 0.5"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "needs 2 quant scales");
 }
 
 TEST(FailureInjection, LoadZooRejectsZeroQuantScale)
 {
-    std::stringstream stream(zooWithQuantLine("quant 2 0.5 0"));
+    std::stringstream stream(zooText("quant 2 0.5 0"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "not a finite positive number");
 }
 
 TEST(FailureInjection, LoadZooRejectsNegativeQuantScale)
 {
-    std::stringstream stream(zooWithQuantLine("quant 2 -0.25 0.5"));
+    std::stringstream stream(zooText("quant 2 -0.25 0.5"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "not a finite positive number");
 }
 
 TEST(FailureInjection, LoadZooRejectsNaNQuantScale)
 {
-    std::stringstream stream(zooWithQuantLine("quant 2 0.5 nan"));
+    std::stringstream stream(zooText("quant 2 0.5 nan"));
     EXPECT_EXIT(loadZoo(stream), ::testing::ExitedWithCode(1),
                 "not a finite positive number");
 }
 
 /**
- * A saved deployment for @p target: a two-context logic that discards
- * context 0 and runs zoo model @p model on context 1, an untrained
- * two-context engine, and the one-entry zoo of zooWithQuantLine().
+ * A saved deployment for @p target: a logic that discards context 0,
+ * runs zoo model @p model on context 1 and downlinks any further
+ * contexts (@p logic_contexts in all), an untrained two-context
+ * engine, and the valid one-entry zoo of zooText().
  */
 std::string
-deploymentText(int target, int model)
+deploymentText(int target, int model, int logic_contexts = 2)
 {
     SelectionLogic logic;
     logic.per_context = {Action{ActionKind::Discard, -1},
                          Action{ActionKind::RunModel, model}};
-    ml::MlpConfig config;
-    config.input_dim = ContextEngine::kInputDim;
-    config.output_dim = 2;
-    config.output = ml::OutputKind::Softmax;
-    util::Rng rng(5);
+    logic.per_context.resize(static_cast<std::size_t>(logic_contexts),
+                             Action{ActionKind::Downlink, -1});
     std::ostringstream os;
     os << "kodan-deployment 2 " << target << '\n';
     saveLogic(os, logic);
-    os << "context-engine 2\n";
-    ml::Standardizer().save(os);
-    ml::Mlp(config, rng).save(os);
-    os << zooWithQuantLine("noquant");
+    os << engineText("context-engine", 2, ContextEngine::kInputDim,
+                     ContextEngine::kInputDim, 2);
+    os << zooText("noquant");
     return os.str();
 }
 
@@ -215,6 +354,19 @@ TEST(FailureInjection, DeploymentLoadRejectsModelOutsideZoo)
     EXPECT_EXIT(DeploymentPackage::load(stream),
                 ::testing::ExitedWithCode(1),
                 "logic runs model 1 of a 1-entry zoo");
+}
+
+TEST(FailureInjection, DeploymentLoadRejectsLogicContextCountMismatch)
+{
+    // The runtime indexes the logic by engine context id; a short
+    // logic would be read past its end on the first frame.
+    for (int contexts : {1, 3}) {
+        std::stringstream stream(deploymentText(0, 0, contexts));
+        EXPECT_EXIT(DeploymentPackage::load(stream),
+                    ::testing::ExitedWithCode(1),
+                    "logic has " + std::to_string(contexts) +
+                        " contexts, the engine has 2");
+    }
 }
 
 TEST(FailureInjection, ValidTableAndDeploymentRoundTrip)
@@ -244,11 +396,32 @@ TEST(FailureInjection, ValidTableAndDeploymentRoundTrip)
     std::ostringstream package_out;
     package.save(package_out);
     EXPECT_EQ(package_out.str(), package_text);
+
+    // The parts on their own: the engine and zoo pass every width and
+    // index check the deployment's loaders apply, and save back as
+    // read.
+    const std::string engine_text =
+        engineText("context-engine", 2, ContextEngine::kInputDim,
+                   ContextEngine::kInputDim, 2);
+    std::stringstream engine_in(engine_text);
+    const ContextEngine engine = ContextEngine::load(engine_in);
+    EXPECT_EQ(engine.contextCount(), 2);
+    std::ostringstream engine_out;
+    engine.save(engine_out);
+    EXPECT_EQ(engine_out.str(), engine_text);
+    const std::string zoo_text = zooText("noquant");
+    std::stringstream zoo_in(zoo_text);
+    const SpecializedZoo zoo = loadZoo(zoo_in);
+    EXPECT_EQ(zoo.scaler.mean().size(),
+              static_cast<std::size_t>(data::kBlockInputDim));
+    std::ostringstream zoo_out;
+    saveZoo(zoo_out, zoo);
+    EXPECT_EQ(zoo_out.str(), zoo_text);
 }
 
 TEST(FailureInjection, LoadZooAcceptsValidQuantScales)
 {
-    std::stringstream stream(zooWithQuantLine("quant 2 0.5 0.25"));
+    std::stringstream stream(zooText("quant 2 0.5 0.25"));
     const SpecializedZoo zoo = loadZoo(stream);
     ASSERT_EQ(zoo.entries.size(), 1U);
     ASSERT_NE(zoo.entries[0].quant, nullptr);

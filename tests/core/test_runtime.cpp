@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <string>
 
 #include "core/runtime.hpp"
+#include "data/generator.hpp"
 #include "data/tiler.hpp"
 #include "fixture.hpp"
 #include "telemetry/telemetry.hpp"
@@ -259,6 +263,188 @@ TEST(Runtime, LazyTilingMatchesEagerTilingOracle)
         totals.tiles_discarded += want.tiles_discarded;
         totals.tiles_downlinked += want.tiles_downlinked;
         totals.tiles_modeled += want.tiles_modeled;
+    }
+    EXPECT_GT(totals.tiles_discarded, 0);
+    EXPECT_GT(totals.tiles_downlinked, 0);
+    EXPECT_GT(totals.tiles_modeled, 0);
+}
+
+/**
+ * The per-cell elide loop Runtime::stageElide ran before it counted
+ * cells per tile, kept as the oracle: one ConfusionStats::add per cell,
+ * locating each modeled cell's block with blockOfCell().
+ */
+FrameReport
+perCellElide(const FrameWork &work, const SelectionLogic &logic,
+             const SpecializedZoo &zoo, hw::Target target)
+{
+    FrameReport report;
+    const auto &tiles = work.tiles;
+    const double frame_cells =
+        static_cast<double>(work.frame->cellCount());
+    const double engine_time = hw::CostModel::contextEngineTime(target);
+
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        const auto &tile = tiles[t];
+        report.compute_time += engine_time;
+        const Action &action = logic.per_context[work.contexts[t]];
+        const double tile_cells = static_cast<double>(tile.cellCount());
+
+        switch (action.kind) {
+          case ActionKind::Discard: {
+            ++report.tiles_discarded;
+            for (int r = 0; r < tile.cell_rows; ++r) {
+                for (int c = 0; c < tile.cell_cols; ++c) {
+                    report.cells.add(false, !tile.cloudyLocal(r, c));
+                }
+            }
+            break;
+          }
+          case ActionKind::Downlink: {
+            ++report.tiles_downlinked;
+            double high_cells = 0.0;
+            for (int r = 0; r < tile.cell_rows; ++r) {
+                for (int c = 0; c < tile.cell_cols; ++c) {
+                    const bool high = !tile.cloudyLocal(r, c);
+                    report.cells.add(true, high);
+                    if (high) {
+                        high_cells += 1.0;
+                    }
+                }
+            }
+            report.product_fraction += tile_cells / frame_cells;
+            report.product_high_fraction += high_cells / frame_cells;
+            break;
+          }
+          case ActionKind::RunModel: {
+            ++report.tiles_modeled;
+            const ZooEntry &entry = zoo.entries[action.model];
+            const std::size_t params =
+                hw::CostModel::tierParamCount(entry.tier);
+            report.compute_time +=
+                entry.runsQuantized()
+                    ? hw::CostModel::modelTimeQuant(params, target)
+                    : hw::CostModel::modelTime(params, target);
+            const std::uint8_t *keep =
+                work.keep.data() + t * data::kBlocksPerTile;
+            for (int r = 0; r < tile.cell_rows; ++r) {
+                for (int c = 0; c < tile.cell_cols; ++c) {
+                    const bool kept = keep[tile.blockOfCell(r, c)] != 0;
+                    const bool high = !tile.cloudyLocal(r, c);
+                    report.cells.add(kept, high);
+                    if (kept) {
+                        report.product_fraction += 1.0 / frame_cells;
+                        if (high) {
+                            report.product_high_fraction +=
+                                1.0 / frame_cells;
+                        }
+                    }
+                }
+            }
+            break;
+          }
+        }
+    }
+    return report;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Runtime, ElideMatchesPerCellOracle)
+{
+    // stageElide counts cells per tile and block; the oracle adds them
+    // one by one. Every report field must agree bit for bit, on the
+    // fixture's 44-cell frames and on 88-cell (deployed size) frames,
+    // at the paper's four tilings plus T = 8 on 44 cells (5-6 cells
+    // per tile side, fewer than the 8 blocks), with the models' own
+    // keep flags, with random ones, and on undecimated tiles.
+    const auto &pipeline = SharedPipeline::instance();
+    const SpecializedZoo &zoo = pipeline.app4.zoo;
+    const int models = static_cast<int>(zoo.entries.size());
+    const int contexts = pipeline.shared.partition.context_count;
+    const ContextEngine &engine = *pipeline.shared.engine;
+
+    data::DatasetParams params;
+    params.seed = 88;
+    data::DatasetGenerator generator(pipeline.geo, params);
+    std::vector<data::FrameSample> frames88;
+    for (int f = 0; f < 3; ++f) {
+        frames88.push_back(generator.makeFrame(0.3 * f - 0.4, 0.9 * f,
+                                               60.0 * f));
+    }
+    util::Rng rng(2026);
+    FrameReport totals;
+    for (const std::vector<data::FrameSample> *frames :
+         std::array<const std::vector<data::FrameSample> *, 2>{
+             &pipeline.shared.val, &frames88}) {
+        for (const int t_count : {11, 6, 4, 3, 8}) {
+            if (t_count == 8 && frames == &frames88) {
+                continue;
+            }
+            // Every action kind, and several models; the offset moves
+            // the kinds across contexts from one tiling to the next.
+            SelectionLogic logic;
+            logic.tiles_per_side = t_count;
+            for (int c = 0; c < contexts; ++c) {
+                const int pick = (c + t_count) % 4;
+                logic.per_context.push_back(
+                    pick == 0   ? Action{ActionKind::Discard, -1}
+                    : pick == 1 ? Action{ActionKind::Downlink, -1}
+                                : Action{ActionKind::RunModel,
+                                         (c + pick) % models});
+            }
+            const Runtime runtime(logic, &engine, &zoo, hw::Target::Orin15W);
+            for (std::size_t f = 0; f < frames->size(); ++f) {
+                SCOPED_TRACE("grid " +
+                             std::to_string((*frames)[f].grid) + ", T " +
+                             std::to_string(t_count) + ", frame " +
+                             std::to_string(f));
+                FrameWork work;
+                runtime.stageTileClassify((*frames)[f], work);
+                runtime.stageInfer(&work, 1);
+                // Tiles straight from statsInto, never decimated, as a
+                // traced replay hands them to stageElide.
+                FrameWork stats_only;
+                stats_only.frame = work.frame;
+                data::Tiler(t_count).statsInto(*work.frame,
+                                               stats_only.tiles);
+                stats_only.contexts = work.contexts;
+                for (int pass = 0; pass < 3; ++pass) {
+                    if (pass == 1) {
+                        for (auto &k : work.keep) {
+                            k = rng.uniform() < 0.5 ? 1 : 0;
+                        }
+                    }
+                    FrameWork &elided = pass == 2 ? stats_only : work;
+                    stats_only.keep = work.keep;
+                    runtime.stageElide(elided);
+                    const FrameReport &got = elided.report;
+                    const FrameReport want = perCellElide(
+                        work, logic, zoo, hw::Target::Orin15W);
+                    EXPECT_TRUE(sameBits(got.compute_time,
+                                         want.compute_time));
+                    EXPECT_TRUE(sameBits(got.product_fraction,
+                                         want.product_fraction));
+                    EXPECT_TRUE(sameBits(got.product_high_fraction,
+                                         want.product_high_fraction));
+                    EXPECT_EQ(got.tiles_discarded, want.tiles_discarded);
+                    EXPECT_EQ(got.tiles_downlinked, want.tiles_downlinked);
+                    EXPECT_EQ(got.tiles_modeled, want.tiles_modeled);
+                    EXPECT_EQ(got.cells.tp(), want.cells.tp());
+                    EXPECT_EQ(got.cells.fp(), want.cells.fp());
+                    EXPECT_EQ(got.cells.tn(), want.cells.tn());
+                    EXPECT_EQ(got.cells.fn(), want.cells.fn());
+                    totals.tiles_discarded += want.tiles_discarded;
+                    totals.tiles_downlinked += want.tiles_downlinked;
+                    totals.tiles_modeled += want.tiles_modeled;
+                }
+            }
+        }
     }
     EXPECT_GT(totals.tiles_discarded, 0);
     EXPECT_GT(totals.tiles_downlinked, 0);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
+
 #include "core/specialize.hpp"
 #include "fixture.hpp"
 
@@ -75,6 +80,53 @@ TEST(SpecializedZoo, PredictBlockIsProbability)
             ASSERT_GE(p, 0.0);
             ASSERT_LE(p, 1.0);
         }
+    }
+}
+
+TEST(SpecializedZoo, TileInputsMatchPerBlockTransform)
+{
+    // tileInputs standardizes the tile-mean channels once per tile and
+    // the visual channels in pairs; the oracle is blockInput() plus
+    // transformRow() per block. Real tiles at three tilings, and one
+    // tile carrying -0.0, +-inf, NaN, a subnormal and a huge value.
+    const auto &pipeline = SharedPipeline::instance();
+    const SpecializedZoo &zoo = pipeline.app4.zoo;
+    std::vector<data::TileData> tiles;
+    for (const int t_count : {11, 6, 3}) {
+        const auto tiled =
+            data::Tiler(t_count).tile(pipeline.shared.val[1]);
+        tiles.insert(tiles.end(), tiled.begin(), tiled.end());
+    }
+    data::TileData special = tiles.back();
+    const float values[] = {-0.0F,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            3.0e38F};
+    for (std::size_t i = 0; i < special.block_features.size(); ++i) {
+        if (i % 3 == 0) {
+            special.block_features[i] = values[(i / 3) % std::size(values)];
+        }
+    }
+    special.feature_mean[2] = -0.0;
+    special.feature_mean[5] = std::numeric_limits<double>::infinity();
+    tiles.push_back(special);
+
+    constexpr std::size_t kRowDim = data::kBlockInputDim;
+    std::vector<double> got(data::kBlocksPerTile * kRowDim);
+    std::vector<double> want(data::kBlocksPerTile * kRowDim);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        zoo.tileInputs(tiles[t], got.data());
+        for (int b = 0; b < data::kBlocksPerTile; ++b) {
+            double *row = want.data() + static_cast<std::size_t>(b) * kRowDim;
+            tiles[t].blockInput(b, row);
+            zoo.scaler.transformRow(row);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "tile " << t;
     }
 }
 
