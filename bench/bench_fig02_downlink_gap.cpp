@@ -7,10 +7,11 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common.hpp"
 #include "orbit/propagator.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/table.hpp"
 
 int
@@ -25,17 +26,19 @@ main(int argc, char **argv)
 
     util::TablePrinter table({"satellites", "frames seen", "frames down",
                               "seen/down", "idle station s"});
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
     for (int sats : {1, 2, 4, 8, 16, 24, 32, 40, 48, 56}) {
-        sim::MissionConfig config =
-            sim::MissionConfig::landsatConstellation(sats);
+        sim::ConstellationConfig config;
+        config.mission = sim::MissionConfig::landsatConstellation(sats);
         // Hyperspectral frames (the paper's "hyperspectral, 10K image
         // frames"): ~77 Gbit each, so only a handful fit per pass.
-        config.camera = sense::CameraModel::landsat8Hyperspectral();
-        config.duration = period;
-        config.scheduler_step = 10.0;
+        config.mission.camera = sense::CameraModel::landsat8Hyperspectral();
+        config.mission.duration = period;
+        config.mission.scheduler_step = 10.0;
+        // No recorder cap: the one-orbit backlog waits for a contact.
+        config.storage_bits = std::numeric_limits<double>::infinity();
         const auto result =
-            sim.run(config, sim::FilterBehavior::bentPipe());
+            engine.run(config, sim::FilterBehavior::bentPipe());
         const auto totals = result.totals();
         table.addRow(
             {util::TablePrinter::fmt(static_cast<long long>(sats)),

@@ -7,9 +7,10 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/table.hpp"
 
 int
@@ -22,14 +23,17 @@ main(int argc, char **argv)
 
     // The motivation figures use the MODIS-like 2/3 cloud prevalence:
     // one third of observations are high-value.
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(1);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(1);
+    config.storage_bits = std::numeric_limits<double>::infinity();
 
-    const auto bent = sim.run(config, sim::FilterBehavior::bentPipe());
-    const auto ideal = sim.run(config, sim::FilterBehavior::idealFilter());
+    const auto bent = engine.run(config, sim::FilterBehavior::bentPipe());
+    const auto ideal =
+        engine.run(config, sim::FilterBehavior::idealFilter());
     const auto bent_totals = bent.totals();
     const auto ideal_totals = ideal.totals();
-    const double frame_bits = config.camera.frameBits();
+    const double frame_bits = config.mission.camera.frameBits();
 
     const double observed =
         static_cast<double>(bent_totals.frames_observed);

@@ -8,9 +8,10 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/table.hpp"
 
 int
@@ -22,7 +23,7 @@ main(int argc, char **argv)
         "Observed high-value data downlinked: bent pipe vs direct deploy",
         "Figure 5");
 
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
 
     // The paper's real cloud filter: 98 s per frame (1m38s), deployed
     // unchanged. As a frame-level gate it only drops frames that are
@@ -41,11 +42,12 @@ main(int argc, char **argv)
     double one_sat_bent = 0.0;
     double one_sat_direct = 0.0;
     for (int sats : {1, 2, 4, 8, 16, 24, 32, 40, 48, 56}) {
-        sim::MissionConfig config =
-            sim::MissionConfig::landsatConstellation(sats);
+        sim::ConstellationConfig config;
+        config.mission = sim::MissionConfig::landsatConstellation(sats);
+        config.storage_bits = std::numeric_limits<double>::infinity();
         const auto bent =
-            sim.run(config, sim::FilterBehavior::bentPipe()).totals();
-        const auto filtered = sim.run(config, direct).totals();
+            engine.run(config, sim::FilterBehavior::bentPipe()).totals();
+        const auto filtered = engine.run(config, direct).totals();
         const double bent_yield =
             100.0 * bent.high_bits_downlinked / bent.high_bits_observed;
         const double direct_yield = 100.0 *

@@ -7,10 +7,11 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -65,8 +66,10 @@ missionSection()
 {
     std::cout << "\nMission DVD over a simulated day "
                  "(3-satellite constellation):\n";
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(3);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(3);
+    config.storage_bits = std::numeric_limits<double>::infinity();
 
     // A filter with Kodan-like characteristics: fits the frame deadline,
     // keeps nearly all high-value frames, discards nearly all low-value
@@ -77,10 +80,10 @@ missionSection()
     kodan_like.keep_low = 0.05;
     kodan_like.send_unprocessed = false;
 
-    config.telemetry_prefix = "fig10.bent";
-    const auto bent = sim.run(config, sim::FilterBehavior::bentPipe());
-    config.telemetry_prefix = "fig10.kodan";
-    const auto kodan = sim.run(config, kodan_like);
+    config.mission.telemetry_prefix = "fig10.bent";
+    const auto bent = engine.run(config, sim::FilterBehavior::bentPipe());
+    config.mission.telemetry_prefix = "fig10.kodan";
+    const auto kodan = engine.run(config, kodan_like);
 
     util::TablePrinter table(
         {"pipeline", "frames downlinked", "DVD", "high-value yield"});

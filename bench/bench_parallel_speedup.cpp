@@ -1,7 +1,7 @@
 /**
  * @file
  * Wall-clock speedup of the deterministic parallel execution layer on
- * the three hot paths (transformer sweep, batch runtime, mission sim),
+ * the three hot paths (transformer sweep, batch runtime, mission engine),
  * swept over thread counts. Results go to stdout and to
  * BENCH_parallel_speedup.run.json (in KODAN_BENCH_CSV_DIR when set, else
  * the bench cache directory).
@@ -16,12 +16,13 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -127,12 +128,17 @@ main(int argc, char **argv)
         measurements.push_back({"runtime_batch", threads, seconds, 0.0});
     }
 
-    // Workload 3: constellation mission simulation.
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(8);
-    config.duration = 12.0 * 3600.0;
-    config.scheduler_step = 20.0;
-    config.contact_scan_step = 30.0;
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    // Workload 3: constellation mission simulation. One satellite per
+    // shard, so the satellite pass fans out over the pool (the default
+    // shard of 16 would put all 8 satellites in one work item).
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(8);
+    config.mission.duration = 12.0 * 3600.0;
+    config.mission.scheduler_step = 20.0;
+    config.mission.contact_scan_step = 30.0;
+    config.storage_bits = std::numeric_limits<double>::infinity();
+    config.shard_size = 1;
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
     sim::FilterBehavior filter;
     filter.frame_time = 40.0;
     filter.keep_high = 0.9;
@@ -142,17 +148,17 @@ main(int argc, char **argv)
         util::setGlobalThreads(threads);
         double bits = 0.0;
         const double seconds = timeSeconds([&] {
-            bits = sim.run(config, filter).totals().bits_downlinked;
+            bits = engine.run(config, filter).totals().bits_downlinked;
         });
         if (threads == 1) {
             mission_bits_at_1 = bits;
         } else if (bits != mission_bits_at_1) {
             std::cerr << "[kodan-bench] DETERMINISM VIOLATION: mission "
-                         "sim diverged at "
+                         "engine diverged at "
                       << threads << " threads\n";
             return 1;
         }
-        measurements.push_back({"mission_sim", threads, seconds, 0.0});
+        measurements.push_back({"mission", threads, seconds, 0.0});
     }
     util::setGlobalThreads(0);
 

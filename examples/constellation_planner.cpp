@@ -11,10 +11,11 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "core/kodan.hpp"
+#include "sim/constellation.hpp"
 #include "sim/coverage.hpp"
-#include "sim/mission.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
 
@@ -30,7 +31,7 @@ main(int argc, char **argv)
     // size.
     const auto camera = sense::CameraModel::landsat8Multispectral();
     const sense::WrsGrid grid;
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
 
     std::cout << "Observation vs downlink (one day, bent pipe):\n";
     util::TablePrinter sweep({"satellites", "scenes seen %",
@@ -45,12 +46,13 @@ main(int argc, char **argv)
         const auto coverage =
             sim::uniqueSceneCoverage(constellation, camera, grid);
 
-        sim::MissionConfig config;
-        config.satellites = constellation;
-        config.stations = ground::landsatGroundSegment();
-        config.camera = camera;
+        sim::ConstellationConfig config;
+        config.mission.satellites = constellation;
+        config.mission.stations = ground::landsatGroundSegment();
+        config.mission.camera = camera;
+        config.storage_bits = std::numeric_limits<double>::infinity();
         const auto result =
-            sim.run(config, sim::FilterBehavior::bentPipe()).totals();
+            engine.run(config, sim::FilterBehavior::bentPipe()).totals();
         sweep.addRow(
             {util::TablePrinter::fmt(static_cast<long long>(sats)),
              util::TablePrinter::fmt(100.0 * coverage.coverageFraction(),

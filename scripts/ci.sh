@@ -27,8 +27,10 @@
 # tiler's bit-identity oracles, whose frame reads ASan checks.
 #
 # The UndefinedBehaviorSanitizer pass reruns the frame path — tiler
-# (`data`), runtime and core (`core`), data plane (`dataplane`) — and
-# the loaders (`loader`), in fp64 and under KODAN_QUANT=int8.
+# (`data`), runtime and core (`core`), data plane (`dataplane`) — the
+# loaders (`loader`), and the mission engine with the scheduler oracle
+# and its scenario death tests (`constellation`), in fp64 and under
+# KODAN_QUANT=int8.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -54,7 +56,7 @@ done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
 LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof|loader|data'
-UBSAN_LABELS='data|dataplane|core|loader'
+UBSAN_LABELS='data|dataplane|core|loader|constellation'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"

@@ -4,10 +4,13 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
+
+#include "util/log.hpp"
 
 namespace kodan::data {
 
@@ -73,6 +76,22 @@ blockEdges(int cells)
         edges[b] = (b * cells + kBlocksPerSide - 1) / kBlocksPerSide;
     }
     return edges;
+}
+
+/**
+ * Every tile needs at least one cell per side, or its statistics are
+ * means over nothing: a frame grid coarser than the tiling dies through
+ * util::fatal. Checked once per frame, so initTile() may assume it.
+ */
+void
+requireCellsPerTile(const FrameSample &frame, int t_count)
+{
+    if (frame.grid < t_count) {
+        util::fatal("Tiler: " + std::to_string(t_count) +
+                    " tiles per side need a frame grid of at least " +
+                    std::to_string(t_count) + " cells per side, got " +
+                    std::to_string(frame.grid));
+    }
 }
 
 /** Bind @p tile to its frame region: coordinates and cell extent. */
@@ -392,7 +411,7 @@ std::vector<TileData>
 Tiler::tile(const FrameSample &frame) const
 {
     const int t_count = tiles_per_side_;
-    assert(frame.grid >= 1);
+    requireCellsPerTile(frame, t_count);
 
     std::vector<TileData> tiles(static_cast<std::size_t>(t_count) *
                                 t_count);
@@ -413,7 +432,7 @@ Tiler::statsInto(const FrameSample &frame,
                  std::vector<TileData> &tiles) const
 {
     const int t_count = tiles_per_side_;
-    assert(frame.grid >= 1);
+    requireCellsPerTile(frame, t_count);
 
     // resize() keeps each surviving element's heap buffers, so a warmed
     // vector is refilled without allocation; every field below is

@@ -124,7 +124,8 @@ class Tiler
      * Split @p frame into T^2 decimated tiles with every training
      * field filled (truth fractions, label vector). The eager form:
      * the training path tiles this way, and tests use it as the
-     * oracle for statsInto() + decimate().
+     * oracle for statsInto() + decimate(). Dies through util::fatal
+     * when T exceeds frame.grid (a tile would have no cells).
      */
     std::vector<TileData> tile(const FrameSample &frame) const;
 
@@ -142,7 +143,8 @@ class Tiler
      * model — the runtime's lazy tiling: elided tiles never pay the
      * decimation pass, and the truth bookkeeping of the training path
      * is skipped entirely. @p tiles is recycled in place, so a warmed
-     * vector is re-tiled without heap allocation.
+     * vector is re-tiled without heap allocation. Dies through
+     * util::fatal when T exceeds frame.grid, like tile().
      */
     void statsInto(const FrameSample &frame,
                    std::vector<TileData> &tiles) const;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-
-#include "telemetry/telemetry.hpp"
 
 namespace kodan::ground {
 
@@ -177,48 +174,6 @@ GroundSegmentScheduler::finishAllocation(State &&state) const
                       return a.start != b.start ? a.start < b.start
                                                 : a.station < b.station;
                   });
-    }
-    return result;
-}
-
-GroundSegmentScheduler::Allocation
-GroundSegmentScheduler::allocate(const std::vector<ContactWindow> &windows,
-                                 std::size_t satellite_count,
-                                 std::size_t station_count, double t0,
-                                 double t1) const
-{
-    assert(t1 >= t0);
-    KODAN_TRACE_SCOPE("ground.segment.allocate");
-    State state = beginAllocation(satellite_count, station_count, t0);
-    allocateSpan(windows, t1, state);
-    Allocation result = finishAllocation(std::move(state));
-    if (telemetry::enabled()) {
-        std::int64_t passes = 0;
-        for (const auto count : result.passes_per_satellite) {
-            passes += count;
-        }
-        KODAN_COUNT_ADD("ground.segment.passes.granted", passes);
-        KODAN_GAUGE_ADD("ground.segment.busy_s",
-                        result.busy_station_seconds);
-        KODAN_GAUGE_ADD("ground.segment.idle_s",
-                        result.idle_station_seconds);
-    }
-    if (telemetry::journalEnabled()) {
-        std::int64_t passes = 0;
-        double granted_s = 0.0;
-        for (const auto count : result.passes_per_satellite) {
-            passes += count;
-        }
-        for (const double seconds : result.seconds_per_satellite) {
-            granted_s += seconds;
-        }
-        telemetry::JournalEventBuilder("ground.segment.allocation")
-            .i64("satellites",
-                 static_cast<std::int64_t>(satellite_count))
-            .i64("passes_granted", passes)
-            .f64("seconds_granted", granted_s)
-            .f64("busy_s", result.busy_station_seconds)
-            .f64("idle_s", result.idle_station_seconds);
     }
     return result;
 }

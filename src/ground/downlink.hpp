@@ -57,13 +57,14 @@ struct DownlinkModel
  *
  * Two implementations share these semantics bit-for-bit (proved by the
  * oracle property suite in tests/props/):
- *  - allocate() / the State API walk per-station *contact event queues*:
- *    windows activate from a start-sorted cursor and expire lazily, so
- *    each step touches only the windows actually in view at that station
- *    — O(steps x stations + windows) instead of the rescan's
- *    O(steps x stations x windows). The State form is resumable, so
- *    year-long drivers can feed windows chunk by chunk and keep memory
- *    flat.
+ *  - the State API (beginAllocation / allocateSpan / finishAllocation)
+ *    walks per-station *contact event queues*: windows activate from a
+ *    start-sorted cursor and expire lazily, so each step touches only
+ *    the windows actually in view at that station —
+ *    O(steps x stations + windows) instead of the rescan's
+ *    O(steps x stations x windows). It is resumable, so year-long
+ *    drivers feed windows chunk by chunk and keep memory flat; a
+ *    one-shot allocation is one allocateSpan() call.
  *  - allocateRescan() is the original brute-force rescan-per-step,
  *    retained as the reference oracle for the property tests.
  */
@@ -154,24 +155,10 @@ class GroundSegmentScheduler
     Allocation finishAllocation(State &&state) const;
 
     /**
-     * Allocate station time over [t0, t1].
-     *
-     * @param windows All contact windows (any order).
-     * @param satellite_count Number of satellites (indices in windows).
-     * @param station_count Number of stations (indices in windows).
-     * @param t0 Interval start (s).
-     * @param t1 Interval end (s).
-     */
-    Allocation allocate(const std::vector<ContactWindow> &windows,
-                        std::size_t satellite_count,
-                        std::size_t station_count, double t0,
-                        double t1) const;
-
-    /**
      * Reference implementation: rescans the full window list at every
-     * (step, station). Bit-identical to allocate() — kept as the oracle
-     * for the incremental scheduler's property tests. Emits no
-     * telemetry.
+     * (step, station). Bit-identical to the State API over [t0, t1] —
+     * kept as the oracle for the incremental scheduler's property
+     * tests. Emits no telemetry.
      */
     Allocation allocateRescan(const std::vector<ContactWindow> &windows,
                               std::size_t satellite_count,

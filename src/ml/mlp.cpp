@@ -6,6 +6,8 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 #include "util/log.hpp"
@@ -721,27 +723,58 @@ Mlp::load(std::istream &is)
     if (magic != "mlp" || version != 1) {
         util::fatal("Mlp::load: bad header");
     }
+    // Memory grows with the input, never with a declared count: widths
+    // and weights are appended as they are read, and the net is sized
+    // only once the stream has supplied every weight it declares.
     MlpConfig config;
     int softmax = 0;
     std::size_t hidden_count = 0;
     is >> config.input_dim >> config.output_dim >> softmax >> hidden_count;
+    if (!is) {
+        util::fatal("Mlp::load: truncated stream");
+    }
+    if (config.input_dim < 1 || config.output_dim < 1) {
+        util::fatal("Mlp::load: input and output dims must be >= 1, got " +
+                    std::to_string(config.input_dim) + " and " +
+                    std::to_string(config.output_dim));
+    }
     config.output = softmax ? OutputKind::Softmax : OutputKind::Sigmoid;
-    config.hidden.resize(hidden_count);
-    for (auto &h : config.hidden) {
-        is >> h;
+    for (std::size_t i = 0; i < hidden_count; ++i) {
+        int width = 0;
+        if (!(is >> width)) {
+            util::fatal("Mlp::load: truncated stream");
+        }
+        if (width < 1) {
+            util::fatal("Mlp::load: hidden width must be >= 1, got " +
+                        std::to_string(width));
+        }
+        config.hidden.push_back(width);
+    }
+    std::vector<double> params;
+    std::size_t fan_in = static_cast<std::size_t>(config.input_dim);
+    for (std::size_t l = 0; l <= config.hidden.size(); ++l) {
+        const std::size_t fan_out = static_cast<std::size_t>(
+            l < config.hidden.size() ? config.hidden[l] : config.output_dim);
+        // Both widths are < 2^31, so the count cannot overflow.
+        for (std::size_t k = 0; k < fan_out * fan_in + fan_out; ++k) {
+            double value = 0.0;
+            if (!(is >> value)) {
+                util::fatal("Mlp::load: truncated stream");
+            }
+            params.push_back(value);
+        }
+        fan_in = fan_out;
     }
     util::Rng rng(0);
     Mlp mlp(config, rng);
+    std::size_t next = 0;
     for (auto &layer : mlp.layers_) {
         for (auto &w : layer.weights.data()) {
-            is >> w;
+            w = params[next++];
         }
         for (auto &b : layer.bias) {
-            is >> b;
+            b = params[next++];
         }
-    }
-    if (!is) {
-        util::fatal("Mlp::load: truncated stream");
     }
     mlp.refreshTransposes();
     return mlp;

@@ -11,6 +11,7 @@
 #include "ground/contact.hpp"
 #include "sense/wrs.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,6 +68,46 @@ struct SatState
     SatelliteResult result;
 };
 
+/** Time-series / bin width: the mission's, or 1800 s when unset. */
+double
+binWidth(const MissionConfig &mission)
+{
+    return mission.telemetry_bin_s > 0.0 ? mission.telemetry_bin_s
+                                         : 1800.0;
+}
+
+/**
+ * Reject a scenario the chunk loop cannot run. Chunk edges must land on
+ * the scheduler's step grid and close whole telemetry bins, or chunked
+ * results would diverge from one-shot stepping (see
+ * GroundSegmentScheduler::State).
+ */
+void
+validate(const ConstellationConfig &config)
+{
+    const MissionConfig &mission = config.mission;
+    if (mission.satellites.empty() || mission.stations.empty()) {
+        util::fatal("ConstellationEngine: the scenario needs at least one "
+                    "satellite and one ground station");
+    }
+    const double chunk_s = config.chunk_s;
+    if (!std::isfinite(chunk_s) || chunk_s <= 0.0) {
+        util::fatal("ConstellationEngine: chunk_s must be finite and > 0, "
+                    "got " + std::to_string(chunk_s));
+    }
+    const double bin_s = binWidth(mission);
+    if (!(mission.scheduler_step > 0.0) ||
+        std::fmod(chunk_s, mission.scheduler_step) != 0.0 ||
+        std::fmod(chunk_s, bin_s) != 0.0) {
+        util::fatal("ConstellationEngine: chunk_s " +
+                    std::to_string(chunk_s) +
+                    " s must be a multiple of the scheduler step (" +
+                    std::to_string(mission.scheduler_step) +
+                    " s) and of the telemetry bin (" +
+                    std::to_string(bin_s) + " s)");
+    }
+}
+
 } // namespace
 
 ConstellationEngine::ConstellationEngine(const data::GeoModel *world,
@@ -81,14 +122,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
                          const FilterBehavior &filter) const
 {
     const MissionConfig &mission = config.mission;
-    assert(!mission.satellites.empty());
-    assert(!mission.stations.empty());
-    assert(config.chunk_s > 0.0);
-    // Chunk edges must land on the scheduler's step grid and close whole
-    // telemetry bins, or chunked results would diverge from one-shot
-    // stepping (see GroundSegmentScheduler::State).
-    assert(std::fmod(config.chunk_s, mission.scheduler_step) == 0.0);
-    assert(std::fmod(config.chunk_s, mission.telemetry_bin_s) == 0.0);
+    validate(config);
     KODAN_TRACE_SCOPE("constellation.engine.run");
     telemetry::JournalRegion journal_region("constellation.mission");
 
@@ -139,8 +173,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
     const bool journal_on = telemetry::journalEnabled();
     const bool health_on = telemetry::health::healthEnabled();
     const bool bins_on = ts_on || journal_on || health_on;
-    const double bin_s =
-        mission.telemetry_bin_s > 0.0 ? mission.telemetry_bin_s : 1800.0;
+    const double bin_s = binWidth(mission);
     const auto binOf = [bin_s](double t) {
         return static_cast<std::int64_t>(std::floor(t / bin_s));
     };

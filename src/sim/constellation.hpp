@@ -1,13 +1,11 @@
 /**
  * @file
- * Constellation-scale mission engine: sharded, chunked, memory-flat.
- *
- * MissionSim materializes every frame and drains a whole-mission
- * downlink budget at once — exact, but its footprint grows with
- * satellites x duration, which caps it at a handful of satellites over
- * short horizons. ConstellationEngine simulates hundreds to thousands
- * of satellites over a simulated year by restructuring the same
- * physical models around streaming:
+ * The mission engine: sharded, chunked, memory-flat. It runs every
+ * mission figure, bench, and example, from a three-satellite day to
+ * thousands of satellites over a simulated year, by organizing the
+ * physical models (orbit propagation, frame capture, the contended
+ * ground segment, the downlink radio, an abstract on-board filter)
+ * around streaming:
  *
  *  - **Time chunks.** The horizon is processed in fixed chunks
  *    (default one day). Each chunk runs the one-pass parallel
@@ -26,9 +24,9 @@
  *  - **Fluid downlink queues.** On-board backlog is modeled as two
  *    value-separated pools (filter products, raw frames) with a
  *    bounded storage capacity, drained through the contact runs the
- *    scheduler closes each chunk. This fluid approximation replaces
- *    MissionSim's per-item queue walk: aggregate bits and value flow
- *    match, per-item latency is not tracked.
+ *    scheduler closes each chunk. Each pool is well mixed, so the
+ *    products drain at the filter's precision and per-item latency is
+ *    not tracked.
  *  - **Streaming telemetry.** Per-bin aggregates go straight into the
  *    PR-4 TimeSeries (registered with capacity for the full horizon)
  *    through a serial fold per chunk; per-satellite journal events are
@@ -52,9 +50,7 @@ struct ConstellationConfig
     /**
      * The mission scenario (constellation, ground segment, camera,
      * radio, duration, steps, seed, telemetry bin/prefix). Use
-     * MissionConfig::makeConstellation for multi-plane layouts. The
-     * mission's shard_size is ignored here; the engine uses the
-     * shard_size below.
+     * MissionConfig::makeConstellation for multi-plane layouts.
      */
     MissionConfig mission;
     /** Satellites per shard work unit (>= 1). Any value gives
@@ -64,7 +60,8 @@ struct ConstellationConfig
      * Streaming chunk length (s). Must be a positive multiple of both
      * the scheduler step and the telemetry bin width so chunk edges
      * stay on the allocation grid and every bin is closed by exactly
-     * one chunk. The frame grid restarts at each chunk edge and the
+     * one chunk; run() dies through util::fatal otherwise. The frame
+     * grid restarts at each chunk edge and the
      * storage cap is enforced per chunk, so chunk_s is part of the
      * scenario definition: results are bit-invariant to threads and
      * shards, not to chunk_s.
@@ -97,8 +94,8 @@ struct ConstellationConfig
 };
 
 /**
- * The constellation-scale engine. Construction mirrors MissionSim: a
- * null world draws i.i.d. frame values at the fixed prevalence.
+ * The mission engine. A null world draws i.i.d. frame values at the
+ * fixed prevalence.
  */
 class ConstellationEngine
 {
@@ -112,7 +109,12 @@ class ConstellationEngine
     explicit ConstellationEngine(const data::GeoModel *world = nullptr,
                                  double fixed_prevalence = 1.0 / 3.0);
 
-    /** Run the scenario under the given filter behaviour. */
+    /**
+     * Run the scenario under the given filter behaviour. Dies through
+     * util::fatal when the scenario has no satellite or no station, or
+     * when chunk_s is not a finite positive multiple of the scheduler
+     * step and the telemetry bin width.
+     */
     MissionResult run(const ConstellationConfig &config,
                       const FilterBehavior &filter) const;
 

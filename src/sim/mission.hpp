@@ -1,11 +1,12 @@
 /**
  * @file
- * End-to-end mission simulation (the cote-equivalent driver).
+ * Mission scenario, filter behaviour, and result types of the mission
+ * engine (sim::ConstellationEngine, sim/constellation.hpp).
  *
- * Ties together orbit propagation, frame capture, the contended ground
- * segment, the downlink radio, and an abstract on-board filter to produce
- * per-satellite accounting of frames observed / processed / downlinked
- * and of data value density.
+ * A scenario ties together orbit propagation, frame capture, the
+ * contended ground segment, the downlink radio, and an abstract
+ * on-board filter; a result is the per-satellite accounting of frames
+ * observed / processed / downlinked and of data value density.
  */
 
 #ifndef KODAN_SIM_MISSION_HPP
@@ -47,26 +48,19 @@ struct MissionConfig
     std::uint64_t seed = 42;
     /**
      * Sim-time bin width (s) of the telemetry time series and the
-     * per-satellite journal bin events the run emits when recording is
+     * health plane's per-bin signals the run feeds when recording is
      * enabled. The 1800 s default gives 48 bins over a standard one-day
      * mission — coarse enough to keep committed baselines small, fine
      * enough to see the contact-pass structure.
      */
     double telemetry_bin_s = 1800.0;
     /**
-     * Series/event name prefix ("<prefix>.dvd", "<prefix>.satellite.bin"
+     * Time-series name prefix ("<prefix>.dvd", "<prefix>.frames.observed"
      * ...). Drivers that simulate several scenarios in one process give
      * each a distinct prefix so the global time-series registry keeps
      * them apart.
      */
     std::string telemetry_prefix = "sim";
-    /**
-     * Satellites per parallel work unit (shard). Results are bit-identical
-     * for any value — shards only coarsen scheduling, each satellite
-     * keeps its own RNG stream and journal lane. 0 = one satellite per
-     * work item.
-     */
-    std::size_t shard_size = 0;
 
     /**
      * Build an N-satellite, single-plane Landsat-8-like constellation
@@ -82,8 +76,9 @@ struct MissionConfig
      * ground segment. makeConstellation(n, 1, 0) is bit-identical to
      * landsatConstellation(n).
      *
-     * @param satellite_count Total satellites (divisible by @p planes).
-     * @param planes Orbital planes (staggered RAAN).
+     * @param satellite_count Total satellites (>= 1, divisible by
+     *        @p planes); anything else dies through util::fatal.
+     * @param planes Orbital planes (>= 1, staggered RAAN).
      * @param phasing Walker phasing parameter f in [0, planes).
      */
     static MissionConfig makeConstellation(int satellite_count,
@@ -176,38 +171,8 @@ struct MissionResult
 };
 
 /**
- * The mission simulator.
- */
-class MissionSim
-{
-  public:
-    /**
-     * @param world Procedural world used to label frame values; when
-     *        null, frame value fractions are drawn i.i.d. so that the
-     *        expected high-value prevalence is @p fixed_prevalence.
-     * @param fixed_prevalence Used only when @p world is null.
-     */
-    explicit MissionSim(const data::GeoModel *world = nullptr,
-                        double fixed_prevalence = 1.0 / 3.0);
-
-    /**
-     * Run the scenario under the given filter behaviour.
-     */
-    MissionResult run(const MissionConfig &config,
-                      const FilterBehavior &filter) const;
-
-  private:
-    const data::GeoModel *world_;
-    double fixed_prevalence_;
-
-    /** High-value fraction of a frame centered at the given point. */
-    double frameValueFraction(const orbit::Geodetic &center, double time,
-                              util::Rng &rng) const;
-};
-
-/**
  * High-value fraction of a frame centered at @p center at @p time —
- * the shared value model of MissionSim and ConstellationEngine. When
+ * the mission engine's frame value model. When
  * @p world is null, draws a Bernoulli with @p fixed_prevalence from
  * @p rng instead (one draw per call).
  */

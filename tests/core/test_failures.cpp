@@ -110,6 +110,38 @@ TEST(FailureInjection, MlpLoadRejectsTruncatedWeights)
                 "truncated");
 }
 
+TEST(FailureInjection, MlpLoadRejectsHugeHiddenCount)
+{
+    // A trillion declared hidden layers, none present: widths are
+    // appended as they are read, never sized from the header.
+    std::stringstream stream("mlp 1\n18 1 0 1000000000000");
+    EXPECT_EXIT(ml::Mlp::load(stream), ::testing::ExitedWithCode(1),
+                "truncated stream");
+}
+
+TEST(FailureInjection, MlpLoadRejectsHugeHiddenWidth)
+{
+    // A two-billion-wide layer with two weights present: the weights
+    // are read before the net is sized.
+    std::stringstream stream("mlp 1\n18 1 0 1 2000000000\n0.5 0.25\n");
+    EXPECT_EXIT(ml::Mlp::load(stream), ::testing::ExitedWithCode(1),
+                "truncated stream");
+}
+
+TEST(FailureInjection, MlpLoadRejectsNegativeHiddenWidth)
+{
+    std::stringstream stream("mlp 1\n18 1 0 1 -4\n0.5 0.25\n");
+    EXPECT_EXIT(ml::Mlp::load(stream), ::testing::ExitedWithCode(1),
+                "hidden width must be >= 1, got -4");
+}
+
+TEST(FailureInjection, MlpLoadRejectsNegativeInputDim)
+{
+    std::stringstream stream("mlp 1\n-18 1 0 0\n0.5 0.25\n");
+    EXPECT_EXIT(ml::Mlp::load(stream), ::testing::ExitedWithCode(1),
+                "input and output dims must be >= 1, got -18 and 1");
+}
+
 TEST(FailureInjection, DeploymentLoadRejectsWrongMagic)
 {
     std::stringstream stream("kodan-spacecraft 1 2\n");

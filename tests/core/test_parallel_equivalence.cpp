@@ -1,9 +1,10 @@
 /**
  * @file
  * Equivalence suite for the deterministic parallel execution layer: the
- * transformer sweep, the batch runtime, the mission simulator, and the
- * coverage analysis must produce BIT-IDENTICAL results at any thread
- * count. Doubles are compared with exact equality on purpose — the
+ * transformer sweep, the batch runtime, and the coverage analysis must
+ * produce BIT-IDENTICAL results at any thread count (the mission
+ * engine's own thread × shard grid lives in test_constellation.cpp).
+ * Doubles are compared with exact equality on purpose — the
  * facade's ordered reduction makes that a hard guarantee, and anything
  * weaker would let nondeterminism silently invalidate regenerated
  * figures.
@@ -146,43 +147,6 @@ TEST(ParallelEquivalence, BatchRuntimeMatchesSerialLoop)
             runtime.processFrames(pipeline.shared.val);
         SCOPED_TRACE(std::to_string(threads) + " threads");
         expectSameReport(batch, serial);
-    }
-}
-
-TEST(ParallelEquivalence, MissionSimIsThreadCountInvariant)
-{
-    ThreadGuard guard;
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(5);
-    config.duration = 4.0 * 3600.0;
-    config.scheduler_step = 30.0;
-    config.contact_scan_step = 60.0;
-    sim::FilterBehavior filter;
-    filter.frame_time = 40.0;
-    filter.keep_high = 0.9;
-    filter.keep_low = 0.2;
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
-
-    util::setGlobalThreads(1);
-    const auto baseline = sim.run(config, filter);
-    for (int threads : kThreadCounts) {
-        util::setGlobalThreads(threads);
-        const auto result = sim.run(config, filter);
-        ASSERT_EQ(result.per_satellite.size(),
-                  baseline.per_satellite.size());
-        for (std::size_t s = 0; s < result.per_satellite.size(); ++s) {
-            const auto &a = result.per_satellite[s];
-            const auto &b = baseline.per_satellite[s];
-            SCOPED_TRACE("sat " + std::to_string(s) + " at " +
-                         std::to_string(threads) + " threads");
-            EXPECT_EQ(a.frames_observed, b.frames_observed);
-            EXPECT_EQ(a.frames_processed, b.frames_processed);
-            EXPECT_EQ(a.frames_downlinked, b.frames_downlinked);
-            EXPECT_EQ(a.bits_observed, b.bits_observed);
-            EXPECT_EQ(a.high_bits_observed, b.high_bits_observed);
-            EXPECT_EQ(a.bits_downlinked, b.bits_downlinked);
-            EXPECT_EQ(a.high_bits_downlinked, b.high_bits_downlinked);
-            EXPECT_EQ(a.contact_seconds, b.contact_seconds);
-        }
     }
 }
 

@@ -39,6 +39,23 @@ TEST(Tiler, ProducesTilesPerFrame)
     }
 }
 
+// More tiles per side than the frame has cells would leave tiles with
+// no cells and NaN means: both tiling paths die through util::fatal,
+// naming the tiling and the grid, before the first tile.
+TEST(TilerDeathTest, MoreTilesPerSideThanGridCellsDies)
+{
+    const FrameSample frame = testFrame(4);
+    const Tiler tiler(5);
+    EXPECT_EXIT(tiler.tile(frame), ::testing::ExitedWithCode(1),
+                "5 tiles per side need a frame grid of at least 5 cells "
+                "per side, got 4");
+    std::vector<TileData> tiles;
+    EXPECT_EXIT(tiler.statsInto(frame, tiles),
+                ::testing::ExitedWithCode(1),
+                "5 tiles per side need a frame grid of at least 5 cells "
+                "per side, got 4");
+}
+
 TEST(Tiler, TilesPartitionTheFrameExactly)
 {
     const FrameSample frame = testFrame(44);

@@ -2,10 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ground/downlink.hpp"
 
 namespace kodan::ground {
 namespace {
+
+/** One-shot allocation over [0, t1]: a single span of the State API. */
+GroundSegmentScheduler::Allocation
+allocateOnce(const GroundSegmentScheduler &scheduler,
+             const std::vector<ContactWindow> &windows, std::size_t sats,
+             std::size_t stations, double t1)
+{
+    auto state = scheduler.beginAllocation(sats, stations, 0.0);
+    scheduler.allocateSpan(windows, t1, state);
+    return scheduler.finishAllocation(std::move(state));
+}
 
 TEST(DownlinkModel, RateTimesTime)
 {
@@ -36,7 +50,7 @@ TEST(Scheduler, SingleSatelliteGetsAllWindowTime)
     // One window, one satellite: every in-window second is granted.
     std::vector<ContactWindow> windows = {{0, 0, 100.0, 400.0}};
     const GroundSegmentScheduler scheduler(10.0);
-    const auto alloc = scheduler.allocate(windows, 1, 1, 0.0, 1000.0);
+    const auto alloc = allocateOnce(scheduler, windows, 1, 1, 1000.0);
     EXPECT_NEAR(alloc.seconds_per_satellite[0], 300.0, 10.0);
     EXPECT_EQ(alloc.passes_per_satellite[0], 1U);
     EXPECT_NEAR(alloc.idle_station_seconds +
@@ -51,7 +65,7 @@ TEST(Scheduler, ContendingSatellitesShareFairly)
     std::vector<ContactWindow> windows = {{0, 0, 0.0, 600.0},
                                           {0, 1, 0.0, 600.0}};
     const GroundSegmentScheduler scheduler(10.0, 0.0);
-    const auto alloc = scheduler.allocate(windows, 2, 1, 0.0, 600.0);
+    const auto alloc = allocateOnce(scheduler, windows, 2, 1, 600.0);
     EXPECT_NEAR(alloc.seconds_per_satellite[0],
                 alloc.seconds_per_satellite[1], 20.0);
     EXPECT_NEAR(alloc.seconds_per_satellite[0] +
@@ -67,7 +81,7 @@ TEST(Scheduler, HysteresisKeepsGrantsContiguous)
     std::vector<ContactWindow> windows = {{0, 0, 0.0, 600.0},
                                           {0, 1, 0.0, 600.0}};
     const GroundSegmentScheduler scheduler(10.0, 240.0);
-    const auto alloc = scheduler.allocate(windows, 2, 1, 0.0, 600.0);
+    const auto alloc = allocateOnce(scheduler, windows, 2, 1, 600.0);
     EXPECT_LE(alloc.passes_per_satellite[0] +
                   alloc.passes_per_satellite[1],
               4U);
@@ -81,7 +95,7 @@ TEST(Scheduler, SecondStationRemovesContention)
     std::vector<ContactWindow> windows = {{0, 0, 0.0, 600.0},
                                           {1, 1, 0.0, 600.0}};
     const GroundSegmentScheduler scheduler(10.0);
-    const auto alloc = scheduler.allocate(windows, 2, 2, 0.0, 600.0);
+    const auto alloc = allocateOnce(scheduler, windows, 2, 2, 600.0);
     EXPECT_NEAR(alloc.seconds_per_satellite[0], 600.0, 10.0);
     EXPECT_NEAR(alloc.seconds_per_satellite[1], 600.0, 10.0);
 }
@@ -92,7 +106,7 @@ TEST(Scheduler, GrantConservation)
     std::vector<ContactWindow> windows = {
         {0, 0, 0.0, 500.0}, {0, 1, 100.0, 400.0}, {0, 2, 200.0, 300.0}};
     const GroundSegmentScheduler scheduler(5.0);
-    const auto alloc = scheduler.allocate(windows, 3, 1, 0.0, 500.0);
+    const auto alloc = allocateOnce(scheduler, windows, 3, 1, 500.0);
     double granted = 0.0;
     for (double s : alloc.seconds_per_satellite) {
         granted += s;
@@ -105,7 +119,7 @@ TEST(Scheduler, IdleTimeWhenNothingVisible)
 {
     std::vector<ContactWindow> windows = {{0, 0, 900.0, 1000.0}};
     const GroundSegmentScheduler scheduler(10.0);
-    const auto alloc = scheduler.allocate(windows, 1, 1, 0.0, 1000.0);
+    const auto alloc = allocateOnce(scheduler, windows, 1, 1, 1000.0);
     EXPECT_NEAR(alloc.idle_station_seconds, 900.0, 20.0);
 }
 
@@ -117,7 +131,7 @@ TEST(Scheduler, LeastServedWinsTie)
                                           {0, 0, 300.0, 600.0},
                                           {0, 1, 300.0, 600.0}};
     const GroundSegmentScheduler scheduler(10.0);
-    const auto alloc = scheduler.allocate(windows, 2, 1, 0.0, 600.0);
+    const auto alloc = allocateOnce(scheduler, windows, 2, 1, 600.0);
     // Satellite 0 should win the whole contested second half.
     EXPECT_NEAR(alloc.seconds_per_satellite[0], 300.0, 20.0);
 }
@@ -127,7 +141,7 @@ TEST(Scheduler, PassCountsTrackGrantChanges)
     std::vector<ContactWindow> windows = {{0, 0, 0.0, 100.0},
                                           {0, 0, 500.0, 600.0}};
     const GroundSegmentScheduler scheduler(10.0);
-    const auto alloc = scheduler.allocate(windows, 1, 1, 0.0, 600.0);
+    const auto alloc = allocateOnce(scheduler, windows, 1, 1, 600.0);
     EXPECT_EQ(alloc.passes_per_satellite[0], 2U);
 }
 

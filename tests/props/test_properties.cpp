@@ -17,7 +17,7 @@
 #include "ml/mlp.hpp"
 #include "orbit/propagator.hpp"
 #include "orbit/sun.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "util/noise.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EvaluateLogicProps,
                          ::testing::Range(0, 24));
 
 // ---------------------------------------------------------------------
-// Mission-simulation conservation laws over seeds.
+// Mission-engine conservation laws over seeds.
 
 class MissionProps : public ::testing::TestWithParam<int>
 {
@@ -151,12 +151,14 @@ class MissionProps : public ::testing::TestWithParam<int>
 TEST_P(MissionProps, ConservationLaws)
 {
     util::Rng rng(GetParam());
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(
         static_cast<int>(rng.uniformInt(1, 4)));
-    config.duration = 3.0 * 3600.0;
-    config.scheduler_step = 30.0;
-    config.contact_scan_step = 60.0;
-    config.seed = GetParam();
+    config.mission.duration = 3.0 * 3600.0;
+    config.mission.scheduler_step = 30.0;
+    config.mission.contact_scan_step = 60.0;
+    config.mission.seed = GetParam();
+    config.storage_bits = std::numeric_limits<double>::infinity();
 
     sim::FilterBehavior filter;
     filter.frame_time = rng.uniform(0.0, 200.0);
@@ -165,12 +167,13 @@ TEST_P(MissionProps, ConservationLaws)
     filter.send_unprocessed = rng.bernoulli(0.5);
     filter.prioritize_products = rng.bernoulli(0.5);
 
-    const sim::MissionSim sim(nullptr, rng.uniform(0.1, 0.9));
-    const auto result = sim.run(config, filter);
+    const sim::ConstellationEngine engine(nullptr, rng.uniform(0.1, 0.9));
+    const auto result = engine.run(config, filter);
     for (const auto &sat : result.per_satellite) {
         EXPECT_LE(sat.frames_processed, sat.frames_observed);
         EXPECT_LE(sat.bits_downlinked,
-                  config.radio.datarate_bps * sat.contact_seconds + 1.0);
+                  config.mission.radio.datarate_bps * sat.contact_seconds +
+                      1.0);
         EXPECT_LE(sat.high_bits_downlinked, sat.bits_downlinked + 1e-3);
         EXPECT_LE(sat.high_bits_observed, sat.bits_observed + 1e-3);
         EXPECT_GE(sat.dvd(), 0.0);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "../ground/contact_oracle.hpp"
@@ -97,8 +98,9 @@ TEST_P(SchedulerOracleProps, IncrementalMatchesRescan)
     const auto windows = randomWindows(rng, sats, stations, horizon);
     const GroundSegmentScheduler scheduler(10.0,
                                            rng.uniform(0.0, 480.0));
-    const auto fast =
-        scheduler.allocate(windows, sats, stations, 0.0, horizon);
+    auto state = scheduler.beginAllocation(sats, stations, 0.0);
+    scheduler.allocateSpan(windows, horizon, state);
+    const auto fast = scheduler.finishAllocation(std::move(state));
     const auto oracle =
         scheduler.allocateRescan(windows, sats, stations, 0.0, horizon);
     expectAllocationsIdentical(fast, oracle);
@@ -112,8 +114,9 @@ TEST_P(SchedulerOracleProps, ChunkedSpansMatchOneShot)
     const double horizon = 24.0 * 3600.0;
     const auto windows = randomWindows(seeded, sats, stations, horizon);
     const GroundSegmentScheduler scheduler(10.0, 240.0);
-    const auto one_shot =
-        scheduler.allocate(windows, sats, stations, 0.0, horizon);
+    auto whole = scheduler.beginAllocation(sats, stations, 0.0);
+    scheduler.allocateSpan(windows, horizon, whole);
+    const auto one_shot = scheduler.finishAllocation(std::move(whole));
 
     // Stream the same windows through span chunks on the step grid,
     // passing each chunk only the windows overlapping it (the streaming

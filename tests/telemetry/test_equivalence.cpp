@@ -14,19 +14,21 @@
 
 #include "../core/fixture.hpp"
 #include "core/kodan.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kodan::telemetry {
 namespace {
 
-/** Restores telemetry state and the global thread default on exit. */
+/** Restores the recording toggles and the global thread default on
+ *  exit. */
 class StateGuard
 {
   public:
     StateGuard()
-        : was_enabled_(enabled())
+        : was_enabled_(enabled()), journal_was_enabled_(journalEnabled()),
+          health_was_enabled_(health::healthEnabled())
     {
         resetAll();
     }
@@ -34,12 +36,16 @@ class StateGuard
     ~StateGuard()
     {
         setEnabled(was_enabled_);
+        setJournalEnabled(journal_was_enabled_);
+        health::setHealthEnabled(health_was_enabled_);
         resetAll();
         util::setGlobalThreads(0);
     }
 
   private:
     bool was_enabled_;
+    bool journal_was_enabled_;
+    bool health_was_enabled_;
 };
 
 void
@@ -95,35 +101,48 @@ TEST(TelemetryEquivalence, RuntimeReportsAreBitIdenticalOnOrOff)
     }
 }
 
-TEST(TelemetryEquivalence, MissionSimIsBitIdenticalOnOrOff)
+/** Every recording plane the mission engine feeds, switched at once. */
+void
+setMissionRecording(bool on)
+{
+    setEnabled(on);
+    setJournalEnabled(on);
+    health::setHealthEnabled(on);
+}
+
+TEST(TelemetryEquivalence, MissionEngineIsBitIdenticalOnOrOff)
 {
     StateGuard guard;
-    sim::MissionConfig config =
-        sim::MissionConfig::landsatConstellation(3);
-    config.duration = 2.0 * 3600.0;
-    config.scheduler_step = 30.0;
-    config.contact_scan_step = 60.0;
+    // Two chunks, a lossy filter that mixes products with raws, and a
+    // recorder small enough to shed: every recorded path of the engine.
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(3);
+    config.mission.duration = 2.0 * 3600.0;
+    config.mission.scheduler_step = 30.0;
+    config.mission.contact_scan_step = 60.0;
+    config.chunk_s = 3600.0;
+    config.storage_bits = 2.0e11;
     sim::FilterBehavior filter;
     filter.frame_time = 40.0;
     filter.keep_high = 0.9;
     filter.keep_low = 0.2;
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
 
-    setEnabled(false);
+    setMissionRecording(false);
     util::setGlobalThreads(1);
-    const auto baseline = sim.run(config, filter);
+    const auto baseline = engine.run(config, filter);
 
     for (int threads : {1, 7}) {
         util::setGlobalThreads(threads);
-        setEnabled(true);
-        const auto result = sim.run(config, filter);
-        setEnabled(false);
+        setMissionRecording(true);
+        const auto result = engine.run(config, filter);
+        setMissionRecording(false);
         ASSERT_EQ(result.per_satellite.size(),
                   baseline.per_satellite.size());
         for (std::size_t s = 0; s < result.per_satellite.size(); ++s) {
             const auto &a = result.per_satellite[s];
             const auto &b = baseline.per_satellite[s];
-            SCOPED_TRACE("sat " + std::to_string(s) + ", telemetry on, " +
+            SCOPED_TRACE("sat " + std::to_string(s) + ", recording on, " +
                          std::to_string(threads) + " threads");
             EXPECT_EQ(a.frames_observed, b.frames_observed);
             EXPECT_EQ(a.frames_processed, b.frames_processed);
@@ -133,17 +152,26 @@ TEST(TelemetryEquivalence, MissionSimIsBitIdenticalOnOrOff)
             EXPECT_EQ(a.bits_downlinked, b.bits_downlinked);
             EXPECT_EQ(a.high_bits_downlinked, b.high_bits_downlinked);
             EXPECT_EQ(a.contact_seconds, b.contact_seconds);
+            EXPECT_EQ(a.frame_deadline, b.frame_deadline);
         }
         EXPECT_EQ(result.idle_station_seconds,
                   baseline.idle_station_seconds);
         EXPECT_EQ(result.busy_station_seconds,
                   baseline.busy_station_seconds);
 #ifndef KODAN_TELEMETRY_DISABLED
-        // The instrumented run recorded mission metrics.
+        // Every plane recorded: metrics, journal, series and health.
         const RegistrySnapshot snap = registry().snapshot();
-        const MetricSample *observed = snap.find("sim.frames.observed");
+        const MetricSample *observed =
+            snap.find("constellation.frames.observed");
         ASSERT_NE(observed, nullptr);
         EXPECT_GT(observed->count, 0);
+        EXPECT_FALSE(collectJournal().empty());
+        const TimeSeriesSnapshot series = timeSeriesSnapshot();
+        const SeriesSample *dropped =
+            series.find("sim.storage.dropped_bits");
+        ASSERT_NE(dropped, nullptr);
+        EXPECT_FALSE(dropped->bins.empty());
+        EXPECT_GT(health::plane().snapshot().observations, 0);
 #endif
         resetAll();
     }

@@ -2,20 +2,22 @@
  * @file
  * Flight-recorder suite: the journal's (region, slot, ord) ordering
  * contract, byte-identical JSONL export across thread counts for the
- * mission sim and the batch runtime, ring-mode bounded memory, and
- * round-trip parsing of the JSONL / Chrome-trace exports with the
- * in-tree JSON reader.
+ * batch runtime (the mission engine's journal is pinned across threads
+ * and shards in test_constellation.cpp), ring-mode bounded memory, and
+ * round-trip parsing of the JSONL / Chrome-trace exports of a mission
+ * with the in-tree JSON reader.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "../core/fixture.hpp"
 #include "core/kodan.hpp"
-#include "sim/mission.hpp"
+#include "sim/constellation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -62,13 +64,15 @@ exportJournal()
     return out.str();
 }
 
-sim::MissionConfig
+sim::ConstellationConfig
 smallMission()
 {
-    sim::MissionConfig config = sim::MissionConfig::landsatConstellation(3);
-    config.duration = 2.0 * 3600.0;
-    config.scheduler_step = 30.0;
-    config.contact_scan_step = 60.0;
+    sim::ConstellationConfig config;
+    config.mission = sim::MissionConfig::landsatConstellation(3);
+    config.mission.duration = 2.0 * 3600.0;
+    config.mission.scheduler_step = 30.0;
+    config.mission.contact_scan_step = 60.0;
+    config.storage_bits = std::numeric_limits<double>::infinity();
     return config;
 }
 
@@ -123,35 +127,6 @@ TEST(Journal, DisabledJournalRecordsNothing)
     EXPECT_EQ(region.id(), 0u);
     JournalEventBuilder("unit.never").i64("k", 1);
     EXPECT_TRUE(collectJournal().empty());
-#endif
-}
-
-TEST(Journal, MissionJournalBytesInvariantToThreadCount)
-{
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
-    JournalGuard guard;
-    setJournalEnabled(true);
-    const sim::MissionConfig config = smallMission();
-    sim::FilterBehavior filter;
-    filter.frame_time = 40.0;
-    filter.keep_high = 0.9;
-    filter.keep_low = 0.2;
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
-
-    util::setGlobalThreads(1);
-    sim.run(config, filter);
-    const std::string serial = exportJournal();
-    EXPECT_NE(serial.find("sim.mission.begin"), std::string::npos);
-    EXPECT_NE(serial.find("sim.satellite.queue"), std::string::npos);
-    EXPECT_NE(serial.find("ground.contact.begin"), std::string::npos);
-    clearJournal();
-
-    util::setGlobalThreads(7);
-    sim.run(config, filter);
-    const std::string parallel = exportJournal();
-    EXPECT_EQ(serial, parallel);
 #endif
 }
 
@@ -269,10 +244,10 @@ TEST(Journal, JsonlExportRoundTripsThroughJsonReader)
 #else
     JournalGuard guard;
     setJournalEnabled(true);
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
     sim::FilterBehavior filter;
     filter.frame_time = 40.0;
-    sim.run(smallMission(), filter);
+    engine.run(smallMission(), filter);
     const std::string text = exportJournal();
 
     std::vector<json::Value> lines;
@@ -350,10 +325,10 @@ TEST(Journal, ChromeTraceExportRoundTripsThroughJsonReader)
 #else
     JournalGuard guard;
     setEnabled(true);
-    const sim::MissionSim sim(nullptr, 1.0 / 3.0);
+    const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
     sim::FilterBehavior filter;
     filter.frame_time = 40.0;
-    sim.run(smallMission(), filter);
+    engine.run(smallMission(), filter);
     setEnabled(false);
 
     Tracer &tracer = Tracer::instance();

@@ -3,23 +3,22 @@
  * kodan-top — live mission view over the flight-recorder event stream.
  *
  *   kodan-top <journal.jsonl> [--follow] [--interval-ms N]
- *       [--metric NAME] [--width N] [--prefix P]
- *       [--profile <profile.json>]
+ *       [--metric NAME] [--width N] [--profile <profile.json>]
  *
  * Tails a journal file — either a finished `--journal-out` export or
  * the live stream tap written by KODAN_JOURNAL_STREAM /
- * setJournalStreamPath — picks out the per-satellite sim-time bin
- * events (`<prefix>.satellite.bin`, emitted by the mission simulator)
- * and renders one sparkline row per satellite of the chosen per-bin
- * metric, plus totals.
+ * setJournalStreamPath — picks out the per-satellite chunk events
+ * (`constellation.satellite.chunk`, emitted by the mission engine once
+ * per satellite per time chunk) and renders one sparkline row per
+ * satellite of the chosen per-chunk metric, plus totals.
  *
  * Modes:
  *  - default: read the whole file, render one frame, exit (pipeable);
  *  - --follow: poll the file for appended lines every --interval-ms
  *    (default 500), repainting in place until interrupted.
  *
- * Metrics (per-bin event fields): frames, processed, queued_bits,
- * bits, high_bits, dvd (default).
+ * Metrics (per-chunk event fields): frames, drained_bits (default),
+ * queue_bits (backlog at the chunk's end), dropped_bits (shed so far).
  *
  * When the journal carries `health.alert.fire` / `health.alert.resolve` events
  * (the fleet health plane's rule transitions), an alerts pane renders
@@ -72,9 +71,9 @@ usage()
     std::cerr << "usage:\n"
                  "  kodan-top <journal.jsonl> [--follow]\n"
                  "      [--interval-ms N] [--metric NAME] [--width N]\n"
-                 "      [--prefix P] [--profile <profile.json>]\n"
-                 "metrics: frames processed queued_bits bits high_bits "
-                 "dvd\n";
+                 "      [--profile <profile.json>]\n"
+                 "metrics (per constellation.satellite.chunk event): "
+                 "frames drained_bits queue_bits dropped_bits\n";
     return 2;
 }
 
@@ -85,38 +84,39 @@ fail(const std::string &message)
     return 2;
 }
 
-/** Aggregated view of the bin events seen so far. */
+/** Aggregated view of the chunk events seen so far. */
 struct MissionView
 {
-    /** satellite -> bin index -> metric value. */
+    /** satellite -> chunk index -> metric value. */
     std::map<std::int64_t, std::map<std::int64_t, double>> per_satellite;
-    /** satellite -> latest whole-satellite summary fields. */
+    /** satellite -> frames observed over the chunks seen. */
     std::map<std::int64_t, double> frames_total;
     std::uint64_t events_seen = 0;
-    double bin_s = 0.0;
+    /** Chunk length from the mission's config event (0 = not seen). */
+    double chunk_s = 0.0;
 
-    std::int64_t minBin() const
+    std::int64_t firstChunk() const
     {
         std::int64_t lo = 0;
         bool first = true;
-        for (const auto &[sat, bins] : per_satellite) {
-            if (!bins.empty() &&
-                (first || bins.begin()->first < lo)) {
-                lo = bins.begin()->first;
+        for (const auto &[sat, chunks] : per_satellite) {
+            if (!chunks.empty() &&
+                (first || chunks.begin()->first < lo)) {
+                lo = chunks.begin()->first;
                 first = false;
             }
         }
         return lo;
     }
 
-    std::int64_t maxBin() const
+    std::int64_t lastChunk() const
     {
         std::int64_t hi = 0;
         bool first = true;
-        for (const auto &[sat, bins] : per_satellite) {
-            if (!bins.empty() &&
-                (first || bins.rbegin()->first > hi)) {
-                hi = bins.rbegin()->first;
+        for (const auto &[sat, chunks] : per_satellite) {
+            if (!chunks.empty() &&
+                (first || chunks.rbegin()->first > hi)) {
+                hi = chunks.rbegin()->first;
                 first = false;
             }
         }
@@ -127,32 +127,30 @@ struct MissionView
 /** Feed one parsed journal line into the view. */
 void
 ingest(MissionView &view, const json::Value &event,
-       const std::string &metric, const std::string &suffix)
+       const std::string &metric)
 {
     const std::string type = event.stringOr("type", "");
-    if (type.size() < suffix.size() ||
-        type.compare(type.size() - suffix.size(), suffix.size(),
-                     suffix) != 0) {
-        return;
-    }
     const json::Value *fields = event.find("fields");
     if (fields == nullptr) {
         return;
     }
+    if (type == "constellation.mission.config") {
+        view.chunk_s = fields->numberOr("chunk_s", 0.0);
+        return;
+    }
+    if (type != "constellation.satellite.chunk") {
+        return;
+    }
     const auto sat =
         static_cast<std::int64_t>(fields->numberOr("sat", -1.0));
-    const auto bin =
-        static_cast<std::int64_t>(fields->numberOr("bin", 0.0));
+    const auto chunk =
+        static_cast<std::int64_t>(fields->numberOr("chunk", 0.0));
     if (sat < 0) {
         return;
     }
-    view.per_satellite[sat][bin] = fields->numberOr(metric, 0.0);
+    view.per_satellite[sat][chunk] = fields->numberOr(metric, 0.0);
     view.frames_total[sat] += fields->numberOr("frames", 0.0);
     ++view.events_seen;
-    const double t_s = fields->numberOr("t_s", 0.0);
-    if (bin != 0 && t_s != 0.0) {
-        view.bin_s = t_s / static_cast<double>(bin);
-    }
 }
 
 /** Latest state of one (rule, entity) alert from the health plane. */
@@ -322,9 +320,9 @@ renderProfile(const report::ProfileDoc &doc, const std::string &path,
     }
 }
 
-/** One sparkline row over [lo, hi] bins, at most @p width cells. */
+/** One sparkline row over points [lo, hi], at most @p width cells. */
 std::string
-sparkline(const std::map<std::int64_t, double> &bins, std::int64_t lo,
+sparkline(const std::map<std::int64_t, double> &points, std::int64_t lo,
           std::int64_t hi, int width, double peak)
 {
     const std::int64_t span = hi - lo + 1;
@@ -332,14 +330,14 @@ sparkline(const std::map<std::int64_t, double> &bins, std::int64_t lo,
         std::min<std::int64_t>(span, std::max(1, width));
     std::string out;
     for (std::int64_t c = 0; c < cells; ++c) {
-        // Cell c covers bins [lo + c*span/cells, lo + (c+1)*span/cells).
+        // Cell c covers points [lo + c*span/cells, lo + (c+1)*span/cells).
         const std::int64_t b0 = lo + c * span / cells;
         const std::int64_t b1 = lo + (c + 1) * span / cells;
         double value = 0.0;
         bool seen = false;
         for (std::int64_t b = b0; b < std::max(b0 + 1, b1); ++b) {
-            const auto it = bins.find(b);
-            if (it != bins.end()) {
+            const auto it = points.find(b);
+            if (it != points.end()) {
                 value = std::max(value, it->second);
                 seen = true;
             }
@@ -384,40 +382,41 @@ render(const MissionView &view, const AlertView &alerts,
     if (follow) {
         os << "\033[H\033[2J"; // home + clear
     }
-    os << "kodan-top — per-satellite `" << metric << "` by sim-time bin";
-    if (view.bin_s > 0.0) {
-        os << " (" << view.bin_s << " s/bin)";
+    os << "kodan-top — per-satellite `" << metric << "` by chunk";
+    if (view.chunk_s > 0.0) {
+        os << " (" << view.chunk_s << " s/chunk)";
     }
     os << "\n";
     if (view.per_satellite.empty()) {
         if (alerts.rows.empty()) {
-            os << "  (no satellite.bin events yet — run a mission with "
-                  "--journal-out or KODAN_JOURNAL_STREAM)\n";
+            os << "  (no constellation.satellite.chunk events yet — run "
+                  "a mission with --journal-out or "
+                  "KODAN_JOURNAL_STREAM)\n";
         }
         renderAlerts(alerts, os);
         renderProfilePane(profile_path, width, os);
         os.flush();
         return;
     }
-    const std::int64_t lo = view.minBin();
-    const std::int64_t hi = view.maxBin();
+    const std::int64_t lo = view.firstChunk();
+    const std::int64_t hi = view.lastChunk();
     double peak = 0.0;
-    for (const auto &[sat, bins] : view.per_satellite) {
-        for (const auto &[bin, value] : bins) {
+    for (const auto &[sat, chunks] : view.per_satellite) {
+        for (const auto &[chunk, value] : chunks) {
             peak = std::max(peak, value);
         }
     }
-    os << "bins " << lo << ".." << hi << ", peak " << peak << ", "
+    os << "chunks " << lo << ".." << hi << ", peak " << peak << ", "
        << view.events_seen << " event(s)\n";
-    for (const auto &[sat, bins] : view.per_satellite) {
+    for (const auto &[sat, chunks] : view.per_satellite) {
         double last = 0.0;
         double total = 0.0;
-        for (const auto &[bin, value] : bins) {
+        for (const auto &[chunk, value] : chunks) {
             last = value;
             total += value;
         }
         os << "  sat " << sat << " |"
-           << sparkline(bins, lo, hi, width, peak) << "| last " << last
+           << sparkline(chunks, lo, hi, width, peak) << "| last " << last
            << " total " << total;
         const auto frames = view.frames_total.find(sat);
         if (frames != view.frames_total.end()) {
@@ -475,8 +474,7 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    std::string metric = "dvd";
-    std::string prefix;
+    std::string metric = "drained_bits";
     std::string profile_path;
     bool follow = false;
     int interval_ms = 500;
@@ -497,8 +495,6 @@ main(int argc, char **argv)
             if (width <= 0) {
                 return fail("bad --width value");
             }
-        } else if (arg == "--prefix" && i + 1 < argc) {
-            prefix = argv[++i];
         } else if (arg == "--profile" && i + 1 < argc) {
             profile_path = argv[++i];
         } else if (arg == "--help" || arg == "-h") {
@@ -514,12 +510,6 @@ main(int argc, char **argv)
     if (path.empty()) {
         return usage();
     }
-    // Match events by type suffix so any telemetry_prefix works; an
-    // explicit --prefix narrows to "<prefix>.satellite.bin" exactly.
-    const std::string suffix = prefix.empty()
-                                   ? std::string(".satellite.bin")
-                                   : prefix + ".satellite.bin";
-
     MissionView view;
     AlertView alerts;
     Tail tail{path, 0, ""};
@@ -532,7 +522,7 @@ main(int argc, char **argv)
             }
             json::Value event;
             if (json::parse(line, event, nullptr)) {
-                ingest(view, event, metric, suffix);
+                ingest(view, event, metric);
                 ingestAlert(alerts, event);
             }
         }
