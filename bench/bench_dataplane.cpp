@@ -375,7 +375,6 @@ main(int argc, char **argv)
     // check_regressions.sh baseline diff sees them: wall-clock as timers
     // (diffed with the machine-noise tolerance), derived ratios under
     // bench.dataplane.ratio.* (excluded from the diff).
-#ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &reg = telemetry::registry();
         reg.timer("bench.dataplane.time.runtime_batch")
@@ -391,7 +390,6 @@ main(int argc, char **argv)
         reg.timer("bench.dataplane.time.loadgen").record(load.seconds);
         reg.gauge("bench.dataplane.ratio.loadgen.fps").set(load.fps);
     }
-#endif
 
     util::TablePrinter table(
         {"workload", "batch (s)", "staged (s)", "speedup", "frames/s"});

@@ -527,7 +527,6 @@ main(int argc, char **argv)
     // check_regressions.sh baseline diff sees them: wall-clock as timers
     // (diffed with the machine-noise tolerance), derived ratios under
     // bench.ml_kernels.ratio.* (excluded from the diff).
-#ifndef KODAN_TELEMETRY_DISABLED
     if (telemetry::enabled()) {
         auto &reg = telemetry::registry();
         for (const auto &m : measurements) {
@@ -544,7 +543,6 @@ main(int argc, char **argv)
             }
         }
     }
-#endif
 
     util::TablePrinter table({"workload", "naive (s)", "blocked (s)",
                               "speedup", "GFLOP/s"});

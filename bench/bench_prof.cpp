@@ -22,13 +22,17 @@
  * JSONL, time-series JSON, and canonical metrics snapshot (timers
  * reduced to call counts — their durations are wall clock by
  * definition) are byte-identical with profiling on vs off. It then
- * measures sampling overhead on the GEMM burst (best of 3, profiled vs
- * not) and fails when the ratio exceeds --ceiling (default 1.5 — the
- * 997 Hz sampler costs low single-digit percent; the headroom absorbs
+ * measures the profiling plane's overhead (the sampler plus the
+ * counter reads of every span) on the GEMM burst: 9 interleaved
+ * (plain, profiled) pairs, the side that runs first alternating, so
+ * host drift moves both halves of a pair alike. It fails when the
+ * median pair ratio exceeds --ceiling (default 1.5 — the 997 Hz
+ * sampler costs low single-digit percent; the headroom absorbs
  * shared-runner noise). Exit status: 0 on pass, 1 on any mismatch or
  * ceiling breach.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -41,6 +45,7 @@
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "sim/constellation.hpp"
+#include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
@@ -137,8 +142,6 @@ CapturedRun
 runWorkload(int threads, int gemm_reps)
 {
     telemetry::resetAll();
-    prof::resetProfile();
-    prof::resetSpanTable();
     kodan::util::setGlobalThreads(threads);
 
     const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
@@ -210,15 +213,25 @@ verify(double ceiling, int gemm_reps)
         const CapturedRun on = runWorkload(threads, gemm_reps);
         prof::setProfilingEnabled(false);
 
+        // The profile view: the span table of the exported document.
         const prof::ProfileSnapshot snapshot = prof::snapshotProfile();
-        const prof::SpanTableSnapshot spans = prof::spanTableSnapshot();
+        std::ostringstream profile_json;
+        prof::writeProfileJson(snapshot, profile_json);
+        telemetry::report::ProfileDoc profile;
+        std::string error;
+        if (!telemetry::report::parseProfile(profile_json.str(), profile,
+                                             &error)) {
+            std::cerr << "bench_prof: profile does not parse: " << error
+                      << "\n";
+            ok = false;
+        }
         std::cout << "threads=" << threads << ": journal "
                   << off.journal.size() << " B, series "
                   << off.series.size() << " B, metrics "
                   << off.metrics.size() << " B; profiled run took "
                   << snapshot.samples << " sample(s), "
-                  << spans.rows.size() << " span row(s) ("
-                  << spans.source << ")\n";
+                  << profile.spans.size() << " span row(s) ("
+                  << profile.span_source << ")\n";
         if (off.sink != on.sink) {
             std::cerr << "bench_prof: GEMM result diverged with "
                          "profiling on (threads="
@@ -238,10 +251,14 @@ verify(double ceiling, int gemm_reps)
             ok = false;
         }
         // The guard must not pass vacuously: the profiled run has to
-        // have actually profiled something.
-        if (spans.rows.empty()) {
-            std::cerr << "bench_prof: profiled run recorded no span "
-                         "rows (threads="
+        // have charged counters to its spans (spans also record calls
+        // and wall time with telemetry alone).
+        if (std::none_of(profile.spans.begin(), profile.spans.end(),
+                         [](const telemetry::report::ProfileSpanRow &row) {
+                             return row.task_clock_ns > 0;
+                         })) {
+            std::cerr << "bench_prof: profiled run charged no span "
+                         "counters (threads="
                       << threads << ")\n";
             ok = false;
         }
@@ -253,33 +270,42 @@ verify(double ceiling, int gemm_reps)
         }
     }
 
-    // Sampling overhead on the GEMM burst, best of 3 each way.
+    // Profiling overhead on the GEMM burst: interleaved (plain,
+    // profiled) pairs, the side that runs first alternating, asserted
+    // on the median pair ratio.
     telemetry::resetAll();
-    const auto best_of_3 = [&](bool profiled) {
+    const auto timed_burst = [&](bool profiled) {
         prof::setProfilingEnabled(profiled);
-        double best = 0.0;
-        for (int r = 0; r < 3; ++r) {
-            const auto start = std::chrono::steady_clock::now();
-            gemmBurst(gemm_reps);
-            const double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (r == 0 || elapsed < best) {
-                best = elapsed;
-            }
-        }
+        const auto start = std::chrono::steady_clock::now();
+        gemmBurst(gemm_reps);
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
         prof::setProfilingEnabled(false);
-        return best;
+        return elapsed;
     };
-    const double plain_s = best_of_3(false);
-    const double profiled_s = best_of_3(true);
-    const double ratio = plain_s > 0.0 ? profiled_s / plain_s : 1.0;
-    std::cout << "overhead: plain " << plain_s << " s, profiled "
-              << profiled_s << " s, ratio " << ratio << " (ceiling "
-              << ceiling << ")\n";
+    constexpr int kPairs = 9;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        double plain_s = 0.0;
+        double profiled_s = 0.0;
+        if (pair % 2 == 0) {
+            plain_s = timed_burst(false);
+            profiled_s = timed_burst(true);
+        } else {
+            profiled_s = timed_burst(true);
+            plain_s = timed_burst(false);
+        }
+        ratios.push_back(plain_s > 0.0 ? profiled_s / plain_s : 1.0);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    const double ratio = ratios[kPairs / 2];
+    std::cout << "overhead: median profiled/plain ratio of " << kPairs
+              << " pairs " << ratio << " (range " << ratios.front()
+              << ".." << ratios.back() << ", ceiling " << ceiling
+              << ")\n";
     if (ratio > ceiling) {
-        std::cerr << "bench_prof: sampling overhead " << ratio
+        std::cerr << "bench_prof: profiling overhead " << ratio
                   << "x exceeds ceiling " << ceiling << "x\n";
         ok = false;
     }

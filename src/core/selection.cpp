@@ -67,7 +67,7 @@ std::pair<std::vector<Action>, DeploymentOutcome>
 SelectionOptimizer::optimizeAtTiling(const SystemProfile &profile,
                                      const ContextActionTable &table) const
 {
-    KODAN_TRACE_SPAN("selection.tiling.optimize");
+    KODAN_TRACE_SCOPE("selection.tiling.optimize");
     std::int64_t evaluated = 0; // evaluateLogic calls in this sweep
     const int contexts = table.contextCount();
     std::vector<std::vector<int>> allowed(contexts);

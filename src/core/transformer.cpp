@@ -63,7 +63,7 @@ Transformer::prepareData(std::vector<data::FrameSample> train,
     // Tile the training frames at the reference tiling.
     const data::Tiler tiler(options_.reference_tiling);
     {
-        KODAN_TRACE_SPAN("transformer.frames.tile");
+        KODAN_TRACE_SCOPE("transformer.frames.tile");
         for (const auto &frame : shared.train) {
             auto tiles = tiler.tile(frame);
             shared.train_tiles.insert(
@@ -97,7 +97,7 @@ Transformer::prepareData(std::vector<data::FrameSample> train,
 
     // Contexts: automatic clustering (or expert terrain partition).
     {
-        KODAN_TRACE_SPAN("transformer.contexts.fit");
+        KODAN_TRACE_SCOPE("transformer.contexts.fit");
         const ContextPartitioner partitioner(options_.partition);
         shared.partition =
             options_.expert_contexts
@@ -109,7 +109,7 @@ Transformer::prepareData(std::vector<data::FrameSample> train,
 
     // Context engine, trained to imitate the partition from features.
     {
-        KODAN_TRACE_SPAN("transformer.engine.train");
+        KODAN_TRACE_SCOPE("transformer.engine.train");
         shared.engine = std::make_unique<ContextEngine>(
             shared.train_tiles, shared.partition, rng);
     }
@@ -158,7 +158,7 @@ Transformer::transformApp(const Application &app,
                                                  app.tier))));
 
     {
-        KODAN_TRACE_SPAN("transformer.zoo.train");
+        KODAN_TRACE_SCOPE("transformer.zoo.train");
         const ModelSpecializer specializer(app, options_.specialize);
         artifacts.zoo = specializer.trainZoo(
             shared.train_tiles, shared.train_contexts,
@@ -179,7 +179,7 @@ Transformer::transformApp(const Application &app,
     // (the entry then runs fp64 even under KODAN_QUANT=int8), so the
     // sweep never selects a quantized model that trades away value.
     if (options_.specialize.quantize) {
-        KODAN_TRACE_SPAN("transformer.quant.validate");
+        KODAN_TRACE_SCOPE("transformer.quant.validate");
         const data::Tiler tiler(options_.reference_tiling);
         std::vector<data::TileData> val_tiles;
         for (const auto &frame : shared.val) {
@@ -242,7 +242,7 @@ Transformer::transformApp(const Application &app,
     artifacts.tables.resize(tile_counts.size());
     artifacts.direct_tables.resize(tile_counts.size());
     util::parallelFor(tile_counts.size(), [&](std::size_t i) {
-        KODAN_TRACE_SPAN("transformer.table.measure");
+        KODAN_TRACE_SCOPE("transformer.table.measure");
         const int side =
             static_cast<int>(std::lround(std::sqrt(tile_counts[i])));
         artifacts.tables[i] = evaluator.measureTable(shared.val, side);
@@ -268,7 +268,7 @@ SweepResult
 Transformer::select(const AppArtifacts &artifacts,
                     const SystemProfile &profile) const
 {
-    KODAN_TRACE_SPAN("transformer.logic.select");
+    KODAN_TRACE_SCOPE("transformer.logic.select");
     const SelectionOptimizer optimizer(options_.sweep);
     return optimizer.optimize(profile, artifacts.tables);
 }

@@ -98,10 +98,10 @@ PipelineRuntime::runLane(std::size_t lane, const FrameSource &source,
         }
         for (std::size_t j = 0; j < count; ++j) {
             const std::size_t i = first + j * stride;
-            // Mirror the batch path's per-frame shape: the frame timer
+            // Mirror the batch path's per-frame shape: the frame span
             // (call count must match) and the journal lane keyed by
             // frame index, both independent of which lane runs this.
-            KODAN_TIME_SCOPE("runtime.frame.process");
+            KODAN_TRACE_SCOPE("runtime.frame.process");
             telemetry::JournalScope journal_scope(region, i);
             runtime.stageRecord(works[j]);
             reports_[i] = works[j].report;

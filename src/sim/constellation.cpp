@@ -570,7 +570,7 @@ ConstellationEngine::run(const ConstellationConfig &config,
         // meters its own cost: bench_health asserts the
         // telemetry.self.health.fold_s total stays within budget.
         if (health_on) {
-            KODAN_TIME_SCOPE("telemetry.self.health.fold_s");
+            KODAN_TRACE_SCOPE("telemetry.self.health.fold_s");
             telemetry::health::HealthPlane &plane =
                 telemetry::health::plane();
             using telemetry::health::EntityKind;

@@ -32,8 +32,7 @@
  * collection time.
  *
  * Overhead contract: recording is off by default; every emission site
- * guards on journalEnabled() — one relaxed atomic load (compiled to a
- * constant false under KODAN_TELEMETRY_DISABLED). Ring mode
+ * guards on journalEnabled() — one relaxed atomic load. Ring mode
  * (setJournalRingCapacity / KODAN_JOURNAL_RING) bounds memory by
  * dropping each thread's oldest events; retained events still sort
  * deterministically, but *which* events are retained then depends on
@@ -122,16 +121,12 @@ JournalCursor &journalCursor();
 inline bool
 journalEnabled()
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    return false;
-#else
     const int state =
         detail::g_journal_enabled.load(std::memory_order_relaxed);
     if (state >= 0) {
         return state != 0;
     }
     return detail::resolveJournalEnabled();
-#endif
 }
 
 /** Turn journal recording on or off in-process (tests, CLI flags). */

@@ -197,6 +197,32 @@ Timer::record(double seconds)
     }
 }
 
+namespace {
+
+void
+addDelta(std::atomic<std::uint64_t> &column, std::uint64_t start,
+         std::uint64_t end)
+{
+    if (end > start) {
+        column.fetch_add(end - start, std::memory_order_relaxed);
+    }
+}
+
+} // namespace
+
+void
+Timer::record(double seconds, const prof::CounterReading &start,
+              const prof::CounterReading &end)
+{
+    record(seconds);
+    Shard &shard = shards_[detail::threadShard()];
+    addDelta(shard.cycles, start.cycles, end.cycles);
+    addDelta(shard.instructions, start.instructions, end.instructions);
+    addDelta(shard.llc_misses, start.llc_misses, end.llc_misses);
+    addDelta(shard.branch_misses, start.branch_misses, end.branch_misses);
+    addDelta(shard.task_clock_ns, start.task_clock_ns, end.task_clock_ns);
+}
+
 std::int64_t
 Timer::count() const
 {
@@ -227,6 +253,23 @@ Timer::maxSeconds() const
     return max;
 }
 
+prof::CounterReading
+Timer::counterTotals() const
+{
+    prof::CounterReading total;
+    for (const auto &shard : shards_) {
+        total.cycles += shard.cycles.load(std::memory_order_relaxed);
+        total.instructions +=
+            shard.instructions.load(std::memory_order_relaxed);
+        total.llc_misses += shard.llc_misses.load(std::memory_order_relaxed);
+        total.branch_misses +=
+            shard.branch_misses.load(std::memory_order_relaxed);
+        total.task_clock_ns +=
+            shard.task_clock_ns.load(std::memory_order_relaxed);
+    }
+    return total;
+}
+
 void
 Timer::reset()
 {
@@ -234,6 +277,11 @@ Timer::reset()
         shard.count.store(0, std::memory_order_relaxed);
         shard.total.store(0.0, std::memory_order_relaxed);
         shard.max.store(0.0, std::memory_order_relaxed);
+        shard.cycles.store(0, std::memory_order_relaxed);
+        shard.instructions.store(0, std::memory_order_relaxed);
+        shard.llc_misses.store(0, std::memory_order_relaxed);
+        shard.branch_misses.store(0, std::memory_order_relaxed);
+        shard.task_clock_ns.store(0, std::memory_order_relaxed);
     }
 }
 
@@ -293,6 +341,15 @@ MetricsRegistry::timer(const std::string &name)
     return *slot;
 }
 
+Timer &
+MetricsRegistry::span(const std::string &name)
+{
+    Timer &record = timer(name);
+    std::lock_guard<std::mutex> lock(mutex_);
+    spans_.insert(name);
+    return record;
+}
+
 RegistrySnapshot
 MetricsRegistry::snapshot() const
 {
@@ -329,6 +386,8 @@ MetricsRegistry::snapshot() const
         sample.count = timer->count();
         sample.sum = timer->totalSeconds();
         sample.max = timer->maxSeconds();
+        sample.span = spans_.count(name) != 0;
+        sample.counters = timer->counterTotals();
         snap.metrics.push_back(std::move(sample));
     }
     std::sort(snap.metrics.begin(), snap.metrics.end(),

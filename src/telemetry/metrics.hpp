@@ -17,26 +17,31 @@
  * durations remain plain double sums — they read the wall clock and are
  * nondeterministic at the source.
  *
+ * A timer is also the one record behind each `KODAN_TRACE_SCOPE` span:
+ * the span writes its calls, wall time and (while the profiling plane
+ * is on) thread-counter deltas into one shard of it, and the metrics
+ * snapshot's timer rows, the profile's span table and — through the
+ * same clock reads — the Chrome trace are views of that record.
+ *
  * Telemetry is OFF by default. It costs one relaxed atomic load per
- * instrumentation site while disabled (see `enabled()`), and compiles
- * out entirely under KODAN_TELEMETRY_DISABLED (macros in
- * telemetry/telemetry.hpp expand to nothing).
+ * instrumentation site while disabled (see `enabled()`).
  */
 
 #ifndef KODAN_TELEMETRY_METRICS_HPP
 #define KODAN_TELEMETRY_METRICS_HPP
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "telemetry/exact_sum.hpp"
+#include "telemetry/perf_counters.hpp"
 
 namespace kodan::telemetry {
 
@@ -172,16 +177,24 @@ class Histogram
 };
 
 /**
- * Duration accumulator: call count, total seconds, max seconds.
+ * Duration accumulator: call count, total seconds, max seconds, and the
+ * thread-counter deltas a `KODAN_TRACE_SCOPE` span charges while the
+ * profiling plane is on. Each shard is one cache line.
  */
 class Timer
 {
   public:
     void record(double seconds);
 
+    /** record(@p seconds) plus @p end - @p start per counter column
+     *  (saturating at 0). */
+    void record(double seconds, const prof::CounterReading &start,
+                const prof::CounterReading &end);
+
     std::int64_t count() const;
     double totalSeconds() const;
     double maxSeconds() const;
+    prof::CounterReading counterTotals() const;
 
     void reset();
 
@@ -191,41 +204,14 @@ class Timer
         std::atomic<std::int64_t> count{0};
         std::atomic<double> total{0.0};
         std::atomic<double> max{0.0};
+        std::atomic<std::uint64_t> cycles{0};
+        std::atomic<std::uint64_t> instructions{0};
+        std::atomic<std::uint64_t> llc_misses{0};
+        std::atomic<std::uint64_t> branch_misses{0};
+        std::atomic<std::uint64_t> task_clock_ns{0};
     };
 
     Shard shards_[kMetricShards];
-};
-
-/**
- * RAII wall-clock scope feeding a Timer. A null timer records nothing
- * and reads no clock (the disabled fast path).
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Timer *timer)
-        : timer_(timer)
-    {
-        if (timer_ != nullptr) {
-            start_ = std::chrono::steady_clock::now();
-        }
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-    ~ScopedTimer()
-    {
-        if (timer_ != nullptr) {
-            timer_->record(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count());
-        }
-    }
-
-  private:
-    Timer *timer_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 /** One metric's merged reading. */
@@ -247,6 +233,10 @@ struct MetricSample
     double sum = 0.0;
     /** Timer max seconds. */
     double max = 0.0;
+    /** Timer recorded by a KODAN_TRACE_SCOPE span: a row of the
+     *  profile's span table, with its counter totals. */
+    bool span = false;
+    prof::CounterReading counters;
     /** Histogram only. */
     std::vector<double> edges;
     std::vector<std::int64_t> buckets;
@@ -278,6 +268,8 @@ class MetricsRegistry
     Histogram &histogram(const std::string &name,
                          std::vector<double> edges);
     Timer &timer(const std::string &name);
+    /** The timer behind the KODAN_TRACE_SCOPE span @p name. */
+    Timer &span(const std::string &name);
 
     /** Merged view of all metrics, sorted by name. */
     RegistrySnapshot snapshot() const;
@@ -291,6 +283,7 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::map<std::string, std::unique_ptr<Timer>> timers_;
+    std::set<std::string> spans_;
 };
 
 /** The process-wide registry. */

@@ -1,11 +1,6 @@
 #include "telemetry/perf_counters.hpp"
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <time.h>
 
 #if defined(__linux__)
@@ -104,12 +99,6 @@ struct ThreadCounters
             static_cast<int>(CounterSource::Rusage)) {
             return;
         }
-        if (const char *env = std::getenv("KODAN_PROF_FORCE_RUSAGE")) {
-            if (std::strcmp(env, "0") != 0) {
-                resolve(CounterSource::Rusage);
-                return;
-            }
-        }
         struct Spec
         {
             std::uint32_t type;
@@ -195,24 +184,6 @@ struct ThreadCounters
 
 thread_local ThreadCounters t_counters;
 
-std::mutex g_sites_mutex;
-std::map<std::string, std::unique_ptr<SpanSite>> &
-sites()
-{
-    // Leaked on purpose: site references handed to call-site statics
-    // must stay valid through every destructor and atexit handler
-    // (same idiom as the metrics registry).
-    static auto *map =
-        new std::map<std::string, std::unique_ptr<SpanSite>>();
-    return *map;
-}
-
-std::uint64_t
-delta(std::uint64_t start, std::uint64_t end)
-{
-    return end > start ? end - start : 0;
-}
-
 } // namespace
 
 void
@@ -273,110 +244,6 @@ bool
 readThreadCounters(CounterReading &out)
 {
     return t_counters.read(out);
-}
-
-void
-SpanSite::accumulate(const CounterReading &start,
-                     const CounterReading &end)
-{
-    Shard &shard = shards_[telemetry::detail::threadShard()];
-    shard.calls.fetch_add(1, std::memory_order_relaxed);
-    shard.cycles.fetch_add(delta(start.cycles, end.cycles),
-                           std::memory_order_relaxed);
-    shard.instructions.fetch_add(
-        delta(start.instructions, end.instructions),
-        std::memory_order_relaxed);
-    shard.llc_misses.fetch_add(delta(start.llc_misses, end.llc_misses),
-                               std::memory_order_relaxed);
-    shard.branch_misses.fetch_add(
-        delta(start.branch_misses, end.branch_misses),
-        std::memory_order_relaxed);
-    shard.task_clock_ns.fetch_add(
-        delta(start.task_clock_ns, end.task_clock_ns),
-        std::memory_order_relaxed);
-}
-
-std::int64_t
-SpanSite::calls() const
-{
-    std::int64_t total = 0;
-    for (const Shard &shard : shards_) {
-        total += shard.calls.load(std::memory_order_relaxed);
-    }
-    return total;
-}
-
-CounterReading
-SpanSite::totals() const
-{
-    CounterReading total;
-    for (const Shard &shard : shards_) {
-        total.cycles += shard.cycles.load(std::memory_order_relaxed);
-        total.instructions +=
-            shard.instructions.load(std::memory_order_relaxed);
-        total.llc_misses +=
-            shard.llc_misses.load(std::memory_order_relaxed);
-        total.branch_misses +=
-            shard.branch_misses.load(std::memory_order_relaxed);
-        total.task_clock_ns +=
-            shard.task_clock_ns.load(std::memory_order_relaxed);
-    }
-    return total;
-}
-
-void
-SpanSite::reset()
-{
-    for (Shard &shard : shards_) {
-        shard.calls.store(0, std::memory_order_relaxed);
-        shard.cycles.store(0, std::memory_order_relaxed);
-        shard.instructions.store(0, std::memory_order_relaxed);
-        shard.llc_misses.store(0, std::memory_order_relaxed);
-        shard.branch_misses.store(0, std::memory_order_relaxed);
-        shard.task_clock_ns.store(0, std::memory_order_relaxed);
-    }
-}
-
-SpanSite &
-spanSite(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(g_sites_mutex);
-    auto &map = sites();
-    auto it = map.find(name);
-    if (it == map.end()) {
-        it = map.emplace(name, std::make_unique<SpanSite>()).first;
-    }
-    return *it->second;
-}
-
-SpanTableSnapshot
-spanTableSnapshot()
-{
-    SpanTableSnapshot snapshot;
-    snapshot.source = counterSourceName();
-    std::lock_guard<std::mutex> lock(g_sites_mutex);
-    for (const auto &[name, site] : sites()) {
-        SpanCounterRow row;
-        row.name = name;
-        row.calls = site->calls();
-        const CounterReading totals = site->totals();
-        row.cycles = totals.cycles;
-        row.instructions = totals.instructions;
-        row.llc_misses = totals.llc_misses;
-        row.branch_misses = totals.branch_misses;
-        row.task_clock_ns = totals.task_clock_ns;
-        snapshot.rows.push_back(std::move(row));
-    }
-    return snapshot;
-}
-
-void
-resetSpanTable()
-{
-    std::lock_guard<std::mutex> lock(g_sites_mutex);
-    for (auto &[name, site] : sites()) {
-        site->reset();
-    }
 }
 
 } // namespace kodan::telemetry::prof

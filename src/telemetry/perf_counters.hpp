@@ -2,25 +2,28 @@
  * @file
  * kodan::telemetry::prof — per-span hardware counter attribution.
  *
- * Every `KODAN_TRACE_SCOPE` site can charge the CPU cost of its scope
- * (cycles, instructions, LLC misses, branch misses, task-clock) to a
- * named span row. Counters come from a per-thread `perf_event_open`
- * group when the kernel allows self-profiling; when it does not
- * (containers, CI, locked-down perf_event_paranoid), the reader falls
- * back to software counters (CLOCK_THREAD_CPUTIME_ID) and the exported
- * table is marked `source: "rusage"` so downstream diffs know the
- * hardware columns are absent rather than zero.
+ * While the profiling plane is on, every `KODAN_TRACE_SCOPE` reads the
+ * calling thread's counters (cycles, instructions, LLC misses, branch
+ * misses, task-clock) at entry and exit and charges the deltas to its
+ * span's record in the metrics registry (`Timer`), whose span rows the
+ * profile document exports. Counters come from a per-thread
+ * `perf_event_open` group when the kernel allows self-profiling; when
+ * it does not (containers, CI, locked-down perf_event_paranoid), the
+ * reader falls back to software counters (CLOCK_THREAD_CPUTIME_ID) and
+ * the exported table is marked `source: "rusage"` so downstream diffs
+ * know the hardware columns are absent rather than zero.
  *
- * Determinism contract: span counter state lives entirely outside the
- * metrics registry, the journal, and the time series — enabling it
- * never changes a byte of those outputs (bench_prof --verify). Span
- * *call counts* are exact sharded integer sums and are deterministic at
- * any KODAN_THREADS; the counter columns read real hardware and are
- * not.
+ * Determinism contract: the counter columns go only to the profile;
+ * the metrics snapshot exports a span's calls and wall time, which the
+ * span records whether or not counters are read, so enabling them
+ * never changes a byte of the metrics, the journal, or the time series
+ * (bench_prof --verify). Span *call counts* are exact sharded integer
+ * sums and are deterministic at any KODAN_THREADS; the counter columns
+ * read real hardware and are not.
  *
- * Overhead: one relaxed atomic load per site while disabled (the macro
- * passes a null site); one group `read(2)` (or two `clock_gettime`
- * calls in fallback) per scope entry/exit while enabled.
+ * Overhead: one relaxed atomic load per span while disabled; one group
+ * `read(2)` (or one `clock_gettime` in fallback) per scope entry and
+ * exit while enabled.
  */
 
 #ifndef KODAN_TELEMETRY_PERF_COUNTERS_HPP
@@ -28,10 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "telemetry/metrics.hpp"
 
 namespace kodan::telemetry::prof {
 
@@ -104,103 +103,6 @@ int perfOpenErrno();
  * @return false only if even the fallback clock read failed.
  */
 bool readThreadCounters(CounterReading &out);
-
-/**
- * One named span's accumulated counter totals. Writes go to
- * cache-line-padded per-thread shards (same sharding as the metrics
- * registry) so concurrent scopes never contend; totals are exact
- * integer sums merged in shard-index order.
- */
-class SpanSite
-{
-  public:
-    /** Charge end - start (saturating at 0 per column) plus one call. */
-    void accumulate(const CounterReading &start,
-                    const CounterReading &end);
-
-    std::int64_t calls() const;
-    CounterReading totals() const;
-    void reset();
-
-  private:
-    struct alignas(64) Shard
-    {
-        std::atomic<std::int64_t> calls{0};
-        std::atomic<std::uint64_t> cycles{0};
-        std::atomic<std::uint64_t> instructions{0};
-        std::atomic<std::uint64_t> llc_misses{0};
-        std::atomic<std::uint64_t> branch_misses{0};
-        std::atomic<std::uint64_t> task_clock_ns{0};
-    };
-
-    Shard shards_[kMetricShards];
-};
-
-/** Registry lookup, mutex-guarded and idempotent by name; the returned
- *  reference lives for the process (macros cache it per site). */
-SpanSite &spanSite(const std::string &name);
-
-/** One exported span row. */
-struct SpanCounterRow
-{
-    std::string name;
-    std::int64_t calls = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t llc_misses = 0;
-    std::uint64_t branch_misses = 0;
-    std::uint64_t task_clock_ns = 0;
-};
-
-/** The merged span table. */
-struct SpanTableSnapshot
-{
-    /** "perf_event" / "rusage" / "unresolved". */
-    std::string source;
-    /** Rows sorted by name. */
-    std::vector<SpanCounterRow> rows;
-};
-
-/** Merged view of every span site, sorted by name. */
-SpanTableSnapshot spanTableSnapshot();
-
-/** Zero every span site (registrations persist). */
-void resetSpanTable();
-
-/**
- * RAII counter scope feeding a SpanSite. A null site reads nothing —
- * the disabled fast path costs the one relaxed load the macro already
- * paid.
- */
-class ScopedSpanCounters
-{
-  public:
-    explicit ScopedSpanCounters(SpanSite *site)
-        : site_(site)
-    {
-        if (site_ != nullptr) {
-            ok_ = readThreadCounters(start_);
-        }
-    }
-
-    ScopedSpanCounters(const ScopedSpanCounters &) = delete;
-    ScopedSpanCounters &operator=(const ScopedSpanCounters &) = delete;
-
-    ~ScopedSpanCounters()
-    {
-        if (site_ != nullptr && ok_) {
-            CounterReading end;
-            if (readThreadCounters(end)) {
-                site_->accumulate(start_, end);
-            }
-        }
-    }
-
-  private:
-    SpanSite *site_;
-    CounterReading start_{};
-    bool ok_ = false;
-};
 
 } // namespace kodan::telemetry::prof
 

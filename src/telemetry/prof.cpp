@@ -44,6 +44,7 @@
 #endif
 
 #include "telemetry/export.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 
@@ -495,7 +496,7 @@ void
 writeProfileJson(const ProfileSnapshot &snapshot, std::ostream &os,
                  std::size_t top_frames)
 {
-    const SpanTableSnapshot spans = spanTableSnapshot();
+    const RegistrySnapshot metrics = registry().snapshot();
     os << "{\"kodan_profile\": 1, \"period_us\": "
        << snapshot.period_us << ", \"samples\": " << snapshot.samples
        << ", \"dropped\": " << snapshot.dropped
@@ -512,20 +513,23 @@ writeProfileJson(const ProfileSnapshot &snapshot, std::ostream &os,
            << "\", \"self\": " << frame.self
            << ", \"total\": " << frame.total << "}";
     }
-    os << "\n ],\n \"spans\": {\"source\": \""
-       << jsonEscape(spans.source) << "\", \"rows\": [";
-    for (std::size_t i = 0; i < spans.rows.size(); ++i) {
-        const SpanCounterRow &row = spans.rows[i];
-        if (i != 0) {
-            os << ',';
+    // The span table: the KODAN_TRACE_SCOPE records of the metrics
+    // registry (explicit Timer::record timers are not spans).
+    os << "\n ],\n \"spans\": {\"source\": \"" << counterSourceName()
+       << "\", \"rows\": [";
+    bool first_row = true;
+    for (const MetricSample &row : metrics.metrics) {
+        if (!row.span) {
+            continue;
         }
-        os << "\n  {\"name\": \"" << jsonEscape(row.name)
-           << "\", \"calls\": " << row.calls
-           << ", \"cycles\": " << row.cycles
-           << ", \"instructions\": " << row.instructions
-           << ", \"llc_misses\": " << row.llc_misses
-           << ", \"branch_misses\": " << row.branch_misses
-           << ", \"task_clock_ns\": " << row.task_clock_ns << "}";
+        os << (first_row ? "" : ",") << "\n  {\"name\": \""
+           << jsonEscape(row.name) << "\", \"calls\": " << row.count
+           << ", \"cycles\": " << row.counters.cycles
+           << ", \"instructions\": " << row.counters.instructions
+           << ", \"llc_misses\": " << row.counters.llc_misses
+           << ", \"branch_misses\": " << row.counters.branch_misses
+           << ", \"task_clock_ns\": " << row.counters.task_clock_ns << "}";
+        first_row = false;
     }
     os << "\n ]}}\n";
 }

@@ -10,7 +10,9 @@
  * symbolization happens offline at flush (`dladdr` + demangle).
  * Exports are collapsed/folded stacks (flamegraph.pl / speedscope
  * ready) plus a top-N self/total JSON table, bundled with the span
- * counter table from perf_counters.hpp into one profile document.
+ * table — the KODAN_TRACE_SCOPE records of the metrics registry, with
+ * their counter columns (perf_counters.hpp) — into one profile
+ * document.
  *
  * Signal-safety rules for the handler (enforced by review, asserted by
  * bench_prof): only `backtrace()` into a stack buffer (primed once at

@@ -312,7 +312,6 @@ resetAll()
     clearTimeSeries();
     health::plane().reset();
     prof::resetProfile();
-    prof::resetSpanTable();
 }
 
 } // namespace kodan::telemetry

@@ -8,11 +8,10 @@
  * DESIGN.md "Observability".
  *
  * Overhead contract:
- *  - compiled out entirely when KODAN_TELEMETRY_DISABLED is defined
- *    (CMake: -DKODAN_TELEMETRY=OFF);
- *  - when compiled in but not enabled (the default), each site costs
- *    one relaxed atomic load and a predictable branch — no clock reads,
- *    no allocation, no locks;
+ *  - while recording is off (the default), a metric site costs one
+ *    relaxed atomic load and a predictable branch, and a
+ *    KODAN_TRACE_SCOPE span two (telemetry and the profiling plane) —
+ *    no clock reads, no allocation, no locks;
  *  - instrumentation never reads or advances any `util::Rng` stream and
  *    never feeds back into computation, so simulation and pipeline
  *    results are bit-identical with telemetry on or off (enforced by
@@ -100,22 +99,6 @@ void resetAll();
 #define KODAN_TM_CAT2(a, b) a##b
 #define KODAN_TM_CAT(a, b) KODAN_TM_CAT2(a, b)
 
-#ifdef KODAN_TELEMETRY_DISABLED
-
-#define KODAN_COUNT_ADD(name_, n_) ((void)0)
-#define KODAN_COUNT(name_) ((void)0)
-#define KODAN_GAUGE_SET(name_, v_) ((void)0)
-#define KODAN_GAUGE_ADD(name_, v_) ((void)0)
-#define KODAN_HISTOGRAM(name_, v_, ...) ((void)0)
-#define KODAN_TIMER_RECORD(name_, seconds_) ((void)0)
-#define KODAN_TS_RECORD(name_, t_, v_, bin_s_) ((void)0)
-#define KODAN_TIME_SCOPE(name_) ((void)0)
-#define KODAN_TRACE_SPAN(name_) ((void)0)
-#define KODAN_PROF_COUNTERS_SCOPE(name_) ((void)0)
-#define KODAN_TRACE_SCOPE(name_) ((void)0)
-
-#else
-
 /** Add @p n_ to counter @p name_ (registry lookup cached per site). */
 #define KODAN_COUNT_ADD(name_, n_)                                         \
     do {                                                                   \
@@ -165,16 +148,6 @@ void resetAll();
         }                                                                  \
     } while (0)
 
-/** Record @p seconds_ in timer @p name_. */
-#define KODAN_TIMER_RECORD(name_, seconds_)                                \
-    do {                                                                   \
-        if (::kodan::telemetry::enabled()) {                               \
-            static ::kodan::telemetry::Timer &kodan_tm_handle =            \
-                ::kodan::telemetry::registry().timer(name_);               \
-            kodan_tm_handle.record(static_cast<double>(seconds_));         \
-        }                                                                  \
-    } while (0)
-
 /** Record @p v_ at sim time @p t_ into the time series @p name_ with
  *  bin width @p bin_s_ (used on first registration). */
 #define KODAN_TS_RECORD(name_, t_, v_, bin_s_)                             \
@@ -188,52 +161,20 @@ void resetAll();
         }                                                                  \
     } while (0)
 
-/** Time this scope's wall clock into timer @p name_. */
-#define KODAN_TIME_SCOPE(name_)                                            \
-    ::kodan::telemetry::ScopedTimer KODAN_TM_CAT(kodan_tm_timer_,          \
-                                                 __LINE__)(               \
-        ::kodan::telemetry::enabled()                                      \
-            ? &[]() -> ::kodan::telemetry::Timer & {                       \
-                  static ::kodan::telemetry::Timer &kodan_tm_handle =      \
-                      ::kodan::telemetry::registry().timer(name_);         \
-                  return kodan_tm_handle;                                  \
-              }()                                                          \
-            : nullptr)
-
-/** Record this scope as a trace span named @p name_. */
-#define KODAN_TRACE_SPAN(name_)                                            \
-    ::kodan::telemetry::ScopedSpan KODAN_TM_CAT(kodan_tm_span_,            \
-                                                __LINE__)(name_)
-
 /**
- * Charge this scope's hardware counter deltas (cycles, instructions,
- * LLC/branch misses, task-clock — or the rusage fallback) to the span
- * counter row @p name_. Gated on prof::countersEnabled(), one relaxed
- * load while profiling is off; the site handle is cached like the
- * metric macros above.
- */
-#define KODAN_PROF_COUNTERS_SCOPE(name_)                                   \
-    ::kodan::telemetry::prof::ScopedSpanCounters KODAN_TM_CAT(            \
-        kodan_tm_prof_, __LINE__)(                                         \
-        ::kodan::telemetry::prof::countersEnabled()                        \
-            ? &[]() -> ::kodan::telemetry::prof::SpanSite & {              \
-                  static ::kodan::telemetry::prof::SpanSite               \
-                      &kodan_tm_handle =                                   \
-                          ::kodan::telemetry::prof::spanSite(name_);       \
-                  return kodan_tm_handle;                                  \
-              }()                                                          \
-            : nullptr)
-
-/**
- * The full stage-attribution scope: wall-clock timer + trace span +
- * per-span hardware counters under one name. This is the macro for
- * stage/phase boundaries (engines, pipeline stages, ML kernels).
+ * The one span primitive, for stage/phase boundaries (engines, pipeline
+ * stages, ML kernels): a ScopedSpan writing calls, wall time and —
+ * while the profiling plane is on — thread-counter deltas into the
+ * registry's timer @p name_, plus a trace event while telemetry is
+ * enabled. The registry lookup is cached per call site.
  */
 #define KODAN_TRACE_SCOPE(name_)                                           \
-    KODAN_TIME_SCOPE(name_);                                               \
-    KODAN_TRACE_SPAN(name_);                                               \
-    KODAN_PROF_COUNTERS_SCOPE(name_)
-
-#endif // KODAN_TELEMETRY_DISABLED
+    ::kodan::telemetry::ScopedSpan KODAN_TM_CAT(kodan_tm_span_,            \
+                                                __LINE__)(                \
+        name_, []() -> ::kodan::telemetry::Timer & {                       \
+            static ::kodan::telemetry::Timer &kodan_tm_handle =            \
+                ::kodan::telemetry::registry().span(name_);                \
+            return kodan_tm_handle;                                        \
+        })
 
 #endif // KODAN_TELEMETRY_TELEMETRY_HPP

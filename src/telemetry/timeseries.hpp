@@ -23,9 +23,8 @@
  * mission time at the 60 s default width.
  *
  * Overhead contract: recording sites guard on the metrics `enabled()`
- * toggle (one relaxed load when disabled) and the KODAN_TS_RECORD macro
- * compiles out entirely under KODAN_TELEMETRY_DISABLED. Recording never
- * reads a clock or an Rng — the timestamp is the caller's sim time.
+ * toggle (one relaxed load when disabled). Recording never reads a
+ * clock or an Rng — the timestamp is the caller's sim time.
  */
 
 #ifndef KODAN_TELEMETRY_TIMESERIES_HPP

@@ -65,14 +65,6 @@ Tracer::instance()
     return *tracer;
 }
 
-double
-Tracer::nowMicros() const
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-}
-
 TraceRing &
 Tracer::threadRing()
 {
@@ -86,12 +78,15 @@ Tracer::threadRing()
 }
 
 void
-Tracer::recordSpan(std::string name, double start_us, double dur_us)
+Tracer::recordSpan(const char *name,
+                   std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end)
 {
+    using Micros = std::chrono::duration<double, std::micro>;
     TraceEvent event;
-    event.name = std::move(name);
-    event.start_us = start_us;
-    event.dur_us = dur_us;
+    event.name = name;
+    event.start_us = Micros(start - epoch_).count();
+    event.dur_us = Micros(end - start).count();
     TraceRing &ring = threadRing();
     event.tid = ring.tid();
     ring.push(std::move(event));
@@ -102,7 +97,9 @@ Tracer::recordInstant(std::string name)
 {
     TraceEvent event;
     event.name = std::move(name);
-    event.start_us = nowMicros();
+    event.start_us = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - epoch_)
+                         .count();
     event.dur_us = -1.0;
     TraceRing &ring = threadRing();
     event.tid = ring.tid();

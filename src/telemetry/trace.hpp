@@ -10,13 +10,18 @@
  * (e.g. when `util::setGlobalThreads` rebuilds the pool) leave their
  * events collectable. Timestamps are steady-clock microseconds since
  * tracer start — wall-clock data, intentionally outside the repo's
- * determinism contract; spans never read the clock while telemetry is
- * disabled.
+ * determinism contract.
+ *
+ * ScopedSpan (KODAN_TRACE_SCOPE) is the one span primitive: one pair of
+ * clock reads feeds its record in the metrics registry and, while
+ * telemetry is enabled, its trace event. It reads no clock while both
+ * telemetry and the profiling plane are off.
  */
 
 #ifndef KODAN_TELEMETRY_TRACE_HPP
 #define KODAN_TELEMETRY_TRACE_HPP
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -84,14 +89,14 @@ class Tracer
 
     static Tracer &instance();
 
-    /** Microseconds since tracer construction (steady clock). */
-    double nowMicros() const;
-
     /** The calling thread's ring (created and registered on first use). */
     TraceRing &threadRing();
 
-    /** Record a completed span on the calling thread. */
-    void recordSpan(std::string name, double start_us, double dur_us);
+    /** Record the completed span [@p start, @p end) on the calling
+     *  thread. */
+    void recordSpan(const char *name,
+                    std::chrono::steady_clock::time_point start,
+                    std::chrono::steady_clock::time_point end);
 
     /** Record an instant event on the calling thread. */
     void recordInstant(std::string name);
@@ -115,18 +120,30 @@ class Tracer
 };
 
 /**
- * RAII span: records [construction, destruction) into the calling
- * thread's ring when telemetry is enabled. Use via KODAN_TRACE_SPAN.
+ * RAII span behind KODAN_TRACE_SCOPE. Armed while telemetry or the
+ * profiling plane is on: it resolves its record through @p site (the
+ * macro caches the registry lookup per call site), reads the steady
+ * clock once at entry and once at exit, and reads the thread counters
+ * around the scope only while the profiling plane is on. On exit it
+ * writes calls, wall time and counter deltas into the record and, only
+ * while telemetry is enabled, pushes a trace event with the same start
+ * and duration. Disarmed, it costs two relaxed loads and allocates
+ * nothing.
  */
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(const char *name)
+    template <typename Site>
+    ScopedSpan(const char *name, Site &&site)
+        : name_(name), trace_(enabled()),
+          counters_(prof::countersEnabled())
     {
-        if (enabled()) {
-            name_ = name;
-            start_us_ = Tracer::instance().nowMicros();
+        if (!trace_ && !counters_) {
+            return;
         }
+        record_ = &site();
+        counters_ = counters_ && prof::readThreadCounters(start_counters_);
+        start_ = std::chrono::steady_clock::now();
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -134,16 +151,30 @@ class ScopedSpan
 
     ~ScopedSpan()
     {
-        if (name_ != nullptr) {
-            Tracer &tracer = Tracer::instance();
-            tracer.recordSpan(name_, start_us_,
-                              tracer.nowMicros() - start_us_);
+        if (record_ == nullptr) {
+            return;
+        }
+        const auto end = std::chrono::steady_clock::now();
+        const double seconds =
+            std::chrono::duration<double>(end - start_).count();
+        prof::CounterReading end_counters;
+        if (counters_ && prof::readThreadCounters(end_counters)) {
+            record_->record(seconds, start_counters_, end_counters);
+        } else {
+            record_->record(seconds);
+        }
+        if (trace_) {
+            Tracer::instance().recordSpan(name_, start_, end);
         }
     }
 
   private:
-    const char *name_ = nullptr;
-    double start_us_ = 0.0;
+    const char *name_;
+    Timer *record_ = nullptr;
+    bool trace_;
+    bool counters_;
+    std::chrono::steady_clock::time_point start_;
+    prof::CounterReading start_counters_;
 };
 
 } // namespace kodan::telemetry

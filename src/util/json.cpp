@@ -108,6 +108,7 @@ class Parser
   private:
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     std::string message_;
     std::size_t error_pos_ = 0;
 
@@ -161,9 +162,18 @@ class Parser
         }
         switch (peek()) {
           case '{':
-            return parseObject(out);
-          case '[':
-            return parseArray(out);
+          case '[': {
+            if (depth_ == kMaxDepth) {
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+                return false;
+            }
+            ++depth_;
+            const bool ok =
+                peek() == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"': {
             std::string text;
             if (!parseString(text)) {

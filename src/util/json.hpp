@@ -11,7 +11,9 @@
  *
  * Not a validator of exotic inputs: numbers are parsed with strtod
  * (doubles only; integers above 2^53 lose precision), \uXXXX escapes
- * are decoded to UTF-8, and duplicate keys are kept as-is.
+ * are decoded to UTF-8, and duplicate keys are kept as-is. Hostile
+ * inputs fail to parse instead of exhausting the stack: arrays and
+ * objects nested deeper than kMaxDepth are rejected.
  */
 
 #ifndef KODAN_UTIL_JSON_HPP
@@ -25,6 +27,11 @@
 #include <vector>
 
 namespace kodan::util::json {
+
+/** Deepest array/object nesting parse() accepts. The repo's own
+ *  documents nest at most 4 levels; the parser recurses once per
+ *  level, so this bounds its stack use. */
+constexpr int kMaxDepth = 256;
 
 /** One parsed JSON value (a tree; children owned by value). */
 class Value

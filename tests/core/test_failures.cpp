@@ -5,12 +5,14 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/io.hpp"
 #include "core/specialize.hpp"
 #include "ml/mlp.hpp"
 #include "ml/transforms.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace kodan::core {
@@ -459,6 +461,47 @@ TEST(FailureInjection, LoadZooAcceptsValidQuantScales)
     ASSERT_NE(zoo.entries[0].quant, nullptr);
     EXPECT_EQ(zoo.entries[0].quant->actScales(),
               (std::vector<double>{0.5, 0.25}));
+}
+
+/** @p depth nested arrays around a number: "[[[...1...]]]". */
+std::string
+nestedArrays(int depth)
+{
+    return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+           std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(FailureInjection, JsonRejectsNestingBeyondTheDepthCap)
+{
+    namespace json = util::json;
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::parse(nestedArrays(json::kMaxDepth), value, &error))
+        << error;
+    EXPECT_FALSE(json::parse(nestedArrays(json::kMaxDepth + 1), value,
+                             &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+
+    // Far past the cap, and unterminated: each level would be one more
+    // recursion without it. Objects nest through their member values.
+    const std::string deep_arrays(200000, '[');
+    std::string deep_objects;
+    for (int i = 0; i < 100000; ++i) {
+        deep_objects += "{\"k\":";
+    }
+    for (const std::string &text : {deep_arrays, deep_objects}) {
+        error.clear();
+        EXPECT_FALSE(json::parse(text, value, &error));
+        EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+            << error;
+        std::vector<json::Value> lines;
+        error.clear();
+        EXPECT_FALSE(json::parseLines("{}\n" + text + "\n", lines, &error));
+        EXPECT_NE(error.find("line 2: nesting deeper than"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 } // namespace

@@ -89,14 +89,12 @@ TEST(TelemetryEquivalence, RuntimeReportsAreBitIdenticalOnOrOff)
         SCOPED_TRACE("telemetry on, " + std::to_string(threads) +
                      " threads");
         expectSameReport(instrumented, baseline);
-#ifndef KODAN_TELEMETRY_DISABLED
         // And recording actually happened — this is not a vacuous pass.
         const RegistrySnapshot snap = registry().snapshot();
         const MetricSample *frames =
             snap.find("runtime.frames.processed");
         ASSERT_NE(frames, nullptr);
         EXPECT_GT(frames->count, 0);
-#endif
         resetAll();
     }
 }
@@ -158,7 +156,6 @@ TEST(TelemetryEquivalence, MissionEngineIsBitIdenticalOnOrOff)
                   baseline.idle_station_seconds);
         EXPECT_EQ(result.busy_station_seconds,
                   baseline.busy_station_seconds);
-#ifndef KODAN_TELEMETRY_DISABLED
         // Every plane recorded: metrics, journal, series and health.
         const RegistrySnapshot snap = registry().snapshot();
         const MetricSample *observed =
@@ -172,7 +169,6 @@ TEST(TelemetryEquivalence, MissionEngineIsBitIdenticalOnOrOff)
         ASSERT_NE(dropped, nullptr);
         EXPECT_FALSE(dropped->bins.empty());
         EXPECT_GT(health::plane().snapshot().observations, 0);
-#endif
         resetAll();
     }
 }
@@ -209,13 +205,11 @@ TEST(TelemetryEquivalence, SelectionSweepIsBitIdenticalOnOrOff)
     EXPECT_EQ(instrumented.outcome.high_bits_sent,
               baseline.outcome.high_bits_sent);
 
-#ifndef KODAN_TELEMETRY_DISABLED
     const RegistrySnapshot snap = registry().snapshot();
     const MetricSample *evaluated =
         snap.find("selection.candidates.evaluated");
     ASSERT_NE(evaluated, nullptr);
     EXPECT_GT(evaluated->count, 0);
-#endif
 }
 
 } // namespace

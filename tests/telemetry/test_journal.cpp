@@ -78,9 +78,6 @@ smallMission()
 
 TEST(Journal, OrderingKeyFollowsRegionsAndScopes)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     {
@@ -115,26 +112,20 @@ TEST(Journal, OrderingKeyFollowsRegionsAndScopes)
     for (const auto &event : events) {
         EXPECT_EQ(event.region, events[0].region);
     }
-#endif
 }
 
 TEST(Journal, DisabledJournalRecordsNothing)
 {
-#ifndef KODAN_TELEMETRY_DISABLED
     JournalGuard guard;
     setJournalEnabled(false);
     JournalRegion region("unit.off");
     EXPECT_EQ(region.id(), 0u);
     JournalEventBuilder("unit.never").i64("k", 1);
     EXPECT_TRUE(collectJournal().empty());
-#endif
 }
 
 TEST(Journal, RuntimeBatchJournalBytesInvariantToThreadCount)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     const auto &pipeline = kodan::testing::SharedPipeline::instance();
@@ -158,14 +149,10 @@ TEST(Journal, RuntimeBatchJournalBytesInvariantToThreadCount)
     runtime.processFrames(pipeline.shared.val);
     const std::string parallel = exportJournal();
     EXPECT_EQ(serial, parallel);
-#endif
 }
 
 TEST(Journal, RingModeBoundsMemoryAndCountsDrops)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     setJournalRingCapacity(4);
@@ -179,14 +166,10 @@ TEST(Journal, RingModeBoundsMemoryAndCountsDrops)
     ASSERT_FALSE(events.empty());
     ASSERT_EQ(events.back().fields.size(), 1u);
     EXPECT_EQ(events.back().fields[0].i, 9);
-#endif
 }
 
 TEST(Journal, RingModeExportStaysWellFormed)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     setJournalRingCapacity(8);
@@ -212,14 +195,10 @@ TEST(Journal, RingModeExportStaysWellFormed)
         EXPECT_EQ(fields->numberOr("i", -1.0),
                   static_cast<double>(92 + i - 1));
     }
-#endif
 }
 
 TEST(Journal, RingModeBoundsEveryThreadBuffer)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     setJournalRingCapacity(16);
@@ -234,14 +213,10 @@ TEST(Journal, RingModeBoundsEveryThreadBuffer)
     // caller) at most 8 buffers of 16 survive, never the full flood.
     EXPECT_LE(events.size(), 8u * 16u);
     EXPECT_EQ(events.size() + journalDroppedEvents(), kEvents);
-#endif
 }
 
 TEST(Journal, JsonlExportRoundTripsThroughJsonReader)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setJournalEnabled(true);
     const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
@@ -284,7 +259,6 @@ TEST(Journal, JsonlExportRoundTripsThroughJsonReader)
         prev_key[1] = key[1];
         prev_key[2] = key[2];
     }
-#endif
 }
 
 TEST(Journal, JsonlExportEscapesTypeNamesAndText)
@@ -320,9 +294,6 @@ TEST(Journal, JsonlExportEscapesTypeNamesAndText)
 
 TEST(Journal, ChromeTraceExportRoundTripsThroughJsonReader)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     JournalGuard guard;
     setEnabled(true);
     const sim::ConstellationEngine engine(nullptr, 1.0 / 3.0);
@@ -356,7 +327,6 @@ TEST(Journal, ChromeTraceExportRoundTripsThroughJsonReader)
             EXPECT_GE(event.numberOr("dur", -1.0), 0.0);
         }
     }
-#endif
 }
 
 } // namespace

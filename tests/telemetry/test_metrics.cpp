@@ -130,19 +130,21 @@ TEST(Metrics, SnapshotIsSortedAndFindable)
     EXPECT_EQ(snap.find("test.snap.missing"), nullptr);
 }
 
-// Macro-driven tests only exist when instrumentation is compiled in
-// (they are vacuous under -DKODAN_TELEMETRY=OFF).
-#ifndef KODAN_TELEMETRY_DISABLED
-
 TEST(Metrics, MacrosAreInertWhileDisabled)
 {
     TelemetryGuard guard;
     setEnabled(false);
     KODAN_COUNT("test.macro.disabled");
+    {
+        // Telemetry and the profiling plane are both off: the span
+        // stays disarmed.
+        KODAN_TRACE_SCOPE("test.macro.disabled_span");
+    }
     setEnabled(true);
     const RegistrySnapshot snap = registry().snapshot();
-    // The disabled macro never even registers the metric.
+    // The disabled macros never even register their metrics.
     EXPECT_EQ(snap.find("test.macro.disabled"), nullptr);
+    EXPECT_EQ(snap.find("test.macro.disabled_span"), nullptr);
 }
 
 TEST(Metrics, MacrosRecordWhileEnabled)
@@ -152,13 +154,22 @@ TEST(Metrics, MacrosRecordWhileEnabled)
     KODAN_COUNT_ADD("test.macro.count", 4);
     KODAN_GAUGE_ADD("test.macro.gauge", 2.5);
     KODAN_HISTOGRAM("test.macro.hist", 1.5, 1.0, 2.0);
-    KODAN_TIMER_RECORD("test.macro.timer", 0.125);
+    {
+        KODAN_TRACE_SCOPE("test.macro.span");
+    }
     const RegistrySnapshot snap = registry().snapshot();
     EXPECT_EQ(snap.find("test.macro.count")->count, 5);
     EXPECT_EQ(snap.find("test.macro.gauge")->sum, 2.5);
     EXPECT_EQ(snap.find("test.macro.hist")->buckets[1], 1);
-    EXPECT_EQ(snap.find("test.macro.timer")->count, 1);
-    EXPECT_DOUBLE_EQ(snap.find("test.macro.timer")->sum, 0.125);
+    const MetricSample *span = snap.find("test.macro.span");
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->kind, MetricSample::Kind::Timer);
+    EXPECT_TRUE(span->span);
+    EXPECT_EQ(span->count, 1);
+    EXPECT_GE(span->sum, 0.0);
+    EXPECT_EQ(span->max, span->sum);
+    // The profiling plane is off, so the span read no thread counters.
+    EXPECT_EQ(span->counters.task_clock_ns, 0u);
 }
 
 /**
@@ -181,7 +192,7 @@ TEST(Metrics, IntegerReadingsAreThreadCountInvariant)
             KODAN_COUNT_ADD("test.det.items", 2);
             KODAN_HISTOGRAM("test.det.sizes",
                             static_cast<double>(i % 10), 2.0, 5.0, 8.0);
-            KODAN_TIMER_RECORD("test.det.step", 1.0e-6);
+            KODAN_TRACE_SCOPE("test.det.step");
         });
         const RegistrySnapshot snap = registry().snapshot();
         const MetricSample *items = snap.find("test.det.items");
@@ -205,7 +216,6 @@ TEST(Metrics, IntegerReadingsAreThreadCountInvariant)
     }
 }
 
-#endif // KODAN_TELEMETRY_DISABLED
 
 TEST(Metrics, ResetZeroesValuesButKeepsRegistrations)
 {

@@ -1,11 +1,11 @@
 /**
- * @file
  * CPU profiling plane suite: the perf_event -> rusage fallback under
  * forced open failures (ENOSYS, EACCES) still yields well-formed span
  * tables marked `source: "rusage"`; span counters accumulate exactly
- * across threads; the sampling profiler produces parseable folded
- * stacks; and the profile diff ranks a pessimized kernel first and
- * gates on call-count/cost drift.
+ * across threads; one KODAN_TRACE_SCOPE record feeds the timer row, the
+ * Chrome trace and the profile's span row alike; the sampling profiler
+ * produces parseable folded stacks; and the profile diff ranks a
+ * pessimized kernel first and gates on call-count/cost drift.
  */
 
 #include <gtest/gtest.h>
@@ -21,54 +21,80 @@
 
 #include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/json.hpp"
 
 namespace kodan::telemetry::prof {
 namespace {
 
 namespace report = kodan::telemetry::report;
 
-/** Clears the counter plane, the profiler, and the test hook on exit. */
+/** Clears the recording planes, the profiler, and the test hook on
+ *  exit (resetAll zeroes the span records and drops the samples). */
 class ProfGuard
 {
   public:
     ProfGuard()
     {
+        setEnabled(false);
         setCountersEnabled(false);
         setPerfForceErrnoForTest(0);
-        resetSpanTable();
-        resetProfile();
+        resetAll();
     }
 
     ~ProfGuard()
     {
         stopSampler();
+        setEnabled(false);
         setCountersEnabled(false);
         setPerfForceErrnoForTest(0);
-        resetSpanTable();
-        resetProfile();
+        resetAll();
     }
 };
 
-/** Burn CPU long enough for the thread clock to advance. */
+/** Burn CPU long enough for the thread clock to advance (the volatile
+ *  accumulator keeps a caller that drops the result from eliding it). */
 double
 burn()
 {
-    double x = 0.0;
+    volatile double x = 0.0;
     for (int k = 0; k < 400000; ++k) {
-        x += static_cast<double>(k % 17) * 0.5;
+        x = x + static_cast<double>(k % 17) * 0.5;
     }
     return x;
 }
 
-const SpanCounterRow *
-findRow(const SpanTableSnapshot &table, const std::string &name)
+constexpr int kThreads = 4;
+constexpr int kScopesPerThread = 64;
+
+/** Run @p body kScopesPerThread times on each of kThreads threads. */
+template <typename Body>
+void
+onThreads(Body body)
 {
-    for (const SpanCounterRow &row : table.rows) {
-        if (row.name == name) {
-            return &row;
-        }
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&body] {
+            for (int i = 0; i < kScopesPerThread; ++i) {
+                body();
+            }
+        });
     }
-    return nullptr;
+    for (std::thread &worker : workers) {
+        worker.join();
+    }
+}
+
+/** The profile view: the span table of the exported profile JSON. */
+report::ProfileDoc
+profileView()
+{
+    std::ostringstream os;
+    writeProfileJson(snapshotProfile(), os);
+    report::ProfileDoc doc;
+    std::string error;
+    EXPECT_TRUE(report::parseProfile(os.str(), doc, &error)) << error;
+    return doc;
 }
 
 TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
@@ -76,16 +102,15 @@ TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
     ProfGuard guard;
     for (int err : {ENOSYS, EACCES}) {
         SCOPED_TRACE("forced errno " + std::to_string(err));
-        resetSpanTable();
+        resetAll();
         setPerfForceErrnoForTest(err);
         setCountersEnabled(true);
         double sink = 0.0;
         // A fresh thread has not opened its counters yet, so it takes
         // the forced-failure path instead of inheriting a verdict.
         std::thread worker([&sink] {
-            SpanSite &site = spanSite("test.prof.fallback");
             for (int i = 0; i < 8; ++i) {
-                ScopedSpanCounters scope(&site);
+                KODAN_TRACE_SCOPE("test.prof.fallback");
                 sink += burn();
             }
         });
@@ -95,11 +120,12 @@ TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
 
         EXPECT_EQ(perfOpenErrno(), err);
         EXPECT_EQ(counterSource(), CounterSource::Rusage);
-        const SpanTableSnapshot table = spanTableSnapshot();
-        EXPECT_EQ(table.source, "rusage");
-        const SpanCounterRow *row = findRow(table, "test.prof.fallback");
+        const report::ProfileDoc doc = profileView();
+        EXPECT_EQ(doc.span_source, "rusage");
+        const report::ProfileSpanRow *row =
+            doc.findSpan("test.prof.fallback");
         ASSERT_NE(row, nullptr);
-        EXPECT_EQ(row->calls, 8);
+        EXPECT_EQ(row->calls, 8u);
         EXPECT_GT(row->task_clock_ns, 0u);
         // The software fallback reads no hardware counters.
         EXPECT_EQ(row->cycles, 0u);
@@ -108,60 +134,94 @@ TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
     }
 }
 
-TEST(ProfCounters, FallbackSpanTableRoundTripsThroughProfileJson)
-{
-    ProfGuard guard;
-    setPerfForceErrnoForTest(ENOSYS);
-    setCountersEnabled(true);
-    std::thread worker([] {
-        SpanSite &site = spanSite("test.prof.roundtrip");
-        for (int i = 0; i < 5; ++i) {
-            ScopedSpanCounters scope(&site);
-            burn();
-        }
-    });
-    worker.join();
-    setCountersEnabled(false);
-
-    std::ostringstream os;
-    writeProfileJson(snapshotProfile(), os);
-    report::ProfileDoc doc;
-    std::string error;
-    ASSERT_TRUE(report::parseProfile(os.str(), doc, &error)) << error;
-    EXPECT_EQ(doc.span_source, "rusage");
-    const report::ProfileSpanRow *row =
-        doc.findSpan("test.prof.roundtrip");
-    ASSERT_NE(row, nullptr);
-    EXPECT_EQ(row->calls, 5u);
-    EXPECT_GT(row->task_clock_ns, 0u);
-}
-
 TEST(ProfCounters, SpanCallsAccumulateExactlyAcrossThreads)
 {
     ProfGuard guard;
     setCountersEnabled(true);
-    SpanSite &site = spanSite("test.prof.parallel");
-    constexpr int kThreads = 4;
-    constexpr int kScopesPerThread = 64;
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&site] {
-            for (int i = 0; i < kScopesPerThread; ++i) {
-                ScopedSpanCounters scope(&site);
-                burn();
-            }
-        });
-    }
-    for (std::thread &worker : workers) {
-        worker.join();
-    }
+    onThreads([] {
+        KODAN_TRACE_SCOPE("test.prof.parallel");
+        burn();
+    });
     setCountersEnabled(false);
-    const SpanTableSnapshot table = spanTableSnapshot();
-    const SpanCounterRow *row = findRow(table, "test.prof.parallel");
+    const report::ProfileDoc doc = profileView();
+    const report::ProfileSpanRow *row = doc.findSpan("test.prof.parallel");
     ASSERT_NE(row, nullptr);
-    EXPECT_EQ(row->calls, kThreads * kScopesPerThread);
+    EXPECT_EQ(row->calls,
+              static_cast<std::uint64_t>(kThreads * kScopesPerThread));
     EXPECT_GT(row->task_clock_ns, 0u);
+    // Profiling alone records no trace event.
+    for (const TraceEvent &event : Tracer::instance().collect()) {
+        EXPECT_NE(event.name, "test.prof.parallel");
+    }
+}
+
+TEST(SpanRecord, OneRecordFeedsTimerTraceAndProfileViews)
+{
+    ProfGuard guard;
+    setEnabled(true);
+    setCountersEnabled(true);
+    onThreads([] {
+        KODAN_TRACE_SCOPE("test.span.views");
+        burn();
+    });
+    setCountersEnabled(false);
+    setEnabled(false);
+
+    // Each view is read back from its exported document.
+    std::ostringstream metrics_json;
+    writeMetricsJson(registry().snapshot(), metrics_json);
+    report::Snapshot metrics;
+    std::string error;
+    ASSERT_TRUE(report::parseSnapshot(metrics_json.str(), metrics, &error))
+        << error;
+    const report::MetricReading *timer = metrics.find("test.span.views");
+    ASSERT_NE(timer, nullptr);
+    EXPECT_EQ(timer->type, "timer");
+    constexpr int kCalls = kThreads * kScopesPerThread;
+    EXPECT_EQ(timer->count, kCalls);
+
+    const report::ProfileDoc profile = profileView();
+    const report::ProfileSpanRow *row = profile.findSpan("test.span.views");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->calls, static_cast<std::uint64_t>(kCalls));
+    EXPECT_GT(row->task_clock_ns, 0u);
+
+    std::ostringstream trace_json;
+    Tracer &tracer = Tracer::instance();
+    writeChromeTrace(tracer.collect(), tracer.droppedEvents(), trace_json);
+    util::json::Value trace;
+    ASSERT_TRUE(util::json::parse(trace_json.str(), trace, &error)) << error;
+    const util::json::Value *events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    int trace_events = 0;
+    double trace_dur_s = 0.0;
+    for (const util::json::Value &event : events->array()) {
+        if (event.stringOr("name", "") == "test.span.views") {
+            ++trace_events;
+            trace_dur_s += event.numberOr("dur", -1.0) * 1e-6;
+        }
+    }
+    EXPECT_EQ(trace_events, kCalls);
+    // One pair of clock reads per scope feeds both the timer and the
+    // trace event, so their totals agree to rounding.
+    EXPECT_GT(timer->sum, 0.0);
+    EXPECT_NEAR(timer->sum, trace_dur_s, 1e-9 * timer->sum);
+}
+
+TEST(SpanRecord, ExplicitTimersAreNotSpanRows)
+{
+    ProfGuard guard;
+    setEnabled(true);
+    registry().timer("test.bench.time.explicit").record(0.25);
+    {
+        KODAN_TRACE_SCOPE("test.span.listed");
+    }
+    setEnabled(false);
+    const report::ProfileDoc doc = profileView();
+    EXPECT_EQ(doc.findSpan("test.bench.time.explicit"), nullptr);
+    const report::ProfileSpanRow *row = doc.findSpan("test.span.listed");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->calls, 1u);
 }
 
 TEST(ProfSampler, SmokeProducesParseableFoldedStacks)

@@ -51,9 +51,6 @@ exportJson()
 
 TEST(TimeSeries, ObservationsLandInFloorBins)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     TimeSeriesGuard guard;
     const SeriesId id = timeSeries("unit.bins", 10.0);
     timeSeriesRecord(id, 0.0, 1.0);
@@ -79,28 +76,20 @@ TEST(TimeSeries, ObservationsLandInFloorBins)
     EXPECT_DOUBLE_EQ(series->bins[2].sum, 5.0);
     EXPECT_EQ(series->bins[3].index, 2);
     EXPECT_DOUBLE_EQ(series->bins[3].sum, -2.0);
-#endif
 }
 
 TEST(TimeSeries, RegistrationIsIdempotentByName)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     TimeSeriesGuard guard;
     const SeriesId first = timeSeries("unit.idem", 30.0);
     // Second registration keeps the first bin width.
     const SeriesId second = timeSeries("unit.idem", 999.0);
     EXPECT_EQ(first, second);
     EXPECT_DOUBLE_EQ(timeSeriesBinWidth(first), 30.0);
-#endif
 }
 
 TEST(TimeSeries, NonFiniteObservationsAreIgnored)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     TimeSeriesGuard guard;
     const SeriesId id = timeSeries("unit.finite", 1.0);
     const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -116,14 +105,10 @@ TEST(TimeSeries, NonFiniteObservationsAreIgnored)
     ASSERT_EQ(series->bins.size(), 1u);
     EXPECT_EQ(series->bins[0].count, 1);
     EXPECT_DOUBLE_EQ(series->bins[0].sum, 2.0);
-#endif
 }
 
 TEST(TimeSeries, CapacityBoundDropsOldestBins)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     TimeSeriesGuard guard;
     util::setGlobalThreads(1); // one recording thread: exact drop count
     const SeriesId id = timeSeries("unit.ring", 1.0, 4);
@@ -138,14 +123,10 @@ TEST(TimeSeries, CapacityBoundDropsOldestBins)
     // Drop-oldest: the newest bins survive.
     EXPECT_EQ(series->bins.front().index, 6);
     EXPECT_EQ(series->bins.back().index, 9);
-#endif
 }
 
 TEST(TimeSeries, SumsAreOrderInvariant)
 {
-#ifdef KODAN_TELEMETRY_DISABLED
-    GTEST_SKIP() << "telemetry compiled out";
-#else
     // The classic parallel-sum hazard: values of wildly mixed magnitude
     // whose naive float sum depends on accumulation order. Recorded in
     // shuffled order across threads, the merged bin must be bit-equal to
@@ -173,12 +154,10 @@ TEST(TimeSeries, SumsAreOrderInvariant)
     const std::string serial = runOnce(1, 1);
     EXPECT_EQ(serial, runOnce(4, 2));
     EXPECT_EQ(serial, runOnce(16, 3));
-#endif
 }
 
 TEST(TimeSeries, DisabledRegistryRecordsNothing)
 {
-#ifndef KODAN_TELEMETRY_DISABLED
     TimeSeriesGuard guard;
     setEnabled(false);
     // The macro site is the gate: with metrics disabled nothing lands.
@@ -186,7 +165,6 @@ TEST(TimeSeries, DisabledRegistryRecordsNothing)
     setEnabled(true);
     const auto snapshot = timeSeriesSnapshot();
     EXPECT_EQ(snapshot.find("unit.gated"), nullptr);
-#endif
 }
 
 } // namespace

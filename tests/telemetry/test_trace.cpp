@@ -53,16 +53,13 @@ findEvent(const std::vector<TraceEvent> &events, const std::string &name)
     return it == events.end() ? nullptr : &*it;
 }
 
-// Span-macro tests only exist when instrumentation is compiled in.
-#ifndef KODAN_TELEMETRY_DISABLED
-
 TEST(Trace, NestedSpansAreContained)
 {
     TelemetryGuard guard;
     {
-        KODAN_TRACE_SPAN("test.span.outer");
+        KODAN_TRACE_SCOPE("test.span.outer");
         {
-            KODAN_TRACE_SPAN("test.span.inner");
+            KODAN_TRACE_SCOPE("test.span.inner");
         }
     }
     const auto events = Tracer::instance().collect();
@@ -84,7 +81,7 @@ TEST(Trace, SpansAreSkippedWhileDisabled)
     TelemetryGuard guard;
     setEnabled(false);
     {
-        KODAN_TRACE_SPAN("test.span.dark");
+        KODAN_TRACE_SCOPE("test.span.dark");
     }
     setEnabled(true);
     const auto events = Tracer::instance().collect();
@@ -95,7 +92,7 @@ TEST(Trace, CollectIsSortedByStartTime)
 {
     TelemetryGuard guard;
     for (int i = 0; i < 5; ++i) {
-        KODAN_TRACE_SPAN("test.span.seq");
+        KODAN_TRACE_SCOPE("test.span.seq");
     }
     const auto events = Tracer::instance().collect();
     for (std::size_t i = 1; i < events.size(); ++i) {
@@ -103,7 +100,6 @@ TEST(Trace, CollectIsSortedByStartTime)
     }
 }
 
-#endif // KODAN_TELEMETRY_DISABLED
 
 TEST(Trace, RingOverwritesOldestAndCountsDrops)
 {
@@ -218,7 +214,6 @@ TEST(Export, NumberMatchesPrintf17g)
     EXPECT_EQ(appended, "x=0.5");
 }
 
-#ifndef KODAN_TELEMETRY_DISABLED
 
 TEST(LogBridge, WarningsFeedCounterAndEventStream)
 {
@@ -249,7 +244,6 @@ TEST(LogBridge, WarningsFeedCounterAndEventStream)
     EXPECT_EQ(findEvent(events, "log: filtered out"), nullptr);
 }
 
-#endif // KODAN_TELEMETRY_DISABLED
 
 } // namespace
 } // namespace kodan::telemetry

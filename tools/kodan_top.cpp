@@ -10,7 +10,10 @@
  * setJournalStreamPath — picks out the per-satellite chunk events
  * (`constellation.satellite.chunk`, emitted by the mission engine once
  * per satellite per time chunk) and renders one sparkline row per
- * satellite of the chosen per-chunk metric, plus totals.
+ * satellite of the chosen per-chunk metric, plus totals. Each mission
+ * run is its own journal region, so a journal holding several missions
+ * renders one block per region, each with the chunk length of its own
+ * `constellation.mission.config` event.
  *
  * Modes:
  *  - default: read the whole file, render one frame, exit (pipeable);
@@ -84,7 +87,7 @@ fail(const std::string &message)
     return 2;
 }
 
-/** Aggregated view of the chunk events seen so far. */
+/** Aggregated view of one mission's (journal region's) chunk events. */
 struct MissionView
 {
     /** satellite -> chunk index -> metric value. */
@@ -92,7 +95,7 @@ struct MissionView
     /** satellite -> frames observed over the chunks seen. */
     std::map<std::int64_t, double> frames_total;
     std::uint64_t events_seen = 0;
-    /** Chunk length from the mission's config event (0 = not seen). */
+    /** Chunk length from this mission's config event (0 = not seen). */
     double chunk_s = 0.0;
 
     std::int64_t firstChunk() const
@@ -124,9 +127,12 @@ struct MissionView
     }
 };
 
-/** Feed one parsed journal line into the view. */
+/** Journal region (one per mission run) -> that mission's view. */
+using MissionViews = std::map<std::int64_t, MissionView>;
+
+/** Feed one parsed journal line into its mission's view. */
 void
-ingest(MissionView &view, const json::Value &event,
+ingest(MissionViews &views, const json::Value &event,
        const std::string &metric)
 {
     const std::string type = event.stringOr("type", "");
@@ -134,8 +140,10 @@ ingest(MissionView &view, const json::Value &event,
     if (fields == nullptr) {
         return;
     }
+    const auto region =
+        static_cast<std::int64_t>(event.numberOr("region", 0.0));
     if (type == "constellation.mission.config") {
-        view.chunk_s = fields->numberOr("chunk_s", 0.0);
+        views[region].chunk_s = fields->numberOr("chunk_s", 0.0);
         return;
     }
     if (type != "constellation.satellite.chunk") {
@@ -148,6 +156,7 @@ ingest(MissionView &view, const json::Value &event,
     if (sat < 0) {
         return;
     }
+    MissionView &view = views[region];
     view.per_satellite[sat][chunk] = fields->numberOr(metric, 0.0);
     view.frames_total[sat] += fields->numberOr("frames", 0.0);
     ++view.events_seen;
@@ -374,30 +383,12 @@ renderProfilePane(const std::string &profile_path, int width,
     }
 }
 
+/** One mission's block: its header line, then one sparkline row per
+ *  satellite over the mission's own chunk range and peak. */
 void
-render(const MissionView &view, const AlertView &alerts,
-       const std::string &metric, const std::string &profile_path,
-       int width, bool follow, std::ostream &os)
+renderMission(std::int64_t region, const MissionView &view, int width,
+              std::ostream &os)
 {
-    if (follow) {
-        os << "\033[H\033[2J"; // home + clear
-    }
-    os << "kodan-top — per-satellite `" << metric << "` by chunk";
-    if (view.chunk_s > 0.0) {
-        os << " (" << view.chunk_s << " s/chunk)";
-    }
-    os << "\n";
-    if (view.per_satellite.empty()) {
-        if (alerts.rows.empty()) {
-            os << "  (no constellation.satellite.chunk events yet — run "
-                  "a mission with --journal-out or "
-                  "KODAN_JOURNAL_STREAM)\n";
-        }
-        renderAlerts(alerts, os);
-        renderProfilePane(profile_path, width, os);
-        os.flush();
-        return;
-    }
     const std::int64_t lo = view.firstChunk();
     const std::int64_t hi = view.lastChunk();
     double peak = 0.0;
@@ -406,7 +397,11 @@ render(const MissionView &view, const AlertView &alerts,
             peak = std::max(peak, value);
         }
     }
-    os << "chunks " << lo << ".." << hi << ", peak " << peak << ", "
+    os << "region " << region;
+    if (view.chunk_s > 0.0) {
+        os << " (" << view.chunk_s << " s/chunk)";
+    }
+    os << ": chunks " << lo << ".." << hi << ", peak " << peak << ", "
        << view.events_seen << " event(s)\n";
     for (const auto &[sat, chunks] : view.per_satellite) {
         double last = 0.0;
@@ -423,6 +418,29 @@ render(const MissionView &view, const AlertView &alerts,
             os << " frames " << frames->second;
         }
         os << "\n";
+    }
+}
+
+void
+render(const MissionViews &views, const AlertView &alerts,
+       const std::string &metric, const std::string &profile_path,
+       int width, bool follow, std::ostream &os)
+{
+    if (follow) {
+        os << "\033[H\033[2J"; // home + clear
+    }
+    os << "kodan-top — per-satellite `" << metric << "` by chunk\n";
+    bool any_chunks = false;
+    for (const auto &[region, view] : views) {
+        if (!view.per_satellite.empty()) {
+            renderMission(region, view, width, os);
+            any_chunks = true;
+        }
+    }
+    if (!any_chunks && alerts.rows.empty()) {
+        os << "  (no constellation.satellite.chunk events yet — run "
+              "a mission with --journal-out or "
+              "KODAN_JOURNAL_STREAM)\n";
     }
     renderAlerts(alerts, os);
     renderProfilePane(profile_path, width, os);
@@ -510,7 +528,7 @@ main(int argc, char **argv)
     if (path.empty()) {
         return usage();
     }
-    MissionView view;
+    MissionViews views;
     AlertView alerts;
     Tail tail{path, 0, ""};
 
@@ -522,7 +540,7 @@ main(int argc, char **argv)
             }
             json::Value event;
             if (json::parse(line, event, nullptr)) {
-                ingest(view, event, metric);
+                ingest(views, event, metric);
                 ingestAlert(alerts, event);
             }
         }
@@ -534,14 +552,14 @@ main(int argc, char **argv)
             return fail("cannot open " + path);
         }
         ingestLines(tail.poll());
-        render(view, alerts, metric, profile_path, width, false,
+        render(views, alerts, metric, profile_path, width, false,
                std::cout);
         return 0;
     }
 
     for (;;) {
         ingestLines(tail.poll());
-        render(view, alerts, metric, profile_path, width, true,
+        render(views, alerts, metric, profile_path, width, true,
                std::cout);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(interval_ms));
