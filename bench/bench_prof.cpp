@@ -12,7 +12,7 @@
  *
  *   bench_prof --profile-out base.prof.json
  *   bench_prof --pessimize --profile-out pess.prof.json
- *   kodan-report profile diff base.prof.json pess.prof.json
+ *   kodan-report diff base.prof.json pess.prof.json
  *
  * --pessimize swaps the ML kernel backend to the naive scalar matmul,
  * so the diff must rank `ml.kernels.gemm` as the top regressed span.
@@ -219,8 +219,8 @@ verify(double ceiling, int gemm_reps)
         prof::writeProfileJson(snapshot, profile_json);
         telemetry::report::ProfileDoc profile;
         std::string error;
-        if (!telemetry::report::parseProfile(profile_json.str(), profile,
-                                             &error)) {
+        if (!telemetry::report::parse(profile_json.str(), profile,
+                                      &error)) {
             std::cerr << "bench_prof: profile does not parse: " << error
                       << "\n";
             ok = false;

@@ -5,8 +5,10 @@
 # + golden long-horizon fixture (100 satellites x 30 days), and the
 # bench_health degraded-fleet guard with the metrics snapshot + flight
 # recorder + time series enabled, then feed the outputs to
-# `kodan-report diff` (and `kodan-report health` for the alert JSONL)
-# against the committed baselines in bench/baselines/. Non-zero exit on
+# `kodan-report diff` against the committed baselines in
+# bench/baselines/ (each call passes baseline/current pairs; the type of
+# each pair — metrics, journal, time series, alerts, profile — comes
+# from its document). Non-zero exit on
 # regression (including any ML-kernel Blocked-vs-Naive bit mismatch, a
 # constellation-engine thread-divergence under --verify, a miss of the
 # constellation throughput floor under --assert-throughput, a
@@ -241,7 +243,6 @@ echo "[check_regressions] diffing fig02_downlink_gap against baseline ..."
 "$REPORT" diff \
     "$BASELINES/fig02_downlink_gap.metrics.json" \
     "$WORKDIR/fig02_downlink_gap.metrics.json" \
-    --journal \
     "$BASELINES/fig02_downlink_gap.journal.jsonl" \
     "$WORKDIR/fig02_downlink_gap.journal.jsonl" \
     --tol-timer 100 || STATUS=1
@@ -273,7 +274,6 @@ echo "[check_regressions] diffing fig10 mission series against baseline ..."
 "$REPORT" diff \
     "$BASELINES/fig10_mission.metrics.json" \
     "$WORKDIR/fig10_mission.metrics.json" \
-    --timeseries \
     "$BASELINES/fig10_mission.metrics.timeseries.json" \
     "$WORKDIR/fig10_mission.metrics.timeseries.json" \
     --tol-timer 100 || STATUS=1
@@ -282,10 +282,8 @@ echo "[check_regressions] diffing constellation smoke against baseline ..."
 "$REPORT" diff \
     "$BASELINES/constellation.metrics.json" \
     "$WORKDIR/constellation.metrics.json" \
-    --journal \
     "$BASELINES/constellation.journal.jsonl" \
     "$WORKDIR/constellation.journal.jsonl" \
-    --timeseries \
     "$BASELINES/constellation.metrics.timeseries.json" \
     "$WORKDIR/constellation.metrics.timeseries.json" \
     --tol-timer 100 || STATUS=1
@@ -294,30 +292,29 @@ echo "[check_regressions] diffing constellation golden against baseline ..."
 "$REPORT" diff \
     "$BASELINES/constellation_golden.metrics.json" \
     "$WORKDIR/constellation_golden.metrics.json" \
-    --timeseries \
     "$BASELINES/constellation_golden.metrics.timeseries.json" \
     "$WORKDIR/constellation_golden.metrics.timeseries.json" \
     --tol-timer 100 || STATUS=1
 
-# Span call counts are deterministic and diff exactly (--tol-calls 0
-# default); span costs measure this machine, so like the timers above
-# they tolerate 100x. --assert turns any finding into a non-zero exit.
+# Span call counts are deterministic and diff exactly (--tol-value 0
+# default); span task-clock measures this machine, so like the timers
+# above it tolerates 100x (--tol-timer covers both).
 echo "[check_regressions] diffing dataplane profile spans against baseline ..."
-"$REPORT" profile diff \
+"$REPORT" diff \
     "$BASELINES/prof.spans.json" \
     "$WORKDIR/dataplane.prof.json" \
-    --assert --tol-cost 100 > /dev/null || STATUS=1
+    --tol-timer 100 > /dev/null || STATUS=1
 
 echo "[check_regressions] diffing health metrics + alerts against baseline ..."
 "$REPORT" diff \
     "$BASELINES/health.metrics.json" \
     "$WORKDIR/health.metrics.json" \
-    --timeseries \
     "$BASELINES/health.metrics.timeseries.json" \
     "$WORKDIR/health.metrics.timeseries.json" \
     --tol-timer 100 || STATUS=1
-"$REPORT" health "$WORKDIR/health.alerts.jsonl" \
-    --baseline "$BASELINES/health.alerts.jsonl" > /dev/null || STATUS=1
+"$REPORT" diff \
+    "$BASELINES/health.alerts.jsonl" \
+    "$WORKDIR/health.alerts.jsonl" > /dev/null || STATUS=1
 
 if [[ "$STATUS" -ne 0 ]]; then
     echo "[check_regressions] REGRESSION detected (see report above);" \

@@ -26,10 +26,11 @@
 # too, so both passes run it. The `data` label (test_data) holds the
 # tiler's bit-identity oracles, whose frame reads ASan checks.
 #
-# The UndefinedBehaviorSanitizer pass reruns the frame path — tiler
-# (`data`), runtime and core (`core`), data plane (`dataplane`) — the
-# loaders (`loader`), and the mission engine with the scheduler oracle
-# and its scenario death tests (`constellation`), in fp64 and under
+# The UndefinedBehaviorSanitizer pass (with float-cast-overflow) reruns
+# the frame path — tiler (`data`), runtime and core (`core`), data plane
+# (`dataplane`) — the loaders (`loader`), the mission engine with the
+# scheduler oracle and its scenario death tests (`constellation`), and
+# the kodan-report reader, diff and CLIs (`report`), in fp64 and under
 # KODAN_QUANT=int8.
 set -euo pipefail
 
@@ -56,7 +57,7 @@ done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
 LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof|loader|data'
-UBSAN_LABELS='data|dataplane|core|loader|constellation'
+UBSAN_LABELS='data|dataplane|core|loader|constellation|report'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"

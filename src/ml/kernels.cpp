@@ -235,7 +235,7 @@ gemm(std::size_t m, std::size_t k, std::size_t n, const double *a,
 {
     // Stage-attribution row shared with the naive matmul path
     // (matrix.cpp), so a backend regression shows up as one span in
-    // `kodan-report profile diff`.
+    // a `kodan-report diff` of two profiles.
     KODAN_TRACE_SCOPE("ml.kernels.gemm");
     if (m == 0 || n == 0) {
         return; // no output elements; also keeps memset/memcpy off

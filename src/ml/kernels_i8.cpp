@@ -553,8 +553,8 @@ gemmI8(std::size_t m, const PackedI8 &w, const std::int8_t *a,
 {
     // Shared stage-attribution row with gemmI8Requant, mirroring how
     // the double path funnels both backends into "ml.kernels.gemm" —
-    // one span in `kodan-report profile diff` covers the whole
-    // quantized matmul substrate.
+    // one span in a `kodan-report diff` of two profiles covers the
+    // whole quantized matmul substrate.
     KODAN_TRACE_SCOPE("ml.kernels.gemm_i8");
     if (m == 0 || w.n == 0) {
         return;

@@ -1,8 +1,17 @@
 /**
  * @file
- * kodan-report engine: load metrics snapshots (writeMetricsJson output)
- * and flight-recorder journals (writeJournalJsonl output), diff two
- * runs with configurable tolerances, and emit a markdown summary.
+ * kodan-report engine: one reader and one diff for every telemetry
+ * artifact — metrics snapshots (writeMetricsJson), flight-recorder
+ * journals (writeJournalJsonl), sim-time series (writeTimeSeriesJson),
+ * health alerts (writeAlertsJsonl) and CPU profiles (writeProfileJson)
+ * — plus the markdown summaries.
+ *
+ * The reader takes a document's type from its marker and reads every
+ * integer field through one checked conversion. The diff compares two
+ * documents of one type: records keyed by name (metrics, series and
+ * their bins, profile spans and frames) through one keyed diff, the two
+ * JSONL streams (journal, alerts) record by record, and measured time
+ * (timers, span task-clock) under one rule.
  *
  * Lives in the kodan_telemetry library (not the CLI) so the gtest
  * targets exercise the exact code the `kodan-report` binary ships.
@@ -11,10 +20,12 @@
 #ifndef KODAN_TELEMETRY_REPORT_HPP
 #define KODAN_TELEMETRY_REPORT_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace kodan::telemetry::report {
@@ -27,24 +38,15 @@ struct MetricReading
     std::int64_t count = 0; ///< counter value / histogram+timer count
     double sum = 0.0;       ///< gauge value / histogram sum / timer total_s
     double max = 0.0;       ///< timer max_s (0 otherwise)
+
+    const std::string &key() const { return name; }
 };
 
 /** A parsed metrics snapshot, metrics sorted by name. */
 struct Snapshot
 {
     std::vector<MetricReading> metrics;
-
-    /** Pointer to the named metric or nullptr. */
-    const MetricReading *find(const std::string &name) const;
 };
-
-/** Parse the writeMetricsJson document in @p text. */
-bool parseSnapshot(const std::string &text, Snapshot &out,
-                   std::string *error = nullptr);
-
-/** Read + parse a snapshot file. */
-bool loadSnapshot(const std::string &path, Snapshot &out,
-                  std::string *error = nullptr);
 
 /** One flight-recorder event parsed back from the JSONL export. */
 struct JournalLine
@@ -65,14 +67,6 @@ struct JournalDoc
     std::vector<JournalLine> events;
 };
 
-/** Parse a writeJournalJsonl document in @p text. */
-bool parseJournal(const std::string &text, JournalDoc &out,
-                  std::string *error = nullptr);
-
-/** Read + parse a journal file. */
-bool loadJournal(const std::string &path, JournalDoc &out,
-                 std::string *error = nullptr);
-
 /** One merged bin parsed back from a time-series document. */
 struct SeriesBinReading
 {
@@ -81,33 +75,27 @@ struct SeriesBinReading
     double sum = 0.0;
     double min = 0.0;
     double max = 0.0;
+
+    std::int64_t key() const { return index; }
 };
 
-/** One series parsed back from a time-series document. */
+/** One series parsed back from a time-series document, bins sorted by
+ *  index. */
 struct SeriesReading
 {
     std::string name;
     double bin_s = 0.0;
     std::uint64_t dropped_bins = 0;
     std::vector<SeriesBinReading> bins;
+
+    const std::string &key() const { return name; }
 };
 
 /** A parsed writeTimeSeriesJson document, series sorted by name. */
 struct TimeSeriesDoc
 {
     std::vector<SeriesReading> series;
-
-    /** Pointer to the named series or nullptr. */
-    const SeriesReading *find(const std::string &name) const;
 };
-
-/** Parse the writeTimeSeriesJson document in @p text. */
-bool parseTimeSeries(const std::string &text, TimeSeriesDoc &out,
-                     std::string *error = nullptr);
-
-/** Read + parse a time-series file. */
-bool loadTimeSeries(const std::string &path, TimeSeriesDoc &out,
-                    std::string *error = nullptr);
 
 /** One alert parsed back from the health plane's JSONL export. */
 struct AlertReading
@@ -144,20 +132,14 @@ struct AlertsDoc
     std::vector<AlertReading> alerts;
 };
 
-/** Parse a writeAlertsJsonl document in @p text. */
-bool parseAlerts(const std::string &text, AlertsDoc &out,
-                 std::string *error = nullptr);
-
-/** Read + parse an alerts file. */
-bool loadAlerts(const std::string &path, AlertsDoc &out,
-                std::string *error = nullptr);
-
 /** One sampled frame parsed back from a profile JSON. */
 struct ProfileFrame
 {
     std::string name;
     std::uint64_t self = 0;  ///< samples with this frame on top
     std::uint64_t total = 0; ///< samples with this frame anywhere
+
+    const std::string &key() const { return name; }
 };
 
 /** One span-counter row parsed back from a profile JSON. */
@@ -170,6 +152,8 @@ struct ProfileSpanRow
     std::uint64_t llc_misses = 0;
     std::uint64_t branch_misses = 0;
     std::uint64_t task_clock_ns = 0;
+
+    const std::string &key() const { return name; }
 };
 
 /** A parsed writeProfileJson document (prof.hpp). */
@@ -188,38 +172,67 @@ struct ProfileDoc
 
     /** Seconds of CPU one sampled frame accounts for. */
     double frameSeconds(std::uint64_t sample_count) const;
-    /** Pointer to the named frame or nullptr. */
-    const ProfileFrame *findFrame(const std::string &name) const;
-    /** Pointer to the named span row or nullptr. */
-    const ProfileSpanRow *findSpan(const std::string &name) const;
 };
 
-/** Parse the writeProfileJson document in @p text. */
-bool parseProfile(const std::string &text, ProfileDoc &out,
-                  std::string *error = nullptr);
+/** Any one telemetry document. */
+using Document =
+    std::variant<Snapshot, JournalDoc, TimeSeriesDoc, AlertsDoc, ProfileDoc>;
 
-/** Read + parse a profile file. */
-bool loadProfile(const std::string &path, ProfileDoc &out,
-                 std::string *error = nullptr);
+/** The document's type in words ("journal", "profile", ...). */
+const char *kindName(const Document &doc);
 
 /**
- * Diff tolerances. Relative tolerances compare
- * |cur - base| <= tol * max(|base|, floor-ish epsilon); a timer only
- * regresses when it got *slower* beyond tolerance AND both readings
- * clear timer_floor_s (sub-floor timers are scheduler noise).
+ * The one reader. Parses @p text as the document its marker names — a
+ * `kodan_journal` or `kodan_alerts` header line, a `kodan_timeseries`
+ * or `kodan_profile` key, else a `metrics` array (a snapshot) — into
+ * @p out, a Document or one of its types (which the text must then
+ * be). Every count, index and id must be a finite integral number
+ * inside its field's type; the error names the first field that is
+ * not.
+ */
+template <class Doc>
+bool parse(const std::string &text, Doc &out, std::string *error = nullptr);
+
+/** Read @p path and parse() it; errors name the path. */
+template <class Doc>
+bool load(const std::string &path, Doc &out, std::string *error = nullptr);
+
+/** The one record lookup: the record under @p key in @p records, which
+ *  are sorted by key(), or nullptr. */
+template <class Record, class Key>
+const Record *
+findRecord(const std::vector<Record> &records, const Key &key)
+{
+    const auto it = std::lower_bound(
+        records.begin(), records.end(), key,
+        [](const Record &record, const Key &k) { return record.key() < k; });
+    return it != records.end() && it->key() == key ? &*it : nullptr;
+}
+
+/**
+ * Diff tolerances. Values compare |cur - base| <= value_rel *
+ * max(|base|, floor-ish epsilon). Measured time regresses only when it
+ * got *slower* by more than timer_rel AND one reading clears
+ * timer_floor_s (sub-floor times are scheduler noise).
  */
 struct Tolerances
 {
-    double timer_rel = 0.5;    ///< timers: allowed relative slowdown
-    double value_rel = 0.0;    ///< counters/gauges/histograms: rel delta
-    double timer_floor_s = 1e-3; ///< ignore timers below this many seconds
-    /** Exact-name overrides of the relative tolerance. */
+    /** Timers and span task-clock: allowed relative slowdown. */
+    double timer_rel = 0.5;
+    /** Counters, gauges, histograms, series bins and span calls:
+     *  allowed relative delta. */
+    double value_rel = 0.0;
+    /** Timers and span task-clock: ignore both readings below this. */
+    double timer_floor_s = 1e-3;
+    /** Exact-name overrides of a record's relative tolerance. */
     std::vector<std::pair<std::string, double>> overrides;
-    /** Metric-name prefixes excluded from the diff entirely. */
+    /** Record-name prefixes excluded from the diff entirely. */
     std::vector<std::string> ignore_prefixes;
 
     bool ignored(const std::string &name) const;
-    double relFor(const MetricReading &metric) const;
+    /** The override for @p name, else timer_rel for measured time and
+     *  value_rel for everything else. */
+    double relFor(const std::string &name, bool measured_time) const;
 };
 
 /** Diff finding severity: Info never fails the run, Regression does. */
@@ -232,124 +245,85 @@ enum class Severity
 struct Finding
 {
     Severity severity = Severity::Info;
-    std::string subject; ///< metric name or journal event description
+    std::string subject; ///< record name or stream position
     std::string message; ///< human-readable delta
 };
 
-struct DiffResult
-{
-    std::vector<Finding> findings;
-
-    bool hasRegression() const;
-    std::size_t regressionCount() const;
-};
-
-/** Compare two metrics snapshots under @p tol. */
-DiffResult diffSnapshots(const Snapshot &base, const Snapshot &cur,
-                         const Tolerances &tol);
-
-/**
- * Compare two journal event streams. Any divergence (count mismatch,
- * reordered/changed/missing event) is a Regression naming the first
- * differing events; at most @p max_reported divergences are listed.
- */
-DiffResult diffJournals(const JournalDoc &base, const JournalDoc &cur,
-                        std::size_t max_reported = 5);
-
-/**
- * Compare two time-series documents bin by bin. A series or bin present
- * in the baseline but missing from the current run, a bin-width or
- * per-bin count mismatch, or a per-bin sum/min/max outside
- * |cur - base| <= bin_rel_tol * max(|base|, 1e-12) is a Regression
- * (the default tolerance of 0 demands bit-equal values — the series
- * are deterministic). At most @p max_reported offending bins are
- * listed per series.
- */
-DiffResult diffTimeSeries(const TimeSeriesDoc &base,
-                          const TimeSeriesDoc &cur,
-                          double bin_rel_tol = 0.0,
-                          std::size_t max_reported = 5);
-
-/**
- * Compare two alert exports. The alert stream is deterministic, so any
- * divergence — count mismatch, or a changed/missing/new alert by
- * canonical form — is a Regression; at most @p max_reported divergences
- * are listed.
- */
-DiffResult diffAlerts(const AlertsDoc &base, const AlertsDoc &cur,
-                      std::size_t max_reported = 5);
-
-/** Merge b's findings after a's. */
-DiffResult mergeDiffs(DiffResult a, const DiffResult &b);
-
-/* ------------------------------------------------------------------ */
-/* Profile diff                                                        */
-/* ------------------------------------------------------------------ */
-
-/**
- * Profile-diff tolerances. Span call counts are deterministic
- * (calls_rel defaults to exact); span costs are wall/cycle noise-prone,
- * so cost_rel is wide by default and spans whose cost stays under
- * cost_floor_s on both sides never regress.
- */
-struct ProfileTolerances
-{
-    double calls_rel = 0.0;    ///< span calls: allowed relative delta
-    double cost_rel = 0.5;     ///< span cost: allowed relative slowdown
-    double cost_floor_s = 1e-3; ///< ignore spans cheaper than this
-};
-
-/** One ranked row of a profile diff. */
+/** One row of a profile ranking. */
 struct ProfileDeltaRow
 {
     std::string name;
     double base_s = 0.0;  ///< base cost in seconds
     double cur_s = 0.0;   ///< current cost in seconds
-    double delta_s = 0.0; ///< cur_s - base_s (the ranking key)
+    double delta_s = 0.0; ///< cur_s - base_s
     std::uint64_t base_calls = 0; ///< spans only
     std::uint64_t cur_calls = 0;  ///< spans only
     std::int64_t delta_cycles = 0; ///< spans only; 0 without perf_event
 };
 
-/**
- * A profile diff: sampled frames ranked by self-time regression and
- * span rows ranked by cost regression (cycles when both runs read
- * perf_event, task-clock otherwise), plus tolerance findings for the
- * regression gate (span calls drift, span cost slowdown, span rows
- * missing from the current run).
- */
-struct ProfileDiffResult
+/** A profile pair's frames or spans, ranked by cost regression. */
+struct Ranking
 {
-    std::vector<ProfileDeltaRow> frames; ///< delta_s descending
-    std::vector<ProfileDeltaRow> spans;  ///< delta_s descending
-    bool spans_use_cycles = false; ///< span ranking used cycle counts
-    DiffResult findings;
+    std::string title; ///< e.g. "Spans by task-clock regression"
+    bool spans = false; ///< span rows (with call and cycle columns)
+    std::vector<ProfileDeltaRow> rows; ///< ranking key descending
 };
 
-/** Compare two profiles under @p tol. */
-ProfileDiffResult diffProfiles(const ProfileDoc &base,
-                               const ProfileDoc &cur,
-                               const ProfileTolerances &tol);
+struct DiffResult
+{
+    std::vector<Finding> findings;
+    /** Profile pairs only: frames ranked by self-time regression, then
+     *  spans by cycle regression (both runs read perf_event) or else by
+     *  task-clock regression. */
+    std::vector<Ranking> rankings;
+
+    bool hasRegression() const;
+    std::size_t regressionCount() const;
+};
+
+/**
+ * Compare two documents of one type under @p tol.
+ *
+ * Keyed records (metrics, series, series bins, profile spans): one only
+ * in the baseline is a Regression, one only in the current run is Info,
+ * and one in both meets its type's rule — timers and span task-clock
+ * the measured-time rule, every other value |cur - base| within
+ * value_rel (series bin counts exactly). A metric's type change, a
+ * series' bin width or bin count change are Regressions. Profile
+ * frames only rank. The journal and alert streams compare record by
+ * record in canonical form; any divergence or count change is a
+ * Regression (so is a changed firing count; a changed dropped-event
+ * count is Info). At most 5 divergences per stream, and 5 bins per
+ * series, are listed; one finding counts the rest.
+ */
+DiffResult diff(const Snapshot &base, const Snapshot &cur,
+                const Tolerances &tol);
+DiffResult diff(const JournalDoc &base, const JournalDoc &cur,
+                const Tolerances &tol);
+DiffResult diff(const TimeSeriesDoc &base, const TimeSeriesDoc &cur,
+                const Tolerances &tol);
+DiffResult diff(const AlertsDoc &base, const AlertsDoc &cur,
+                const Tolerances &tol);
+DiffResult diff(const ProfileDoc &base, const ProfileDoc &cur,
+                const Tolerances &tol);
+
+/** Compare two documents and append the findings and rankings to
+ *  @p out; false (with @p error) when they differ in type. */
+bool diff(const Document &base, const Document &cur, const Tolerances &tol,
+          DiffResult &out, std::string *error = nullptr);
+
+/**
+ * Markdown summary: verdict headline, each ranking's top 20 rows, then
+ * a findings table naming each offending record.
+ */
+void writeMarkdown(const DiffResult &diff, const std::string &base_label,
+                   const std::string &cur_label, std::ostream &os);
 
 /** Markdown profile summary: header counts, top-K self-time frames,
  *  span-counter table (top K rows by task-clock). */
 void writeProfileMarkdown(const ProfileDoc &doc,
                           const std::string &label, std::size_t top,
                           std::ostream &os);
-
-/** Markdown profile-diff summary: top-K regressed frames and spans
- *  plus the findings table. */
-void writeProfileDiffMarkdown(const ProfileDiffResult &diff,
-                              const std::string &base_label,
-                              const std::string &cur_label,
-                              std::size_t top, std::ostream &os);
-
-/**
- * Markdown summary: verdict headline then a findings table naming each
- * offending metric/event.
- */
-void writeMarkdown(const DiffResult &diff, const std::string &base_label,
-                   const std::string &cur_label, std::ostream &os);
 
 } // namespace kodan::telemetry::report
 

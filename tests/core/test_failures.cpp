@@ -12,6 +12,7 @@
 #include "core/specialize.hpp"
 #include "ml/mlp.hpp"
 #include "ml/transforms.hpp"
+#include "telemetry/report.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -502,6 +503,58 @@ TEST(FailureInjection, JsonRejectsNestingBeyondTheDepthCap)
                   std::string::npos)
             << error;
     }
+}
+
+TEST(FailureInjection, ReportRejectsSnapshotCounterOutOfRange)
+{
+    namespace report = telemetry::report;
+    report::Snapshot snapshot;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        R"({"metrics": [{"name": "a.count", "type": "counter",)"
+        R"( "value": 1e300}]})",
+        snapshot, &error));
+    EXPECT_NE(error.find("\"value\""), std::string::npos) << error;
+}
+
+TEST(FailureInjection, ReportRejectsNegativeJournalSeq)
+{
+    namespace report = telemetry::report;
+    report::JournalDoc journal;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        "{\"kodan_journal\": 1, \"events\": 1, \"dropped\": 0}\n"
+        "{\"seq\": -1, \"region\": 1, \"slot\": 0, \"ord\": 0, "
+        "\"type\": \"runtime.batch.begin\", \"fields\": {}}\n",
+        journal, &error));
+    EXPECT_NE(error.find("\"seq\""), std::string::npos) << error;
+}
+
+TEST(FailureInjection, ReportRejectsFractionalSeriesBinCount)
+{
+    namespace report = telemetry::report;
+    report::TimeSeriesDoc series;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        R"({"kodan_timeseries": 1, "series": [{"name": "sim.dvd",)"
+        R"( "bin_s": 1800, "dropped_bins": 0, "bins": [{"bin": 0,)"
+        R"( "t_s": 0, "count": 1.5, "sum": 1, "min": 1, "max": 1}]}]})",
+        series, &error));
+    EXPECT_NE(error.find("\"count\""), std::string::npos) << error;
+}
+
+TEST(FailureInjection, ReportRejectsProfileSpanCallsBeyondUint64)
+{
+    namespace report = telemetry::report;
+    report::ProfileDoc profile;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        R"({"kodan_profile": 1, "period_us": 1003, "samples": 0,)"
+        R"( "frames": [], "spans": {"source": "rusage", "rows": [)"
+        R"({"name": "ml.kernels.gemm", "calls": 2e19,)"
+        R"( "task_clock_ns": 1}]}})",
+        profile, &error));
+    EXPECT_NE(error.find("\"calls\""), std::string::npos) << error;
 }
 
 } // namespace

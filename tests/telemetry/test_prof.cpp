@@ -93,7 +93,7 @@ profileView()
     writeProfileJson(snapshotProfile(), os);
     report::ProfileDoc doc;
     std::string error;
-    EXPECT_TRUE(report::parseProfile(os.str(), doc, &error)) << error;
+    EXPECT_TRUE(report::parse(os.str(), doc, &error)) << error;
     return doc;
 }
 
@@ -123,7 +123,7 @@ TEST(ProfCounters, ForcedOpenFailureFallsBackToRusage)
         const report::ProfileDoc doc = profileView();
         EXPECT_EQ(doc.span_source, "rusage");
         const report::ProfileSpanRow *row =
-            doc.findSpan("test.prof.fallback");
+            report::findRecord(doc.spans, "test.prof.fallback");
         ASSERT_NE(row, nullptr);
         EXPECT_EQ(row->calls, 8u);
         EXPECT_GT(row->task_clock_ns, 0u);
@@ -144,7 +144,8 @@ TEST(ProfCounters, SpanCallsAccumulateExactlyAcrossThreads)
     });
     setCountersEnabled(false);
     const report::ProfileDoc doc = profileView();
-    const report::ProfileSpanRow *row = doc.findSpan("test.prof.parallel");
+    const report::ProfileSpanRow *row =
+        report::findRecord(doc.spans, "test.prof.parallel");
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->calls,
               static_cast<std::uint64_t>(kThreads * kScopesPerThread));
@@ -172,16 +173,18 @@ TEST(SpanRecord, OneRecordFeedsTimerTraceAndProfileViews)
     writeMetricsJson(registry().snapshot(), metrics_json);
     report::Snapshot metrics;
     std::string error;
-    ASSERT_TRUE(report::parseSnapshot(metrics_json.str(), metrics, &error))
+    ASSERT_TRUE(report::parse(metrics_json.str(), metrics, &error))
         << error;
-    const report::MetricReading *timer = metrics.find("test.span.views");
+    const report::MetricReading *timer =
+        report::findRecord(metrics.metrics, "test.span.views");
     ASSERT_NE(timer, nullptr);
     EXPECT_EQ(timer->type, "timer");
     constexpr int kCalls = kThreads * kScopesPerThread;
     EXPECT_EQ(timer->count, kCalls);
 
     const report::ProfileDoc profile = profileView();
-    const report::ProfileSpanRow *row = profile.findSpan("test.span.views");
+    const report::ProfileSpanRow *row =
+        report::findRecord(profile.spans, "test.span.views");
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->calls, static_cast<std::uint64_t>(kCalls));
     EXPECT_GT(row->task_clock_ns, 0u);
@@ -218,8 +221,10 @@ TEST(SpanRecord, ExplicitTimersAreNotSpanRows)
     }
     setEnabled(false);
     const report::ProfileDoc doc = profileView();
-    EXPECT_EQ(doc.findSpan("test.bench.time.explicit"), nullptr);
-    const report::ProfileSpanRow *row = doc.findSpan("test.span.listed");
+    EXPECT_EQ(report::findRecord(doc.spans, "test.bench.time.explicit"),
+              nullptr);
+    const report::ProfileSpanRow *row =
+        report::findRecord(doc.spans, "test.span.listed");
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->calls, 1u);
 }
@@ -302,13 +307,15 @@ TEST(ProfDiff, RanksPessimizedKernelFirstAndFlagsIt)
 {
     const report::ProfileDoc base = syntheticProfile(140000000);
     const report::ProfileDoc cur = syntheticProfile(290000000);
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
-    ASSERT_FALSE(diff.spans.empty());
-    EXPECT_EQ(diff.spans.front().name, "ml.kernels.gemm");
-    EXPECT_FALSE(diff.spans_use_cycles); // rusage runs rank by task-clock
-    ASSERT_TRUE(diff.findings.hasRegression());
-    EXPECT_EQ(diff.findings.findings.front().subject, "ml.kernels.gemm");
+    const report::DiffResult diff =
+        report::diff(base, cur, report::Tolerances{});
+    const report::Ranking &spans = diff.rankings.back();
+    ASSERT_FALSE(spans.rows.empty());
+    EXPECT_EQ(spans.rows.front().name, "ml.kernels.gemm");
+    // rusage runs rank by task-clock
+    EXPECT_EQ(spans.title, "Spans by task-clock regression");
+    ASSERT_TRUE(diff.hasRegression());
+    EXPECT_EQ(diff.findings.front().subject, "ml.kernels.gemm");
 }
 
 TEST(ProfDiff, ExactCallCountsGateDeterminism)
@@ -316,10 +323,10 @@ TEST(ProfDiff, ExactCallCountsGateDeterminism)
     const report::ProfileDoc base = syntheticProfile(140000000);
     report::ProfileDoc cur = syntheticProfile(140000000);
     cur.spans[0].calls = 61; // one extra kernel invocation
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
-    ASSERT_TRUE(diff.findings.hasRegression());
-    EXPECT_NE(diff.findings.findings.front().message.find("calls"),
+    const report::DiffResult diff =
+        report::diff(base, cur, report::Tolerances{});
+    ASSERT_TRUE(diff.hasRegression());
+    EXPECT_NE(diff.findings.front().message.find("calls"),
               std::string::npos);
 }
 
@@ -334,12 +341,12 @@ TEST(ProfDiff, MissingSpanRowIsARegressionNewRowIsNot)
                  const report::ProfileSpanRow &b) {
                   return a.name < b.name;
               });
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, report::ProfileTolerances{});
-    EXPECT_EQ(diff.findings.regressionCount(), 1u);
+    const report::DiffResult diff =
+        report::diff(base, cur, report::Tolerances{});
+    EXPECT_EQ(diff.regressionCount(), 1u);
     bool saw_missing = false;
     bool saw_new_info = false;
-    for (const report::Finding &finding : diff.findings.findings) {
+    for (const report::Finding &finding : diff.findings) {
         if (finding.subject == "ml.kernels.gemm" &&
             finding.severity == report::Severity::Regression) {
             saw_missing = true;
@@ -357,14 +364,14 @@ TEST(ProfDiff, WideCostToleranceAbsorbsMachineDrift)
 {
     const report::ProfileDoc base = syntheticProfile(140000000);
     const report::ProfileDoc cur = syntheticProfile(290000000);
-    report::ProfileTolerances tol;
-    tol.cost_rel = 100.0; // the cross-machine baseline setting
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, tol);
-    EXPECT_FALSE(diff.findings.hasRegression());
+    report::Tolerances tol;
+    tol.timer_rel = 100.0; // the cross-machine baseline setting
+    const report::DiffResult diff = report::diff(base, cur, tol);
+    EXPECT_FALSE(diff.hasRegression());
     // Ranking still surfaces the slowdown even when tolerated.
-    ASSERT_FALSE(diff.spans.empty());
-    EXPECT_EQ(diff.spans.front().name, "ml.kernels.gemm");
+    const report::Ranking &spans = diff.rankings.back();
+    ASSERT_FALSE(spans.rows.empty());
+    EXPECT_EQ(spans.rows.front().name, "ml.kernels.gemm");
 }
 
 } // namespace

@@ -4,19 +4,25 @@
  *
  * Subcommands:
  *
- *   kodan-report diff <base.json> <current.json>
- *       [--journal <base.jsonl> <current.jsonl>]
- *       [--timeseries <base.timeseries.json> <current.timeseries.json>]
- *       [--tol-timer F] [--tol-value F] [--tol-bin F]
- *       [--timer-floor SECONDS]
+ *   kodan-report diff <base> <current> [<base> <current>]...
+ *       [--tol-timer F] [--tol-value F] [--timer-floor SECONDS]
  *       [--tol NAME=F]... [--ignore PREFIX]...
  *       [--markdown PATH]
- *     Compares two metrics snapshots (writeMetricsJson output) and
- *     optionally two flight-recorder journals and/or two sim-time
- *     series documents (--tol-bin sets the per-bin relative tolerance,
- *     default 0 = bit-equal). Prints the markdown summary (to stdout,
- *     or PATH with --markdown). Exit status: 0 when no regression, 1 on
- *     regression, 2 on usage/parse errors.
+ *     Compares each baseline/current pair of telemetry documents. A
+ *     pair's type comes from its document: a metrics snapshot
+ *     (writeMetricsJson), a flight-recorder journal, a sim-time series
+ *     document, a health-plane alert export, or a CPU profile. Timers
+ *     and span task-clock regress when slower than --tol-timer
+ *     (default 0.5) above --timer-floor seconds (default 1e-3);
+ *     counters, gauges, histograms, series bins and span calls compare
+ *     within --tol-value (default 0 = bit-equal); --tol overrides one
+ *     record's tolerance and --ignore drops records by name prefix.
+ *     Journals and alerts compare record by record. Profile pairs also
+ *     rank frames by self-time regression and spans by cycle (or
+ *     task-clock) regression. Prints one markdown summary over every
+ *     pair (to stdout, or PATH with --markdown). Exit status: 0 when no
+ *     regression, 1 on regression, 2 on usage/parse errors and on a
+ *     pair whose two documents differ in type.
  *
  *   kodan-report profile <profile.json> [--top K]
  *     Summarizes a CPU profile (--profile-out output): sample header,
@@ -24,29 +30,18 @@
  *     (IPC / cache-miss attribution; default K 20). Exit status: 0 on
  *     success, 2 on usage/parse errors.
  *
- *   kodan-report profile diff <base.json> <current.json> [--top K]
- *       [--assert] [--tol-calls F] [--tol-cost F] [--cost-floor S]
- *     Ranks regressed frames by delta self-time and regressed spans by
- *     delta cycles (delta task-clock when either run used the rusage
- *     fallback). Span call counts are deterministic and compared
- *     exactly by default (--tol-calls); span costs compare within
- *     --tol-cost relative slowdown (default 0.5) above --cost-floor
- *     seconds (default 1e-3). Exit status: without --assert always 0
- *     unless files fail to parse (2); with --assert, 1 when any
- *     tolerance finding is a regression.
- *
- *   kodan-report health <alerts.jsonl> [--baseline <base.jsonl>]
- *       [--journal <journal.jsonl>] [--top K]
+ *   kodan-report health <alerts.jsonl> [--journal <journal.jsonl>]
+ *       [--top K]
  *     Summarizes a health-plane alert export (writeAlertsJsonl output):
  *     per-rule/entity rollup table plus the top K alerts (default 20).
  *     With --journal, each alert's flight-recorder evidence window is
- *     resolved to the matching journal events. With --baseline, diffs
- *     the alert stream against the committed baseline — the stream is
- *     deterministic, so any divergence is a regression. Exit status: 0
- *     when no regression, 1 on divergence, 2 on usage/parse errors.
+ *     resolved to the matching journal events. Exit status: 0 on
+ *     success, 2 on usage/parse errors.
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -64,20 +59,13 @@ usage()
 {
     std::cerr
         << "usage:\n"
-           "  kodan-report diff <base.json> <current.json>\n"
-           "      [--journal <base.jsonl> <current.jsonl>]\n"
-           "      [--timeseries <base.ts.json> <current.ts.json>]\n"
-           "      [--tol-timer F] [--tol-value F] [--tol-bin F]\n"
-           "      [--timer-floor S]\n"
+           "  kodan-report diff <base> <current> [<base> <current>]...\n"
+           "      [--tol-timer F] [--tol-value F] [--timer-floor S]\n"
            "      [--tol NAME=F]... [--ignore PREFIX]... "
            "[--markdown PATH]\n"
            "  kodan-report profile <profile.json> [--top K]\n"
-           "  kodan-report profile diff <base.json> <current.json>\n"
-           "      [--top K] [--assert] [--tol-calls F] [--tol-cost F]\n"
-           "      [--cost-floor S]\n"
            "  kodan-report health <alerts.jsonl>\n"
-           "      [--baseline <base.jsonl>] [--journal <journal.jsonl>]\n"
-           "      [--top K]\n";
+           "      [--journal <journal.jsonl>] [--top K]\n";
     return 2;
 }
 
@@ -88,56 +76,62 @@ fail(const std::string &message)
     return 2;
 }
 
+/** A tolerance or floor: a finite, non-negative number. */
 bool
-parseDouble(const std::string &text, double &out)
+parseTolerance(const std::string &text, double &out)
 {
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0' && end != text.c_str();
+    return end != text.c_str() && *end == '\0' && std::isfinite(out) &&
+           out >= 0.0;
+}
+
+/** A row count: a non-negative integer. */
+bool
+parseCount(const std::string &text, std::size_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+        return false;
+    }
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno == 0;
+}
+
+int
+badValue(const std::string &flag, const std::string &value)
+{
+    return fail("bad " + flag + " value " + value +
+                (flag == "--top" ? " (want an integer >= 0)"
+                                 : " (want a finite number >= 0)"));
 }
 
 int
 runDiff(const std::vector<std::string> &args)
 {
-    std::vector<std::string> positional;
-    std::string journal_base;
-    std::string journal_cur;
-    std::string ts_base;
-    std::string ts_cur;
+    std::vector<std::string> paths;
     std::string markdown_path;
-    double tol_bin = 0.0;
     report::Tolerances tol;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg == "--journal" && i + 2 < args.size()) {
-            journal_base = args[++i];
-            journal_cur = args[++i];
-        } else if (arg == "--timeseries" && i + 2 < args.size()) {
-            ts_base = args[++i];
-            ts_cur = args[++i];
-        } else if (arg == "--tol-bin" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol_bin)) {
-                return fail("bad --tol-bin value");
-            }
-        } else if (arg == "--tol-timer" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.timer_rel)) {
-                return fail("bad --tol-timer value");
-            }
-        } else if (arg == "--tol-value" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.value_rel)) {
-                return fail("bad --tol-value value");
-            }
-        } else if (arg == "--timer-floor" && i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.timer_floor_s)) {
-                return fail("bad --timer-floor value");
+        double *field = arg == "--tol-timer"     ? &tol.timer_rel
+                        : arg == "--tol-value"   ? &tol.value_rel
+                        : arg == "--timer-floor" ? &tol.timer_floor_s
+                                                 : nullptr;
+        if (field != nullptr && i + 1 < args.size()) {
+            if (!parseTolerance(args[++i], *field)) {
+                return badValue(arg, args[i]);
             }
         } else if (arg == "--tol" && i + 1 < args.size()) {
             const std::string &spec = args[++i];
             const std::size_t eq = spec.find('=');
             double value = 0.0;
             if (eq == std::string::npos ||
-                !parseDouble(spec.substr(eq + 1), value)) {
-                return fail("bad --tol spec (want NAME=F): " + spec);
+                !parseTolerance(spec.substr(eq + 1), value)) {
+                return fail("bad --tol spec (want NAME=F, F a finite "
+                            "number >= 0): " +
+                            spec);
             }
             tol.overrides.emplace_back(spec.substr(0, eq), value);
         } else if (arg == "--ignore" && i + 1 < args.size()) {
@@ -147,51 +141,35 @@ runDiff(const std::vector<std::string> &args)
         } else if (!arg.empty() && arg[0] == '-') {
             return fail("unknown diff option: " + arg);
         } else {
-            positional.push_back(arg);
+            paths.push_back(arg);
         }
     }
-    if (positional.size() != 2) {
+    if (paths.empty() || paths.size() % 2 != 0) {
         return usage();
     }
 
-    std::string error;
-    report::Snapshot base;
-    report::Snapshot cur;
-    if (!report::loadSnapshot(positional[0], base, &error) ||
-        !report::loadSnapshot(positional[1], cur, &error)) {
-        return fail(error);
-    }
-    report::DiffResult diff = report::diffSnapshots(base, cur, tol);
-    if (!journal_base.empty()) {
-        report::JournalDoc jbase;
-        report::JournalDoc jcur;
-        if (!report::loadJournal(journal_base, jbase, &error) ||
-            !report::loadJournal(journal_cur, jcur, &error)) {
+    report::DiffResult diff;
+    for (std::size_t i = 0; i < paths.size(); i += 2) {
+        std::string error;
+        report::Document base;
+        report::Document cur;
+        if (!report::load(paths[i], base, &error) ||
+            !report::load(paths[i + 1], cur, &error)) {
             return fail(error);
         }
-        diff = report::mergeDiffs(std::move(diff),
-                                  report::diffJournals(jbase, jcur));
-    }
-    if (!ts_base.empty()) {
-        report::TimeSeriesDoc tbase;
-        report::TimeSeriesDoc tcur;
-        if (!report::loadTimeSeries(ts_base, tbase, &error) ||
-            !report::loadTimeSeries(ts_cur, tcur, &error)) {
-            return fail(error);
+        if (!report::diff(base, cur, tol, diff, &error)) {
+            return fail(paths[i] + " vs " + paths[i + 1] + ": " + error);
         }
-        diff = report::mergeDiffs(
-            std::move(diff), report::diffTimeSeries(tbase, tcur, tol_bin));
     }
 
     if (markdown_path.empty()) {
-        report::writeMarkdown(diff, positional[0], positional[1],
-                              std::cout);
+        report::writeMarkdown(diff, paths[0], paths[1], std::cout);
     } else {
         std::ofstream out(markdown_path);
         if (!out) {
             return fail("cannot write " + markdown_path);
         }
-        report::writeMarkdown(diff, positional[0], positional[1], out);
+        report::writeMarkdown(diff, paths[0], paths[1], out);
         std::cerr << "kodan-report: wrote " << markdown_path << "\n";
     }
     return diff.hasRegression() ? 1 : 0;
@@ -201,18 +179,16 @@ int
 runHealth(const std::vector<std::string> &args)
 {
     std::vector<std::string> positional;
-    std::string baseline_path;
     std::string journal_path;
     std::size_t top = 20;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (arg == "--baseline" && i + 1 < args.size()) {
-            baseline_path = args[++i];
-        } else if (arg == "--journal" && i + 1 < args.size()) {
+        if (arg == "--journal" && i + 1 < args.size()) {
             journal_path = args[++i];
         } else if (arg == "--top" && i + 1 < args.size()) {
-            top = static_cast<std::size_t>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
+            if (!parseCount(args[++i], top)) {
+                return badValue(arg, args[i]);
+            }
         } else if (!arg.empty() && arg[0] == '-') {
             return fail("unknown health option: " + arg);
         } else {
@@ -225,7 +201,7 @@ runHealth(const std::vector<std::string> &args)
 
     std::string error;
     report::AlertsDoc doc;
-    if (!report::loadAlerts(positional[0], doc, &error)) {
+    if (!report::load(positional[0], doc, &error)) {
         return fail(error);
     }
 
@@ -275,8 +251,7 @@ runHealth(const std::vector<std::string> &args)
 
     report::JournalDoc journal;
     const bool have_journal =
-        !journal_path.empty() &&
-        report::loadJournal(journal_path, journal, &error);
+        !journal_path.empty() && report::load(journal_path, journal, &error);
     if (!journal_path.empty() && !have_journal) {
         return fail(error);
     }
@@ -306,50 +281,19 @@ runHealth(const std::vector<std::string> &args)
             }
         }
     }
-
-    if (!baseline_path.empty()) {
-        report::AlertsDoc base;
-        if (!report::loadAlerts(baseline_path, base, &error)) {
-            return fail(error);
-        }
-        const report::DiffResult diff = report::diffAlerts(base, doc);
-        std::cout << "\n";
-        report::writeMarkdown(diff, baseline_path, positional[0],
-                              std::cout);
-        return diff.hasRegression() ? 1 : 0;
-    }
     return 0;
 }
 
 int
 runProfile(const std::vector<std::string> &args)
 {
-    const bool is_diff = !args.empty() && args[0] == "diff";
     std::vector<std::string> positional;
     std::size_t top = 20;
-    bool assert_clean = false;
-    report::ProfileTolerances tol;
-    for (std::size_t i = is_diff ? 1 : 0; i < args.size(); ++i) {
+    for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--top" && i + 1 < args.size()) {
-            top = static_cast<std::size_t>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
-        } else if (is_diff && arg == "--assert") {
-            assert_clean = true;
-        } else if (is_diff && arg == "--tol-calls" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.calls_rel)) {
-                return fail("bad --tol-calls value");
-            }
-        } else if (is_diff && arg == "--tol-cost" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.cost_rel)) {
-                return fail("bad --tol-cost value");
-            }
-        } else if (is_diff && arg == "--cost-floor" &&
-                   i + 1 < args.size()) {
-            if (!parseDouble(args[++i], tol.cost_floor_s)) {
-                return fail("bad --cost-floor value");
+            if (!parseCount(args[++i], top)) {
+                return badValue(arg, args[i]);
             }
         } else if (!arg.empty() && arg[0] == '-') {
             return fail("unknown profile option: " + arg);
@@ -357,36 +301,15 @@ runProfile(const std::vector<std::string> &args)
             positional.push_back(arg);
         }
     }
-
-    std::string error;
-    if (!is_diff) {
-        if (positional.size() != 1) {
-            return usage();
-        }
-        report::ProfileDoc doc;
-        if (!report::loadProfile(positional[0], doc, &error)) {
-            return fail(error);
-        }
-        report::writeProfileMarkdown(doc, positional[0], top, std::cout);
-        return 0;
-    }
-
-    if (positional.size() != 2) {
+    if (positional.size() != 1) {
         return usage();
     }
-    report::ProfileDoc base;
-    report::ProfileDoc cur;
-    if (!report::loadProfile(positional[0], base, &error) ||
-        !report::loadProfile(positional[1], cur, &error)) {
+    std::string error;
+    report::ProfileDoc doc;
+    if (!report::load(positional[0], doc, &error)) {
         return fail(error);
     }
-    const report::ProfileDiffResult diff =
-        report::diffProfiles(base, cur, tol);
-    report::writeProfileDiffMarkdown(diff, positional[0], positional[1],
-                                     top, std::cout);
-    if (assert_clean && diff.findings.hasRegression()) {
-        return 1;
-    }
+    report::writeProfileMarkdown(doc, positional[0], top, std::cout);
     return 0;
 }
 

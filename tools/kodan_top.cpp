@@ -16,9 +16,14 @@
  * `constellation.mission.config` event.
  *
  * Modes:
- *  - default: read the whole file, render one frame, exit (pipeable);
+ *  - default: read the whole file, its last line with or without a
+ *    newline, render one frame, exit (pipeable);
  *  - --follow: poll the file for appended lines every --interval-ms
- *    (default 500), repainting in place until interrupted.
+ *    (default 500), repainting in place until interrupted; a last line
+ *    still lacking its newline waits for the next poll.
+ *
+ * The header counts the lines that do not parse as JSON (a cut or
+ * corrupt line), which every pane skips.
  *
  * Metrics (per-chunk event fields): frames, drained_bits (default),
  * queue_bits (backlog at the chunk's end), dropped_bits (shed so far).
@@ -376,7 +381,7 @@ renderProfilePane(const std::string &profile_path, int width,
     }
     report::ProfileDoc doc;
     std::string error;
-    if (report::loadProfile(profile_path, doc, &error)) {
+    if (report::load(profile_path, doc, &error)) {
         renderProfile(doc, profile_path, width, os);
     } else {
         os << "hot spans — waiting for profile (" << error << ")\n";
@@ -423,13 +428,18 @@ renderMission(std::int64_t region, const MissionView &view, int width,
 
 void
 render(const MissionViews &views, const AlertView &alerts,
-       const std::string &metric, const std::string &profile_path,
-       int width, bool follow, std::ostream &os)
+       std::uint64_t unparseable, const std::string &metric,
+       const std::string &profile_path, int width, bool follow,
+       std::ostream &os)
 {
     if (follow) {
         os << "\033[H\033[2J"; // home + clear
     }
-    os << "kodan-top — per-satellite `" << metric << "` by chunk\n";
+    os << "kodan-top — per-satellite `" << metric << "` by chunk";
+    if (unparseable > 0) {
+        os << " (" << unparseable << " unparseable line(s) skipped)";
+    }
+    os << "\n";
     bool any_chunks = false;
     for (const auto &[region, view] : views) {
         if (!view.per_satellite.empty()) {
@@ -530,6 +540,7 @@ main(int argc, char **argv)
     }
     MissionViews views;
     AlertView alerts;
+    std::uint64_t unparseable = 0;
     Tail tail{path, 0, ""};
 
     const auto ingestLines = [&](const std::vector<std::string> &lines) {
@@ -539,10 +550,12 @@ main(int argc, char **argv)
                 continue; // export header
             }
             json::Value event;
-            if (json::parse(line, event, nullptr)) {
-                ingest(views, event, metric);
-                ingestAlert(alerts, event);
+            if (!json::parse(line, event, nullptr)) {
+                ++unparseable;
+                continue;
             }
+            ingest(views, event, metric);
+            ingestAlert(alerts, event);
         }
     };
 
@@ -551,16 +564,20 @@ main(int argc, char **argv)
         if (!file) {
             return fail("cannot open " + path);
         }
-        ingestLines(tail.poll());
-        render(views, alerts, metric, profile_path, width, false,
-               std::cout);
+        std::vector<std::string> lines = tail.poll();
+        // The file is finished: its last line is whole even without a
+        // newline, so take the line poll() holds back for a writer.
+        lines.push_back(tail.partial);
+        ingestLines(lines);
+        render(views, alerts, unparseable, metric, profile_path, width,
+               false, std::cout);
         return 0;
     }
 
     for (;;) {
         ingestLines(tail.poll());
-        render(views, alerts, metric, profile_path, width, true,
-               std::cout);
+        render(views, alerts, unparseable, metric, profile_path, width,
+               true, std::cout);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(interval_ms));
     }
