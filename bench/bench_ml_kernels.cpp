@@ -1,36 +1,32 @@
 /**
  * @file
- * ML kernel layer: Blocked vs Naive wall-clock, at KODAN_THREADS=1 so
- * the numbers isolate the per-core algorithmic win (cache blocking,
- * unrolling, allocation-free scratch) from outer parallelism. Seven
- * workloads:
+ * ML kernel layer: batched kernels vs the scalar test oracles
+ * (tests/ml/ml_oracle.hpp), at KODAN_THREADS=1 so the numbers isolate
+ * the per-core algorithmic win (cache blocking, unrolling,
+ * allocation-free scratch) from outer parallelism. Four workloads:
  *
  *   gemm            raw kernel GFLOP/s on an MLP-shaped product
  *   mlp_forward     batched surrogate inference (tier-7 network)
- *   gemm_i8         int8 GEMM chain over the tier-7 layer shapes
  *   mlp_forward_i8  QuantizedMlp batched inference (tier-7 network)
- *   transform_sweep end-to-end transformApp + select
- *   runtime_batch   Runtime::processFrames over a replicated frame set
- *   runtime_batch_i8 the same batch under KODAN_QUANT=int8 dispatch
+ *   gemm_i8         int8 GEMM chain over the tier-7 layer shapes
  *
- * For the fp64 workloads the two columns are Naive vs Blocked backends.
- * For the *_i8 workloads the "naive" column instead holds the BLOCKED
- * FP64 reference — the speedup an operator buys by flipping the
- * precision knob, which is the number the ISSUE floors gate — while
- * the int8 path's own Naive-backend oracle runs untimed purely as the
- * bit-identity check.
+ * For the fp64 workloads the naive column times the oracle loops. For
+ * the *_i8 workloads it instead holds the batched FP64 reference — the
+ * speedup an operator buys by flipping the precision knob, which is the
+ * number the floors gate. gemm_i8's chain, the packed kernels
+ * mlp_forward_i8 runs, is checked untimed against the oracle's scalar
+ * int8 loops.
  *
- * Every workload's Blocked result is cross-checked bit-exactly against
- * the Naive oracle while it is being timed; a divergence exits 1 — a
+ * A result that diverges from its oracle, bit for bit, exits 1 — a
  * speedup that changed the numbers would be a bug, not a win.
  *
  * Results go to stdout and to BENCH_ml_kernels.run.json (in
  * KODAN_BENCH_CSV_DIR when set, else the bench cache directory).
  *
- * --assert-speedup enforces the acceptance floors (>= 3x mlp_forward,
- * >= 1.5x transform_sweep, >= 2.5x gemm_i8 over blocked fp64); left off
- * in the timer-tolerant regression smoke where wall-clock is too noisy
- * to gate on.
+ * --assert-speedup enforces the floors (>= 3x mlp_forward, >= 2.5x
+ * gemm_i8 and >= 1.5x mlp_forward_i8 over batched fp64); left off in
+ * the timer-tolerant regression smoke where wall-clock is too noisy to
+ * gate on.
  */
 
 #include <algorithm>
@@ -46,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/ml/ml_oracle.hpp"
 #include "common.hpp"
 #include "data/tiler.hpp"
 #include "ml/kernels.hpp"
@@ -136,16 +133,6 @@ sameBits(const ml::Matrix &a, const ml::Matrix &b)
                        a.data().size() * sizeof(double)) == 0;
 }
 
-core::TransformOptions
-sweepOptions()
-{
-    core::TransformOptions options;
-    options.train_frames = 40;
-    options.val_frames = 24;
-    options.specialize.max_train_blocks = 16000;
-    return options;
-}
-
 } // namespace
 
 int
@@ -158,7 +145,7 @@ main(int argc, char **argv)
             assert_speedup = true;
         }
     }
-    bench::banner("ML kernel layer: Blocked vs Naive",
+    bench::banner("ML kernel layer: batched vs naive oracle",
                   "the kernel layer of DESIGN.md; no paper figure");
 
     // Per-core comparison: the kernels themselves are serial; outer
@@ -176,13 +163,11 @@ main(int argc, char **argv)
         Measurement mm;
         mm.workload = "gemm_4096x64x64";
         ml::Matrix naive, blocked;
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
         mm.naive_seconds = timeSeconds([&] {
             for (int r = 0; r < reps; ++r) {
-                naive = ml::Matrix::multiply(a, b);
+                naive = ml::oracle::multiplyNaive(a, b);
             }
         });
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
         mm.blocked_seconds = timeSeconds([&] {
             for (int r = 0; r < reps; ++r) {
                 blocked = ml::Matrix::multiply(a, b);
@@ -190,7 +175,7 @@ main(int argc, char **argv)
         });
         if (!sameBits(naive, blocked)) {
             std::cerr << "[kodan-bench] DETERMINISM VIOLATION: gemm "
-                         "backends disagree\n";
+                         "diverges from the oracle\n";
             return 1;
         }
         const double flops = 2.0 * static_cast<double>(m * k * n) * reps;
@@ -212,14 +197,15 @@ main(int argc, char **argv)
             randomMatrix(rows, data::kBlockInputDim, rng);
         Measurement mm;
         mm.workload = "mlp_forward_tier7";
-        ml::Matrix naive, blocked;
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
+        const ml::oracle::NaiveMlp oracle_net(net);
+        ml::Matrix naive(rows, 1), blocked;
         mm.naive_seconds = timeSeconds([&] {
             for (int r = 0; r < reps; ++r) {
-                net.forwardBatch(x, naive);
+                for (std::size_t i = 0; i < rows; ++i) {
+                    oracle_net.forward(x.row(i), naive.row(i));
+                }
             }
         });
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
         mm.blocked_seconds = timeSeconds([&] {
             for (int r = 0; r < reps; ++r) {
                 net.forwardBatch(x, blocked);
@@ -227,7 +213,7 @@ main(int argc, char **argv)
         });
         if (!sameBits(naive, blocked)) {
             std::cerr << "[kodan-bench] DETERMINISM VIOLATION: "
-                         "mlp_forward backends disagree\n";
+                         "mlp_forward diverges from the oracle\n";
             return 1;
         }
         const double flops =
@@ -240,18 +226,15 @@ main(int argc, char **argv)
 
         // Int8 sibling on the identical batch: calibrated from the same
         // input it will run on (the offline-calibration story in
-        // miniature). The reference is a freshly best-of-timed BLOCKED
-        // fp64 pass, so both sides of the floored ratio get the same
-        // noise treatment.
+        // miniature). The reference is a freshly timed batched fp64
+        // pass, so both sides of the floored ratio get the same noise
+        // treatment.
         const ml::QuantizedMlp qnet = ml::QuantizedMlp::fromCalibration(
             net, x.data().data(), x.rows());
         Measurement qm;
         qm.workload = "mlp_forward_i8_tier7";
         const int chunk_reps = 6;
-        ml::Matrix q_oracle, q_blocked;
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
-        qnet.forwardBatch(x, q_oracle);
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
+        ml::Matrix q_blocked;
         const PairedTime qt = pairedMedian(
             7,
             [&] {
@@ -266,11 +249,6 @@ main(int argc, char **argv)
             });
         qm.naive_seconds = qt.ref_seconds;
         qm.blocked_seconds = qt.test_seconds;
-        if (!sameBits(q_oracle, q_blocked)) {
-            std::cerr << "[kodan-bench] DETERMINISM VIOLATION: "
-                         "quantized mlp_forward backends disagree\n";
-            return 1;
-        }
         const double qflops =
             2.0 * static_cast<double>(net.parameterCount()) *
             static_cast<double>(rows) * chunk_reps;
@@ -340,36 +318,24 @@ main(int argc, char **argv)
         // cache-resident across layers instead of spilling a full
         // m-row matrix between every pair.
         constexpr std::size_t kStrip = 512;
-        const auto runChain = [&](bool use_packed,
-                                  std::vector<std::vector<std::int8_t>>
-                                      &hidden) {
+        const auto runChain = [&] {
             for (std::size_t r0 = 0; r0 < m; r0 += kStrip) {
                 const std::size_t rows =
                     r0 + kStrip <= m ? kStrip : m - r0;
                 const std::int8_t *in = a0.data() + r0 * dims[0];
                 for (std::size_t l = 0; l < layer_count; ++l) {
-                    std::int8_t *dst =
-                        hidden[l].data() + r0 * dims[l + 1];
-                    if (use_packed) {
-                        ml::kernels::gemmI8Requant(rows, packed[l], in,
-                                                   rqs[l].data(), true,
-                                                   dst);
-                    } else {
-                        ml::kernels::gemmI8Requant(
-                            rows, dims[l], dims[l + 1], in,
-                            weights[l].data(), biases[l].data(),
-                            rqs[l].data(), true, dst);
-                    }
+                    std::int8_t *dst = act[l].data() + r0 * dims[l + 1];
+                    ml::kernels::gemmI8Requant(rows, packed[l], in,
+                                               rqs[l].data(), true, dst);
                     in = dst;
                 }
             }
         };
 
-        // Blocked fp64 reference: the same shape chain through
+        // Batched fp64 reference: the same shape chain through
         // Matrix::multiply (what the fp64 surrogate pays per layer).
-        // Both sides best-of-timed — this ratio carries the ISSUE's
-        // asserted 2.5x floor.
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
+        // Both sides paired-timed — this ratio carries the asserted
+        // 2.5x floor.
         const ml::Matrix f0 = randomMatrix(m, dims[0], rng);
         std::vector<ml::Matrix> fw;
         for (std::size_t l = 0; l < layer_count; ++l) {
@@ -389,25 +355,25 @@ main(int argc, char **argv)
             },
             [&] {
                 for (int r = 0; r < reps; ++r) {
-                    runChain(true, act);
+                    runChain();
                 }
             });
         mm.naive_seconds = gt.ref_seconds;
         mm.blocked_seconds = gt.test_seconds;
 
-        // Untimed naive oracle for the bit-identity check.
-        std::vector<std::vector<std::int8_t>> act_oracle(layer_count);
-        for (std::size_t l = 0; l < layer_count; ++l) {
-            act_oracle[l].resize(m * dims[l + 1]);
-        }
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
-        runChain(false, act_oracle);
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
+        // Untimed scalar oracle chain for the bit-identity check.
         bool identical = true;
+        const std::int8_t *in = a0.data();
+        std::vector<std::int8_t> expected;
         for (std::size_t l = 0; l < layer_count; ++l) {
+            expected.resize(m * dims[l + 1]);
+            ml::oracle::gemmI8RequantNaive(
+                m, dims[l], dims[l + 1], in, weights[l].data(),
+                biases[l].data(), rqs[l].data(), true, expected.data());
             identical = identical &&
-                        std::memcmp(act[l].data(), act_oracle[l].data(),
-                                    act[l].size()) == 0;
+                        std::memcmp(act[l].data(), expected.data(),
+                                    expected.size()) == 0;
+            in = act[l].data();
         }
         if (!identical) {
             std::cerr << "[kodan-bench] DETERMINISM VIOLATION: gemm_i8 "
@@ -425,96 +391,6 @@ main(int argc, char **argv)
         measurements.push_back(mm);
     }
 
-    // ---- Workloads 3 + 4: the end-to-end paths the kernels serve.
-    {
-        const data::GeoModel world;
-        const core::Transformer transformer(sweepOptions());
-        // Shared data preparation runs once on the default backend; the
-        // timed region is the per-application transform + selection.
-        const auto shared = transformer.prepareData(world);
-        const auto profile = core::SystemProfile::landsat8(
-            hw::Target::Orin15W, shared.prevalence);
-
-        Measurement sweep;
-        sweep.workload = "transform_sweep";
-        double dvd_naive = 0.0, dvd_blocked = 0.0;
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
-        sweep.naive_seconds = timeSeconds([&] {
-            const auto artifacts =
-                transformer.transformApp(core::Application{4}, shared);
-            dvd_naive = transformer.select(artifacts, profile).outcome.dvd;
-        });
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
-        sweep.blocked_seconds = timeSeconds([&] {
-            const auto artifacts =
-                transformer.transformApp(core::Application{4}, shared);
-            dvd_blocked =
-                transformer.select(artifacts, profile).outcome.dvd;
-        });
-        if (dvd_naive != dvd_blocked) {
-            std::cerr << "[kodan-bench] DETERMINISM VIOLATION: sweep dvd "
-                      << dvd_blocked << " != " << dvd_naive << "\n";
-            return 1;
-        }
-        measurements.push_back(sweep);
-
-        // Deployed runtime over a replicated validation frame set.
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
-        const auto artifacts =
-            transformer.transformApp(core::Application{4}, shared);
-        const auto selected = transformer.select(artifacts, profile);
-        const core::Runtime runtime(selected.logic, shared.engine.get(),
-                                    &artifacts.zoo, hw::Target::Orin15W);
-        std::vector<data::FrameSample> frames;
-        for (int rep = 0; rep < 8; ++rep) {
-            frames.insert(frames.end(), shared.val.begin(),
-                          shared.val.end());
-        }
-        Measurement batch;
-        batch.workload = "runtime_batch";
-        core::FrameReport report_naive, report_blocked;
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
-        batch.naive_seconds = timeSeconds(
-            [&] { report_naive = runtime.processFrames(frames); });
-        ml::kernels::setBackend(ml::kernels::Backend::Blocked);
-        batch.blocked_seconds = timeSeconds(
-            [&] { report_blocked = runtime.processFrames(frames); });
-        if (report_naive.compute_time != report_blocked.compute_time ||
-            report_naive.product_fraction !=
-                report_blocked.product_fraction) {
-            std::cerr << "[kodan-bench] DETERMINISM VIOLATION: runtime "
-                         "batch backends disagree\n";
-            return 1;
-        }
-        measurements.push_back(batch);
-
-        // The same deployed batch under KODAN_QUANT=int8 dispatch: zoo
-        // entries whose calibrated sibling survived the tolerance gate
-        // run through the integer path. Reference time is the BLOCKED
-        // fp64 run above; the i8 run's own oracle is Naive-vs-Blocked
-        // agreement (its compute_time legitimately differs from fp64 —
-        // elision charges CostModel::modelTimeQuant).
-        {
-            const ml::PrecisionGuard guard(ml::Precision::Int8);
-            Measurement qbatch;
-            qbatch.workload = "runtime_batch_i8";
-            qbatch.naive_seconds = batch.blocked_seconds;
-            core::FrameReport q_naive, q_blocked;
-            ml::kernels::setBackend(ml::kernels::Backend::Naive);
-            q_naive = runtime.processFrames(frames);
-            ml::kernels::setBackend(ml::kernels::Backend::Blocked);
-            qbatch.blocked_seconds = timeSeconds(
-                [&] { q_blocked = runtime.processFrames(frames); });
-            if (q_naive.compute_time != q_blocked.compute_time ||
-                q_naive.product_fraction != q_blocked.product_fraction) {
-                std::cerr << "[kodan-bench] DETERMINISM VIOLATION: "
-                             "quantized runtime batch backends "
-                             "disagree\n";
-                return 1;
-            }
-            measurements.push_back(qbatch);
-        }
-    }
     util::setGlobalThreads(0);
 
     for (auto &m : measurements) {
@@ -555,9 +431,9 @@ main(int argc, char **argv)
                                      : std::string("-")});
     }
     table.print(std::cout);
-    std::cout << "\nAll workloads at KODAN_THREADS=1; every Blocked "
-                 "result verified bit-identical to the Naive oracle.\n"
-                 "For *_i8 rows the naive column holds the BLOCKED fp64 "
+    std::cout << "\nAll workloads at KODAN_THREADS=1; every result "
+                 "verified bit-identical to its oracle.\n"
+                 "For *_i8 rows the naive column holds the batched fp64 "
                  "reference,\nso speedup is int8-over-fp64 at the same "
                  "blocking.\n";
     bench::emitCsv("bench_ml_kernels", table);
@@ -586,15 +462,13 @@ main(int argc, char **argv)
             double floor = 0.0;
             if (m.workload == "mlp_forward_tier7") {
                 floor = 3.0;
-            } else if (m.workload == "transform_sweep") {
-                floor = 1.5;
             } else if (m.workload == "gemm_i8") {
-                // The ISSUE acceptance floor: int8 GEMM >= 2.5x the
-                // blocked double GEMM on the tier-7 MLP workload.
+                // Int8 GEMM >= 2.5x the batched double GEMM on the
+                // tier-7 MLP workload.
                 floor = 2.5;
             } else if (m.workload == "mlp_forward_i8_tier7") {
                 // End-to-end QuantizedMlp (input quantization + double
-                // head included) over blocked fp64; conservative floor
+                // head included) over batched fp64; conservative floor
                 // for the SSE2 baseline build (see EXPERIMENTS.md).
                 floor = 1.5;
             }
@@ -609,8 +483,7 @@ main(int argc, char **argv)
             return status;
         }
         std::cout << "Speedup floors met (mlp_forward >= 3x, "
-                     "transform_sweep >= 1.5x, gemm_i8 >= 2.5x, "
-                     "mlp_forward_i8 >= 1.5x).\n";
+                     "gemm_i8 >= 2.5x, mlp_forward_i8 >= 1.5x).\n";
     }
     return 0;
 }

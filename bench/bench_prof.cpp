@@ -3,19 +3,20 @@
  * bench_prof — CPU-profiling-plane guard: proves the profiler observes
  * without perturbing, and that sampling overhead stays bounded.
  *
- *   bench_prof [--verify] [--ceiling F] [--pessimize] [--gemm-reps N]
+ *   bench_prof [--verify] [--ceiling F] [--gemm-reps N]
  *
  * Default mode runs the deterministic workload once — a small
  * constellation scenario (journal + metrics + time series recording)
- * followed by a dense GEMM burst — and exits. Combined with the
- * harness flags this is the flamegraph/diff capture target:
+ * followed by a burst of --gemm-reps dense GEMMs (default 20) — and
+ * exits. Combined with the harness flags this is the flamegraph/diff
+ * capture target:
  *
- *   bench_prof --profile-out base.prof.json
- *   bench_prof --pessimize --profile-out pess.prof.json
- *   kodan-report diff base.prof.json pess.prof.json
+ *   bench_prof --gemm-reps 20 --profile-out base.prof.json
+ *   bench_prof --gemm-reps 60 --profile-out slow.prof.json
+ *   kodan-report diff base.prof.json slow.prof.json
  *
- * --pessimize swaps the ML kernel backend to the naive scalar matmul,
- * so the diff must rank `ml.kernels.gemm` as the top regressed span.
+ * The second run does three times the GEMM work, so the diff must rank
+ * `ml.kernels.gemm` as the top regressed span.
  *
  * --verify asserts the determinism contract (DESIGN.md "CPU profiling
  * plane"): at KODAN_THREADS 1, 4, and 16, the workload's journal
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "sim/constellation.hpp"
 #include "telemetry/report.hpp"
@@ -74,8 +74,7 @@ scenario()
     return config;
 }
 
-/** Dense square operands (no zeros, so the naive backend's zero-skip
- *  cannot dodge work and --pessimize regresses honestly). */
+/** Dense square operands for the GEMM burst. */
 ml::Matrix
 denseOperand(std::size_t n, std::uint64_t salt)
 {
@@ -90,8 +89,8 @@ denseOperand(std::size_t n, std::uint64_t salt)
     return m;
 }
 
-/** The GEMM burst: @p reps dense multiplies through the backend
- *  dispatch in Matrix::multiply. Returns a value sink. */
+/** The GEMM burst: @p reps dense multiplies through Matrix::multiply.
+ *  Returns a value sink. */
 double
 gemmBurst(int reps)
 {
@@ -324,29 +323,21 @@ main(int argc, char **argv)
     kodan::bench::initHarness(argc, argv);
 
     bool do_verify = false;
-    bool pessimize = false;
     double ceiling = 1.5;
     int gemm_reps = 20;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--verify") {
             do_verify = true;
-        } else if (arg == "--pessimize") {
-            pessimize = true;
         } else if (arg == "--ceiling" && i + 1 < argc) {
             ceiling = std::strtod(argv[++i], nullptr);
         } else if (arg == "--gemm-reps" && i + 1 < argc) {
             gemm_reps = std::atoi(argv[++i]);
         } else {
             std::cerr << "usage: bench_prof [--verify] [--ceiling F] "
-                         "[--pessimize] [--gemm-reps N]\n";
+                         "[--gemm-reps N]\n";
             return 2;
         }
-    }
-    if (pessimize) {
-        ml::kernels::setBackend(ml::kernels::Backend::Naive);
-        std::cout << "bench_prof: ML kernel backend pessimized to "
-                     "naive scalar\n";
     }
     if (do_verify) {
         return verify(ceiling, gemm_reps);

@@ -9,7 +9,7 @@
 # bench/baselines/ (each call passes baseline/current pairs; the type of
 # each pair — metrics, journal, time series, alerts, profile — comes
 # from its document). Non-zero exit on
-# regression (including any ML-kernel Blocked-vs-Naive bit mismatch, a
+# regression (including any ML-kernel-vs-oracle bit mismatch, a
 # constellation-engine thread-divergence under --verify, a miss of the
 # constellation throughput floor under --assert-throughput, a
 # staged-vs-batch report mismatch or steady-state heap allocation in
@@ -128,7 +128,7 @@ echo "[check_regressions] running bench_fig10 mission sweep ..."
     > /dev/null) || bench_failed bench_fig10_dvd_vs_time
 cmp_baseline fig10_mission.metrics.timeseries.json
 
-# bench_ml_kernels exits non-zero on any Blocked-vs-Naive bit mismatch,
+# bench_ml_kernels exits non-zero on any kernel-vs-oracle bit mismatch,
 # so this run is the kernel-correctness smoke as well as the perf probe;
 # no --assert-speedup here because the diff's timers already tolerate
 # machine noise (only scripts/ci.sh's native pass asserts the floors).

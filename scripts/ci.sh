@@ -28,7 +28,9 @@
 #
 # The UndefinedBehaviorSanitizer pass (with float-cast-overflow) reruns
 # the frame path — tiler (`data`), runtime and core (`core`), data plane
-# (`dataplane`) — the loaders (`loader`), the mission engine with the
+# (`dataplane`) — the ML kernels with their int8 shifts and narrowing
+# conversions and the scalar oracles they are checked against
+# (`mlkernels`), the loaders (`loader`), the mission engine with the
 # scheduler oracle and its scenario death tests (`constellation`), and
 # the kodan-report reader, diff and CLIs (`report`), in fp64 and under
 # KODAN_QUANT=int8.
@@ -57,7 +59,7 @@ done
 
 # ctest ANDs repeated -L flags, so the label filter must be one regex.
 LABELS='parallel|telemetry|journal|report|timeseries|mlkernels|constellation|dataplane|health|prof|loader|data'
-UBSAN_LABELS='data|dataplane|core|loader|constellation|report'
+UBSAN_LABELS='data|dataplane|core|mlkernels|loader|constellation|report'
 
 echo "[ci] tier-1: configure + build + full ctest (jobs=$JOBS)"
 cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT"
@@ -96,7 +98,7 @@ sanitized_pass() {
 sanitized_pass thread "$REPO_ROOT/build-tsan" "$LABELS" "$QUANT_LABELS"
 sanitized_pass address "$REPO_ROOT/build-asan" "$LABELS" "$QUANT_LABELS"
 sanitized_pass undefined "$REPO_ROOT/build-ubsan" "$UBSAN_LABELS" \
-    'dataplane|core'
+    'mlkernels|dataplane|core'
 
 # One build with __SSE2__ undefined: the tiler's tile statistics have an
 # SSE2 body and a scalar loop for targets without SSE2, which no other
@@ -126,8 +128,8 @@ cmake --build "$REPO_ROOT/build-native" -j "$JOBS"
 # The int8 speedup floors are pinned to this native config (see
 # EXPERIMENTS.md "Int8 quantized inference"): assert them here, where
 # the SIMD requantizing epilogue is compiled at the host's full vector
-# width. The bench also byte-compares every Blocked result against the
-# Naive oracle, so this run doubles as the native bit-identity smoke.
+# width. The bench also byte-compares its results against the scalar
+# oracles, so this run doubles as the native bit-identity smoke.
 echo "[ci] KODAN_NATIVE: bench_ml_kernels --assert-speedup"
 (cd "$REPO_ROOT/build-native" && ./bench/bench_ml_kernels \
     --assert-speedup > /dev/null)

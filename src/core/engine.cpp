@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <istream>
 #include <ostream>
@@ -67,14 +66,6 @@ ContextEngine::tileInput(const data::TileData &tile, double *out) const
     scaler_.transformRow(out);
 }
 
-int
-ContextEngine::classify(const data::TileData &tile) const
-{
-    std::array<double, kInputDim> input{};
-    tileInput(tile, input.data());
-    return net_.predictClass(input.data());
-}
-
 void
 ContextEngine::classifyBatch(const std::vector<data::TileData> &tiles,
                              std::vector<int> &out) const
@@ -95,7 +86,7 @@ ContextEngine::classifyBatch(const std::vector<data::TileData> &tiles,
     net_.forwardBatch(inputs, n, probs);
     for (std::size_t i = 0; i < n; ++i) {
         const double *row = probs + i * classes;
-        // First-of-equals argmax, the same rule as predictClass.
+        // First-of-equals argmax.
         out[i] = static_cast<int>(std::max_element(row, row + classes) -
                                   row);
     }
@@ -164,9 +155,11 @@ ContextEngine::agreement(const std::vector<data::TileData> &tiles,
     if (tiles.empty()) {
         return 0.0;
     }
+    std::vector<int> contexts;
+    classifyBatch(tiles, contexts);
     std::size_t correct = 0;
-    for (const auto &tile : tiles) {
-        if (classify(tile) == partition.assignTile(tile)) {
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+        if (contexts[i] == partition.assignTile(tiles[i])) {
             ++correct;
         }
     }

@@ -42,12 +42,10 @@ class ContextEngine
     /** Number of contexts. */
     int contextCount() const { return context_count_; }
 
-    /** Classify one tile from its observed feature statistics. */
-    int classify(const data::TileData &tile) const;
-
     /**
-     * Classify every tile of a batch with one batched forward pass
-     * (bit-identical to calling classify per tile).
+     * Classify every tile of a batch from its observed feature
+     * statistics, with one batched forward pass; a tile's context does
+     * not depend on the batch it rides in.
      * @param tiles Tiles to classify.
      * @param out Resized to tiles.size(); context id per tile.
      */

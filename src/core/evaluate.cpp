@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/runtime.hpp"
 #include "ml/kernels.hpp"
 #include "orbit/propagator.hpp"
 #include "sense/camera.hpp"
@@ -95,6 +96,56 @@ struct BlockTruth
     }
 };
 
+/**
+ * The evaluator's one scoring loop. Standardizes the blocks of
+ * @p tiles into one batch, runs each zoo entry of @p models over it at
+ * @p precision, and adds every tile's blocks to that model's
+ * accumulator in @p accums: tiles in order, then blocks in order, a
+ * block kept exactly when Runtime::keepFromProbs keeps it.
+ * @p truths[i] holds the truth counts of @p tiles[i].
+ */
+void
+scoreTiles(const SpecializedZoo &zoo, ml::Precision precision,
+           const std::vector<const data::TileData *> &tiles,
+           const std::vector<const BlockTruth *> &truths,
+           const std::vector<int> &models, ActionAccum *accums)
+{
+    constexpr auto kBlocks = static_cast<std::size_t>(data::kBlocksPerTile);
+    auto &arena = ml::kernels::scratch();
+    ml::kernels::Scratch::Frame scratch_frame(arena);
+    const std::size_t rows = tiles.size() * kBlocks;
+    double *scaled = arena.alloc(rows * data::kBlockInputDim);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        zoo.tileInputs(*tiles[t],
+                       scaled + t * kBlocks * data::kBlockInputDim);
+    }
+    double *probs = arena.alloc(rows);
+    auto *keep = arena.allocArray<std::uint8_t>(rows);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        zoo.predictRows(models[m], scaled, rows, probs, precision);
+        Runtime::keepFromProbs(probs, rows, keep);
+        ActionAccum &accum = accums[m];
+        for (std::size_t t = 0; t < tiles.size(); ++t) {
+            const BlockTruth &truth = *truths[t];
+            accum.total_cells += truth.tile_total;
+            const std::uint8_t *tile_keep = keep + t * kBlocks;
+            for (int b = 0; b < data::kBlocksPerTile; ++b) {
+                if (truth.total[b] <= 0.0) {
+                    continue;
+                }
+                if (tile_keep[b] != 0) {
+                    // Block kept as high-value.
+                    accum.kept_cells += truth.total[b];
+                    accum.kept_high_cells += truth.high[b];
+                    accum.correct_cells += truth.high[b];
+                } else {
+                    accum.correct_cells += truth.total[b] - truth.high[b];
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 
 ContextActionTable
@@ -131,8 +182,13 @@ DeploymentEvaluator::measureTable(
     std::vector<double> context_high(context_count, 0.0);
     double total_tiles = 0.0;
 
+    const ml::Precision precision = ml::precision();
     const data::Tiler tiler(tiles_per_side);
     std::vector<int> tile_contexts;
+    std::vector<std::vector<const data::TileData *>> group_tiles(
+        context_count);
+    std::vector<std::vector<const BlockTruth *>> group_truths(
+        context_count);
     for (const auto &frame : frames) {
         const auto tiles = tiler.tile(frame);
         // One batched engine forward per frame instead of one matvec
@@ -140,7 +196,10 @@ DeploymentEvaluator::measureTable(
         engine_->classifyBatch(tiles, tile_contexts);
         std::vector<BlockTruth> truths;
         truths.reserve(tiles.size());
-        std::vector<std::vector<std::size_t>> by_context(context_count);
+        for (int ctx = 0; ctx < context_count; ++ctx) {
+            group_tiles[ctx].clear();
+            group_truths[ctx].clear();
+        }
         for (std::size_t t = 0; t < tiles.size(); ++t) {
             const auto &tile = tiles[t];
             const int ctx = tile_contexts[t];
@@ -162,61 +221,18 @@ DeploymentEvaluator::measureTable(
             ctx_accums[1].kept_cells += truth.tile_total;
             ctx_accums[1].kept_high_cells += truth.tile_high;
             ctx_accums[1].correct_cells += truth.tile_high;
-            if (!model_cands[ctx].empty()) {
-                by_context[ctx].push_back(t);
-            }
+            group_tiles[ctx].push_back(&tile);
+            group_truths[ctx].push_back(&truth);
         }
         // Model candidates: one standardized block batch per context
         // covering every one of its tiles in this frame, shared by all
         // of the context's candidates — the frame's inference collapses
-        // to one GEMM chain per candidate. Per accumulator, the tiles
-        // contribute in the same ascending order as the per-tile loop,
-        // so the sums are bit-identical to it.
-        auto &arena = ml::kernels::scratch();
+        // to one GEMM chain per candidate.
         for (int ctx = 0; ctx < context_count; ++ctx) {
-            const auto &group = by_context[ctx];
-            if (group.empty()) {
-                continue;
-            }
-            ml::kernels::Scratch::Frame scratch_frame(arena);
-            const std::size_t rows =
-                group.size() * data::kBlocksPerTile;
-            double *scaled =
-                arena.alloc(rows * data::kBlockInputDim);
-            for (std::size_t g = 0; g < group.size(); ++g) {
-                zoo_->tileInputs(tiles[group[g]],
-                                 scaled + g *
-                                              std::size_t{
-                                                  data::kBlocksPerTile} *
-                                              data::kBlockInputDim);
-            }
-            double *probs = arena.alloc(rows);
-            auto &ctx_accums = accums[ctx];
-            for (std::size_t m = 0; m < model_cands[ctx].size(); ++m) {
-                const int entry = model_cands[ctx][m];
-                ActionAccum &accum = ctx_accums[2 + m];
-                zoo_->predictRows(entry, scaled, rows, probs);
-                for (std::size_t g = 0; g < group.size(); ++g) {
-                    const BlockTruth &truth = truths[group[g]];
-                    accum.total_cells += truth.tile_total;
-                    const double *tile_probs =
-                        probs + g * data::kBlocksPerTile;
-                    for (int b = 0; b < data::kBlocksPerTile; ++b) {
-                        if (truth.total[b] <= 0.0) {
-                            continue;
-                        }
-                        const double p_cloudy = tile_probs[b];
-                        if (p_cloudy < 0.5) {
-                            // Block kept as high-value.
-                            accum.kept_cells += truth.total[b];
-                            accum.kept_high_cells += truth.high[b];
-                            accum.correct_cells += truth.high[b];
-                        } else {
-                            accum.correct_cells +=
-                                truth.total[b] - truth.high[b];
-                        }
-                    }
-                }
+            if (!group_tiles[ctx].empty()) {
+                scoreTiles(*zoo_, precision, group_tiles[ctx],
+                           group_truths[ctx], model_cands[ctx],
+                           accums[ctx].data() + 2);
             }
         }
     }
@@ -239,7 +255,7 @@ DeploymentEvaluator::measureTable(
             ActionStats stats = accums[c][a].finish(params);
             stats.quantized =
                 action.kind == ActionKind::RunModel &&
-                zoo_->entries[action.model].runsQuantized();
+                zoo_->entries[action.model].runsQuantized(precision);
             table.stats[c].push_back(stats);
         }
     }
@@ -258,49 +274,27 @@ DeploymentEvaluator::measureDirectTable(
     table.stats.resize(1);
     table.actions[0].push_back({ActionKind::RunModel, zoo_->reference});
 
+    const ml::Precision precision = ml::precision();
     ActionAccum accum;
     double cells = 0.0;
     double high = 0.0;
     const data::Tiler tiler(tiles_per_side);
     for (const auto &frame : frames) {
         const auto tiles = tiler.tile(frame);
-        // One standardized batch + one forward chain per frame; the
-        // per-tile accumulation below runs in the same ascending order
-        // as the per-tile inference it replaced — identical bits.
-        auto &arena = ml::kernels::scratch();
-        ml::kernels::Scratch::Frame scratch_frame(arena);
-        const std::size_t rows =
-            tiles.size() * data::kBlocksPerTile;
-        double *scaled = arena.alloc(rows * data::kBlockInputDim);
-        for (std::size_t t = 0; t < tiles.size(); ++t) {
-            zoo_->tileInputs(tiles[t],
-                             scaled + t *
-                                          std::size_t{
-                                              data::kBlocksPerTile} *
-                                          data::kBlockInputDim);
+        std::vector<BlockTruth> truths;
+        truths.reserve(tiles.size());
+        std::vector<const data::TileData *> tile_ptrs;
+        std::vector<const BlockTruth *> truth_ptrs;
+        for (const auto &tile : tiles) {
+            truths.emplace_back(tile);
+            cells += truths.back().tile_total;
+            high += truths.back().tile_high;
+            tile_ptrs.push_back(&tile);
+            truth_ptrs.push_back(&truths.back());
         }
-        double *probs = arena.alloc(rows);
-        zoo_->predictRows(zoo_->reference, scaled, rows, probs);
-        for (std::size_t t = 0; t < tiles.size(); ++t) {
-            const BlockTruth truth(tiles[t]);
-            cells += truth.tile_total;
-            high += truth.tile_high;
-            accum.total_cells += truth.tile_total;
-            const double *tile_probs = probs + t * data::kBlocksPerTile;
-            for (int b = 0; b < data::kBlocksPerTile; ++b) {
-                if (truth.total[b] <= 0.0) {
-                    continue;
-                }
-                const double p_cloudy = tile_probs[b];
-                if (p_cloudy < 0.5) {
-                    accum.kept_cells += truth.total[b];
-                    accum.kept_high_cells += truth.high[b];
-                    accum.correct_cells += truth.high[b];
-                } else {
-                    accum.correct_cells += truth.total[b] - truth.high[b];
-                }
-            }
-        }
+        // One standardized batch + one forward chain per frame.
+        scoreTiles(*zoo_, precision, tile_ptrs, truth_ptrs,
+                   {zoo_->reference}, &accum);
     }
     table.contexts[0].id = 0;
     table.contexts[0].tile_share = 1.0;
@@ -309,51 +303,28 @@ DeploymentEvaluator::measureDirectTable(
     ActionStats direct_stats = accum.finish(
         hw::CostModel::tierParamCount(zoo_->entries[zoo_->reference].tier));
     direct_stats.quantized =
-        zoo_->entries[zoo_->reference].runsQuantized();
+        zoo_->entries[zoo_->reference].runsQuantized(precision);
     table.stats[0].push_back(direct_stats);
     return table;
 }
 
 ActionStats
 DeploymentEvaluator::measureModelOnTiles(
-    int entry, const std::vector<const data::TileData *> &tiles) const
+    int entry, const std::vector<const data::TileData *> &tiles,
+    ml::Precision precision) const
 {
+    std::vector<BlockTruth> truths;
+    truths.reserve(tiles.size());
+    std::vector<const BlockTruth *> truth_ptrs;
+    for (const data::TileData *tile : tiles) {
+        truths.emplace_back(*tile);
+        truth_ptrs.push_back(&truths.back());
+    }
     ActionAccum accum;
-    // One batch over every tile; same ascending accumulation order as
-    // the per-tile loop it replaced — identical bits.
-    auto &arena = ml::kernels::scratch();
-    ml::kernels::Scratch::Frame scratch_frame(arena);
-    const std::size_t rows = tiles.size() * data::kBlocksPerTile;
-    double *scaled = arena.alloc(rows * data::kBlockInputDim);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        zoo_->tileInputs(*tiles[t],
-                         scaled + t *
-                                      std::size_t{data::kBlocksPerTile} *
-                                      data::kBlockInputDim);
-    }
-    double *probs = arena.alloc(rows);
-    zoo_->predictRows(entry, scaled, rows, probs);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        const BlockTruth truth(*tiles[t]);
-        accum.total_cells += truth.tile_total;
-        const double *tile_probs = probs + t * data::kBlocksPerTile;
-        for (int b = 0; b < data::kBlocksPerTile; ++b) {
-            if (truth.total[b] <= 0.0) {
-                continue;
-            }
-            const double p_cloudy = tile_probs[b];
-            if (p_cloudy < 0.5) {
-                accum.kept_cells += truth.total[b];
-                accum.kept_high_cells += truth.high[b];
-                accum.correct_cells += truth.high[b];
-            } else {
-                accum.correct_cells += truth.total[b] - truth.high[b];
-            }
-        }
-    }
+    scoreTiles(*zoo_, precision, tiles, truth_ptrs, {entry}, &accum);
     ActionStats stats = accum.finish(
         hw::CostModel::tierParamCount(zoo_->entries[entry].tier));
-    stats.quantized = zoo_->entries[entry].runsQuantized();
+    stats.quantized = zoo_->entries[entry].runsQuantized(precision);
     return stats;
 }
 

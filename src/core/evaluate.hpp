@@ -174,11 +174,16 @@ class DeploymentEvaluator
         int tiles_per_side) const;
 
     /**
-     * Stats of one zoo entry over an explicit set of tiles (helper for
-     * the per-technique figures).
+     * Stats of one zoo entry over an explicit set of tiles (the int8
+     * tolerance gate, the per-technique figures).
+     *
+     * @param precision Runs the entry's int8 sibling when Int8 and the
+     *        sibling exists, else its fp64 net (SpecializedZoo::
+     *        predictRows).
      */
     ActionStats measureModelOnTiles(
-        int entry, const std::vector<const data::TileData *> &tiles) const;
+        int entry, const std::vector<const data::TileData *> &tiles,
+        ml::Precision precision) const;
 
   private:
     const SpecializedZoo *zoo_;

@@ -83,19 +83,6 @@ augment(ml::Matrix &x, std::vector<double> &y, double sigma,
 
 } // namespace
 
-double
-SpecializedZoo::predictBlock(int entry, const data::TileData &tile,
-                             int block) const
-{
-    assert(entry >= 0 && entry < static_cast<int>(entries.size()));
-    std::array<double, data::kBlockInputDim> input{};
-    tile.blockInput(block, input.data());
-    scaler.transformRow(input.data());
-    const ZooEntry &e = entries[entry];
-    return e.runsQuantized() ? e.quant->predictProb(input.data())
-                             : e.net.predictProb(input.data());
-}
-
 void
 SpecializedZoo::tileInputs(const data::TileData &tile, double *out) const
 {
@@ -137,15 +124,15 @@ SpecializedZoo::tileInputs(const data::TileData &tile, double *out) const
 
 void
 SpecializedZoo::predictRows(int entry, const double *scaled,
-                            std::size_t rows, double *out) const
+                            std::size_t rows, double *out,
+                            ml::Precision precision) const
 {
     assert(entry >= 0 && entry < static_cast<int>(entries.size()));
     // The precision dispatch choke point: the runtime's infer stage
     // (Runtime::stageInfer, shared by both schedulers) and the sweep's
-    // table measurement both funnel through here, so the KODAN_QUANT
-    // knob redirects every consumer at once.
+    // measurements all funnel through here.
     const ZooEntry &e = entries[entry];
-    if (e.runsQuantized()) {
+    if (e.runsQuantized(precision)) {
         e.quant->forwardBatch(scaled, rows, out);
         return;
     }

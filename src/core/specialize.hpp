@@ -34,17 +34,6 @@ struct SpecializedZoo
     int reference = 0;
 
     /**
-     * Predicted cloud probability of one block of a tile.
-     *
-     * @param entry Zoo entry index.
-     * @param tile Tile holding the block.
-     * @param block Block index in [0, kBlocksPerTile).
-     * @return P(block is cloudy / low-value) in [0, 1].
-     */
-    double predictBlock(int entry, const data::TileData &tile,
-                        int block) const;
-
-    /**
      * Standardized model inputs of all kBlocksPerTile blocks of a tile,
      * ready for predictRows. Computed once per tile, the batch is shared
      * by every candidate model evaluated on it.
@@ -55,16 +44,21 @@ struct SpecializedZoo
     void tileInputs(const data::TileData &tile, double *out) const;
 
     /**
-     * Batched predictBlock over pre-standardized input rows (as filled
-     * by tileInputs); bit-identical to per-block predictBlock calls.
+     * Predicted cloud probability, P(block is cloudy / low-value) in
+     * [0, 1], of every pre-standardized input row (as filled by
+     * tileInputs), in one batched forward pass.
      *
      * @param entry Zoo entry index.
      * @param scaled Row-major rows x kBlockInputDim standardized inputs.
      * @param rows Number of input rows.
      * @param out One cloud probability per row.
+     * @param precision Runs the entry's int8 sibling when Int8 and the
+     *        sibling exists (ZooEntry::runsQuantized), else its fp64
+     *        net. Defaults to the process's precision.
      */
     void predictRows(int entry, const double *scaled, std::size_t rows,
-                     double *out) const;
+                     double *out,
+                     ml::Precision precision = ml::precision()) const;
 
     /** Candidate entry indices usable for context @p context. */
     std::vector<int> candidatesFor(int context) const;
@@ -95,7 +89,7 @@ struct SpecializeOptions
     /**
      * Build a calibrated int8 sibling for every trained entry
      * (calibration batch = the entry's own training rows). The siblings
-     * are dormant until the process-wide precision knob (KODAN_QUANT /
+     * are dormant until the process's default precision (KODAN_QUANT /
      * ml::setPrecision) selects Int8; see ZooEntry::runsQuantized.
      */
     bool quantize = true;

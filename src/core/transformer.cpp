@@ -115,10 +115,7 @@ Transformer::prepareData(std::vector<data::FrameSample> train,
     }
 
     // The deployed engine's labels are downstream ground truth.
-    shared.train_contexts.reserve(shared.train_tiles.size());
-    for (const auto &tile : shared.train_tiles) {
-        shared.train_contexts.push_back(shared.engine->classify(tile));
-    }
+    shared.engine->classifyBatch(shared.train_tiles, shared.train_contexts);
     shared.contexts =
         summarizeContexts(shared.train_tiles, shared.train_contexts,
                           shared.partition.context_count);
@@ -173,11 +170,14 @@ Transformer::transformApp(const Application &app,
                                         shared.engine.get());
 
     // Tolerance gate on the int8 siblings: every quantized candidate is
-    // A/B-measured against its fp64 twin on the validation tiles at the
-    // reference tiling; siblings whose cell accuracy or high-value
-    // fraction degrade beyond the configured tolerances are rejected
-    // (the entry then runs fp64 even under KODAN_QUANT=int8), so the
-    // sweep never selects a quantized model that trades away value.
+    // measured against its fp64 twin on the validation tiles at the
+    // reference tiling, each run named by its precision argument (the
+    // process's default precision is never touched, so concurrent
+    // transforms cannot see each other's gate); siblings whose cell
+    // accuracy or high-value fraction degrade beyond the configured
+    // tolerances are rejected (the entry then runs fp64 even under
+    // KODAN_QUANT=int8), so the sweep never selects a quantized model
+    // that trades away value.
     if (options_.specialize.quantize) {
         KODAN_TRACE_SCOPE("transformer.quant.validate");
         const data::Tiler tiler(options_.reference_tiling);
@@ -205,18 +205,10 @@ Transformer::transformApp(const Application &app,
             if (artifacts.zoo.entries[e].quant == nullptr) {
                 continue;
             }
-            ActionStats fp_stats;
-            ActionStats q_stats;
-            {
-                const ml::PrecisionGuard guard(ml::Precision::Fp64);
-                fp_stats = evaluator.measureModelOnTiles(
-                    static_cast<int>(e), tile_ptrs);
-            }
-            {
-                const ml::PrecisionGuard guard(ml::Precision::Int8);
-                q_stats = evaluator.measureModelOnTiles(
-                    static_cast<int>(e), tile_ptrs);
-            }
+            const ActionStats fp_stats = evaluator.measureModelOnTiles(
+                static_cast<int>(e), tile_ptrs, ml::Precision::Fp64);
+            const ActionStats q_stats = evaluator.measureModelOnTiles(
+                static_cast<int>(e), tile_ptrs, ml::Precision::Int8);
             const double accuracy_drop =
                 fp_stats.cell_accuracy - q_stats.cell_accuracy;
             const double value_drop =

@@ -123,11 +123,11 @@ struct ZooEntry
      */
     std::shared_ptr<const ml::QuantizedMlp> quant;
 
-    /** True when predict calls take the int8 path right now: a sibling
-     *  exists and the process-wide precision knob selects Int8. */
-    bool runsQuantized() const
+    /** True when inference at @p precision takes the int8 path: a
+     *  sibling exists and @p precision is Int8. */
+    bool runsQuantized(ml::Precision precision = ml::precision()) const
     {
-        return quant != nullptr && ml::precision() == ml::Precision::Int8;
+        return quant != nullptr && precision == ml::Precision::Int8;
     }
 };
 

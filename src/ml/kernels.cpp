@@ -1,12 +1,9 @@
 #include "ml/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 
@@ -24,36 +21,7 @@ namespace {
 constexpr std::size_t kBlockK = 64;
 constexpr std::size_t kBlockJ = 512;
 
-std::atomic<int> g_backend{-1};
-
-Backend
-envBackend()
-{
-    const char *env = std::getenv("KODAN_ML_KERNELS");
-    if (env != nullptr && std::string_view(env) == "naive") {
-        return Backend::Naive;
-    }
-    return Backend::Blocked;
-}
-
 } // namespace
-
-Backend
-backend()
-{
-    const int v = g_backend.load(std::memory_order_relaxed);
-    if (v >= 0) {
-        return static_cast<Backend>(v);
-    }
-    static const Backend from_env = envBackend();
-    return from_env;
-}
-
-void
-setBackend(Backend b)
-{
-    g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-}
 
 double *
 Scratch::alloc(std::size_t count)
@@ -233,9 +201,9 @@ void
 gemm(std::size_t m, std::size_t k, std::size_t n, const double *a,
      const double *b, double *c, const double *bias, Epilogue epilogue)
 {
-    // Stage-attribution row shared with the naive matmul path
-    // (matrix.cpp), so a backend regression shows up as one span in
-    // a `kodan-report diff` of two profiles.
+    // Stage-attribution row of every double matmul, so a kernel
+    // regression shows up as one span in a `kodan-report diff` of two
+    // profiles.
     KODAN_TRACE_SCOPE("ml.kernels.gemm");
     if (m == 0 || n == 0) {
         return; // no output elements; also keeps memset/memcpy off
@@ -377,29 +345,6 @@ gemm(std::size_t m, std::size_t k, std::size_t n, const double *a,
                 c_row[j] = std::max(0.0, c_row[j]);
             }
         }
-    }
-}
-
-void
-gemv(std::size_t rows, std::size_t cols, const double *w, const double *x,
-     const double *bias, double *y)
-{
-    for (std::size_t o = 0; o < rows; ++o) {
-        const double *w_row = w + o * cols;
-        double z = bias != nullptr ? bias[o] : 0.0;
-        std::size_t i = 0;
-        // Single sequential accumulator — the unroll trims loop
-        // overhead without reassociating the chain.
-        for (; i + 4 <= cols; i += 4) {
-            z += w_row[i] * x[i];
-            z += w_row[i + 1] * x[i + 1];
-            z += w_row[i + 2] * x[i + 2];
-            z += w_row[i + 3] * x[i + 3];
-        }
-        for (; i < cols; ++i) {
-            z += w_row[i] * x[i];
-        }
-        y[o] = z;
     }
 }
 

@@ -12,8 +12,8 @@
  * Results are therefore bit-identical to the naive loops, at any
  * KODAN_THREADS, and invariant to how callers compose batches.
  *
- * The naive code paths stay in-tree (Backend::Naive) as the oracle the
- * equivalence tests and bench_ml_kernels compare against.
+ * The naive loops live on as test oracles (tests/ml/ml_oracle.hpp),
+ * which the equivalence tests and bench_ml_kernels compare against.
  */
 
 #ifndef KODAN_ML_KERNELS_HPP
@@ -27,25 +27,6 @@
 #include <vector>
 
 namespace kodan::ml::kernels {
-
-/** Which implementation the ML substrate dispatches to. */
-enum class Backend
-{
-    /** The original scalar reference loops (the oracle). */
-    Naive,
-    /** Cache-blocked, unrolled, allocation-free kernels (default). */
-    Blocked,
-};
-
-/**
- * Active backend. Defaults to Blocked; the KODAN_ML_KERNELS environment
- * variable ("naive" or "blocked") overrides the default, and
- * setBackend() overrides both.
- */
-Backend backend();
-
-/** Override the active backend (process-wide). */
-void setBackend(Backend b);
 
 /**
  * Per-thread bump arena for kernel workspaces.
@@ -158,14 +139,6 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, const double *a,
           const double *b, double *c, const double *bias = nullptr,
           Epilogue epilogue = Epilogue::None);
 
-/**
- * y = W * x (+ bias) for one sample: W is rows x cols row-major, x has
- * cols values, y gets rows values. Same fixed ascending-index order as
- * gemm.
- */
-void gemv(std::size_t rows, std::size_t cols, const double *w,
-          const double *x, const double *bias, double *y);
-
 /** out = a^T for row-major a (rows x cols); out is cols x rows. */
 void transpose(std::size_t rows, std::size_t cols, const double *a,
                double *out);
@@ -192,7 +165,7 @@ void standardizeRows(std::size_t rows, std::size_t dim, const double *x,
 // split of the reduction, or zero-padding of it yields the same bits
 // by construction — unlike the double kernels above, no fixed
 // summation order is needed to keep the determinism contract. The
-// blocked path exploits exactly that freedom: it packs the weight
+// kernels exploit exactly that freedom: they pack the weight
 // operand into int16 rows zero-padded to a vector multiple so the
 // reduction compiles to widening multiply-accumulate idioms (pmaddwd
 // and friends), which plain int8 loads would not.
@@ -349,55 +322,27 @@ struct PackedI8
 };
 
 /**
- * C(int32) = A(int8) * W^T(int8) + bias.
+ * C(int32) = A(int8) * W^T(int8) + bias over a packed weight operand.
  *
- * A is m x k row-major; @p w is the weight matrix in its natural
- * row-major n x k layout (output channel major — the SAME operand
- * gemvI8 takes, no transpose needed), so C[i,j] = bias[j] + dot of
- * A row i with W row j. C is m x n; @p bias (n int32 values) may be
- * null. Used for the final MLP layer, whose accumulators are
- * dequantized to double by the caller.
- */
-void gemmI8(std::size_t m, std::size_t k, std::size_t n,
-            const std::int8_t *a, const std::int8_t *w,
-            const std::int32_t *bias, std::int32_t *c);
-
-/**
- * Pre-packed variant of gemmI8: always the blocked path (no backend
- * dispatch — callers wanting the naive oracle hold the raw operands),
- * bit-identical to it and to the naive loops.
+ * A is m x k row-major; C[i,j] = bias[j] + dot of A row i with W row
+ * j, where W is the n x k matrix @p w was packed from and bias its
+ * int32 seeds (zero when packed with a null bias). C is m x n. Used
+ * for the final MLP layer, whose accumulators are dequantized to
+ * double by the caller.
  */
 void gemmI8(std::size_t m, const PackedI8 &w, const std::int8_t *a,
             std::int32_t *c);
 
 /**
- * Fused hidden-layer step:
+ * Fused hidden-layer step over a packed weight operand:
  * C(int8) = saturate(requantize(A*W^T + bias, rq[j]), relu ? 0 : -127).
  * The bias seeds the int32 accumulators (no separate bias pass) and the
  * ReLU rides the requantizing store as a clamp. Operand layout matches
  * gemmI8; @p rq holds n per-output-channel entries.
  */
-void gemmI8Requant(std::size_t m, std::size_t k, std::size_t n,
-                   const std::int8_t *a, const std::int8_t *w,
-                   const std::int32_t *bias, const Requant *rq, bool relu,
-                   std::int8_t *c);
-
-/** Pre-packed variant of gemmI8Requant (always the blocked path). */
 void gemmI8Requant(std::size_t m, const PackedI8 &w,
                    const std::int8_t *a, const Requant *rq, bool relu,
                    std::int8_t *c);
-
-/**
- * y(int32) = W(int8) * x(int8) + bias for one sample: W is rows x cols
- * row-major, x has cols values, y gets rows values. Bit-identical to a
- * one-row gemmI8 by integer associativity.
- */
-void gemvI8(std::size_t rows, std::size_t cols, const std::int8_t *w,
-            const std::int8_t *x, const std::int32_t *bias,
-            std::int32_t *y);
-
-/** Pre-packed variant of gemvI8 (always the blocked path). */
-void gemvI8(const PackedI8 &w, const std::int8_t *x, std::int32_t *y);
 
 } // namespace kodan::ml::kernels
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Int8 x int8 -> int32 GEMM/GEMV kernels with a fused requantizing
+ * Int8 x int8 -> int32 GEMM kernels with a fused requantizing
  * bias+ReLU epilogue — the integer substrate under QuantizedMlp.
  *
  * This TU gets the same compile-option treatment as kernels.cpp
  * (-O3 -funroll-loops, plus -march=native under -DKODAN_NATIVE=ON).
  *
  * Layout strategy (x86-64): the classic pair-interleaved int16
- * multiply-add microkernel. Weights are packed (once, via PackedI8,
- * or per call from raw operands) into rows indexed by PAIRS of
+ * multiply-add microkernel. Weights are packed once, via PackedI8,
+ * into rows indexed by PAIRS of
  * reduction indices, with each output channel contributing an
  * adjacent (W[j][2h], W[j][2h+1]) int16 pair; each A row is packed
  * into broadcastable int32 pair lanes. One pmaddwd then advances four
@@ -29,9 +29,9 @@
  * Nothing here depends on evaluation order, padding, tiling, or ISA
  * for the bits: pmaddwd on int8-range values is exact (no saturation
  * below |32767|), integer addition is exactly associative, and pads
- * contribute zero products — so SSE2, AVX2, portable, and naive paths
- * are bit-identical BY CONSTRUCTION at any KODAN_THREADS, any batch
- * split, and any blocking; the property tests pin it anyway. The
+ * contribute zero products — so SSE2, AVX2, portable, and scalar
+ * loops are bit-identical BY CONSTRUCTION at any KODAN_THREADS, any
+ * batch split, and any blocking; the property tests pin it anyway. The
  * int32 accumulators must not overflow (see kernels.hpp; asserted
  * here).
  */
@@ -322,30 +322,6 @@ runPacked(std::size_t m, const PackedI8 &pw, const std::int8_t *a,
     }
 }
 
-/** The scalar reference loops (Backend::Naive oracle). Unsigned
- *  accumulation keeps even out-of-contract shapes UB-free. */
-void
-gemmI8Naive(std::size_t m, std::size_t k, std::size_t n,
-            const std::int8_t *a, const std::int8_t *w,
-            const std::int32_t *bias, std::int32_t *c)
-{
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::int8_t *a_row = a + i * k;
-        std::int32_t *c_row = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::int8_t *w_row = w + j * k;
-            std::uint32_t z =
-                static_cast<std::uint32_t>(bias != nullptr ? bias[j] : 0);
-            for (std::size_t p = 0; p < k; ++p) {
-                z += static_cast<std::uint32_t>(
-                    static_cast<std::int32_t>(a_row[p]) *
-                    static_cast<std::int32_t>(w_row[p]));
-            }
-            c_row[j] = static_cast<std::int32_t>(z);
-        }
-    }
-}
-
 /**
  * Requantizing store epilogue. The per-channel constants are expanded
  * once per GEMM call into int64 lanes (multiplier, rounding half,
@@ -551,10 +527,10 @@ void
 gemmI8(std::size_t m, const PackedI8 &w, const std::int8_t *a,
        std::int32_t *c)
 {
-    // Shared stage-attribution row with gemmI8Requant, mirroring how
-    // the double path funnels both backends into "ml.kernels.gemm" —
-    // one span in a `kodan-report diff` of two profiles covers the
-    // whole quantized matmul substrate.
+    // Shared stage-attribution row with gemmI8Requant, mirroring the
+    // double path's "ml.kernels.gemm" — one span in a `kodan-report
+    // diff` of two profiles covers the whole quantized matmul
+    // substrate.
     KODAN_TRACE_SCOPE("ml.kernels.gemm_i8");
     if (m == 0 || w.n == 0) {
         return;
@@ -568,22 +544,6 @@ gemmI8(std::size_t m, const PackedI8 &w, const std::int8_t *a,
             c_row[j] = acc[j];
         }
     });
-}
-
-void
-gemmI8(std::size_t m, std::size_t k, std::size_t n, const std::int8_t *a,
-       const std::int8_t *w, const std::int32_t *bias, std::int32_t *c)
-{
-    assert(k >= 1 && k <= kMaxK);
-    if (m == 0 || n == 0) {
-        return;
-    }
-    if (backend() == Backend::Naive) {
-        KODAN_TRACE_SCOPE("ml.kernels.gemm_i8");
-        gemmI8Naive(m, k, n, a, w, bias, c);
-        return;
-    }
-    gemmI8(m, PackedI8(n, k, w, bias), a, c);
 }
 
 void
@@ -601,58 +561,6 @@ gemmI8Requant(std::size_t m, const PackedI8 &w, const std::int8_t *a,
     Scratch::Frame frame(scratch());
     const RequantStore store(w.n, rq, relu, c);
     runPacked(m, w, a, store);
-}
-
-void
-gemmI8Requant(std::size_t m, std::size_t k, std::size_t n,
-              const std::int8_t *a, const std::int8_t *w,
-              const std::int32_t *bias, const Requant *rq, bool relu,
-              std::int8_t *c)
-{
-    assert(k >= 1 && k <= kMaxK);
-    if (m == 0 || n == 0) {
-        return;
-    }
-    if (backend() == Backend::Naive) {
-        KODAN_TRACE_SCOPE("ml.kernels.gemm_i8");
-        Scratch::Frame frame(scratch());
-        auto *acc = scratch().allocArray<std::int32_t>(n);
-        const RequantStore store(n, rq, relu, c);
-        for (std::size_t i = 0; i < m; ++i) {
-            gemmI8Naive(1, k, n, a + i * k, w, bias, acc);
-            store(i, acc);
-        }
-        return;
-    }
-    gemmI8Requant(m, PackedI8(n, k, w, bias), a, rq, relu, c);
-}
-
-void
-gemvI8(const PackedI8 &w, const std::int8_t *x, std::int32_t *y)
-{
-    if (w.n == 0) {
-        return;
-    }
-    const std::size_t rows = w.n;
-    // Single sample == one-row gemm: same packed layout, same bits.
-    runPacked(1, w, x, [y, rows](std::size_t, const std::int32_t *acc) {
-        std::memcpy(y, acc, rows * sizeof(std::int32_t));
-    });
-}
-
-void
-gemvI8(std::size_t rows, std::size_t cols, const std::int8_t *w,
-       const std::int8_t *x, const std::int32_t *bias, std::int32_t *y)
-{
-    assert(cols >= 1 && cols <= kMaxK);
-    if (rows == 0) {
-        return;
-    }
-    if (backend() == Backend::Naive) {
-        gemmI8Naive(1, cols, rows, x, w, bias, y);
-        return;
-    }
-    gemvI8(PackedI8(rows, cols, w, bias), x, y);
 }
 
 } // namespace kodan::ml::kernels

@@ -82,27 +82,9 @@ squaredEuclidean(const double *a, const double *b, std::size_t dim)
     return sum;
 }
 
-/** The oracle's argmin rule: full metric distance, first-of-ties. */
-int
-nearestByDistance(const double *x, const Matrix &centroids, int k,
-                  Distance metric)
-{
-    int best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < k; ++c) {
-        const double d =
-            KMeans::distance(x, centroids.row(c), centroids.cols(), metric);
-        if (d < best_dist) {
-            best_dist = d;
-            best = c;
-        }
-    }
-    return best;
-}
-
 /**
- * Shared Lloyd update step (means, empty-cluster reseed): identical in
- * both backends, including its rng consumption.
+ * Lloyd update step (means, empty-cluster reseed); the test oracle
+ * restates it, rng consumption included.
  */
 void
 updateCentroids(const Matrix &x, KMeansResult &result, int k,
@@ -144,22 +126,22 @@ updateCentroids(const Matrix &x, KMeansResult &result, int k,
 int
 KMeansResult::nearest(const double *x) const
 {
-    if (metric == Distance::Euclidean) {
-        // Squared-distance argmin: same winner as the sqrt'd compare
-        // (monotone), one sqrt per centroid saved.
-        int best = 0;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (int c = 0; c < k; ++c) {
-            const double d =
-                squaredEuclidean(x, centroids.row(c), centroids.cols());
-            if (d < best_dist) {
-                best_dist = d;
-                best = c;
-            }
+    // Euclidean compares squared distances: the same winner as the
+    // sqrt'd compare (monotone), one sqrt per centroid saved.
+    int best = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (int c = 0; c < k; ++c) {
+        const double d =
+            metric == Distance::Euclidean
+                ? squaredEuclidean(x, centroids.row(c), centroids.cols())
+                : KMeans::distance(x, centroids.row(c), centroids.cols(),
+                                   metric);
+        if (d < best_dist) {
+            best_dist = d;
+            best = c;
         }
-        return best;
     }
-    return nearestByDistance(x, centroids, k, metric);
+    return best;
 }
 
 KMeans::KMeans(int k, Distance metric, int max_iters, int restarts)
@@ -183,10 +165,10 @@ KMeans::fitOnce(const Matrix &x, util::Rng &rng) const
     result.centroids = Matrix(k_, dim);
     result.assignment.assign(n, 0);
 
-    // k-means++ seeding. Deliberately shared by both backends: its
-    // weights square the sqrt'd metric distance (d * d), which is NOT
-    // bit-equal to a direct squared-difference sum, so rewriting it
-    // would perturb every downstream draw of the shared rng.
+    // k-means++ seeding. Its weights square the sqrt'd metric distance
+    // (d * d), which is NOT bit-equal to a direct squared-difference
+    // sum, so rewriting it would perturb every downstream draw of the
+    // shared rng; the test oracle restates it as is.
     std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
     std::size_t first = static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
@@ -219,45 +201,12 @@ KMeans::fitOnce(const Matrix &x, util::Rng &rng) const
         std::copy_n(x.row(chosen), dim, result.centroids.row(c));
     }
 
-    if (kernels::backend() == kernels::Backend::Naive) {
-        lloydNaive(x, rng, result);
-    } else {
-        lloydBlocked(x, rng, result);
-    }
+    lloyd(x, rng, result);
     return result;
 }
 
 void
-KMeans::lloydNaive(const Matrix &x, util::Rng &rng,
-                   KMeansResult &result) const
-{
-    const std::size_t n = x.rows();
-    const std::size_t dim = x.cols();
-    std::vector<std::size_t> counts(k_, 0);
-    Matrix sums(k_, dim);
-    for (int iter = 0; iter < max_iters_; ++iter) {
-        bool changed = false;
-        result.inertia = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const int nearest =
-                nearestByDistance(x.row(i), result.centroids, k_, metric_);
-            result.inertia += distance(
-                x.row(i), result.centroids.row(nearest), dim, metric_);
-            if (nearest != result.assignment[i]) {
-                result.assignment[i] = nearest;
-                changed = true;
-            }
-        }
-        if (!changed && iter > 0) {
-            break;
-        }
-        updateCentroids(x, result, k_, counts, sums, rng);
-    }
-}
-
-void
-KMeans::lloydBlocked(const Matrix &x, util::Rng &rng,
-                     KMeansResult &result) const
+KMeans::lloyd(const Matrix &x, util::Rng &rng, KMeansResult &result) const
 {
     const std::size_t n = x.rows();
     const std::size_t dim = x.cols();

@@ -91,19 +91,15 @@ class KMeans
 
     KMeansResult fitOnce(const Matrix &x, util::Rng &rng) const;
 
-    /** Original per-point Lloyd iterations (the Naive oracle). */
-    void lloydNaive(const Matrix &x, util::Rng &rng,
-                    KMeansResult &result) const;
-
     /**
-     * Batched Lloyd iterations (Blocked backend): Euclidean and Cosine
-     * assignment via one point-by-centroid GEMM per iteration (with the
-     * norm expansion ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 for
-     * Euclidean), Hamming on pre-binarized bytes. Assignments, inertia,
-     * and rng consumption are bit-identical to lloydNaive.
+     * Batched Lloyd iterations: Euclidean and Cosine assignment via one
+     * point-by-centroid GEMM per iteration (with the norm expansion
+     * ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 for Euclidean), Hamming
+     * on pre-binarized bytes. Assignments, inertia, and rng consumption
+     * are bit-identical to per-point iterations with the full metric
+     * distance (the test oracle in tests/ml/ml_oracle.hpp).
      */
-    void lloydBlocked(const Matrix &x, util::Rng &rng,
-                      KMeansResult &result) const;
+    void lloyd(const Matrix &x, util::Rng &rng, KMeansResult &result) const;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ml/kernels.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace kodan::ml {
 
@@ -40,31 +39,10 @@ Matrix::multiply(const Matrix &a, const Matrix &b)
 {
     assert(a.cols_ == b.rows_ && "multiply: inner dimensions must match");
     Matrix c(a.rows_, b.cols_);
-    if (kernels::backend() == kernels::Backend::Blocked) {
-        // The blocked kernel accumulates every element over ascending
-        // inner index, the same chain as the naive loop below (whose
-        // zero-skip is bit-neutral: an accumulator seeded with +0.0
-        // never becomes -0.0, so adding aik * b == +/-0.0 is identity).
-        kernels::gemm(a.rows_, a.cols_, b.cols_, a.data_.data(),
-                      b.data_.data(), c.data_.data(), nullptr);
-        return c;
-    }
-    // Same attribution row as kernels::gemm: both backends of the one
-    // logical kernel, so profile diffs rank the backend swap directly.
-    KODAN_TRACE_SCOPE("ml.kernels.gemm");
-    for (std::size_t i = 0; i < a.rows_; ++i) {
-        for (std::size_t k = 0; k < a.cols_; ++k) {
-            const double aik = a.at(i, k);
-            if (aik == 0.0) {
-                continue;
-            }
-            const double *b_row = b.row(k);
-            double *c_row = c.row(i);
-            for (std::size_t j = 0; j < b.cols_; ++j) {
-                c_row[j] += aik * b_row[j];
-            }
-        }
-    }
+    // The blocked kernel accumulates every element over ascending inner
+    // index, the chain of the textbook triple loop.
+    kernels::gemm(a.rows_, a.cols_, b.cols_, a.data_.data(),
+                  b.data_.data(), c.data_.data(), nullptr);
     return c;
 }
 

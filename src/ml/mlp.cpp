@@ -22,25 +22,7 @@ sigmoid(double z)
     return 1.0 / (1.0 + std::exp(-z));
 }
 
-void
-softmaxInPlace(std::vector<double> &z)
-{
-    const double peak = *std::max_element(z.begin(), z.end());
-    double total = 0.0;
-    for (auto &v : z) {
-        v = std::exp(v - peak);
-        total += v;
-    }
-    for (auto &v : z) {
-        v /= total;
-    }
-}
-
-/**
- * Raw-buffer activation helpers of the Blocked path. Element-for-element
- * the same expressions (and, for softmax, the same reduction order) as
- * the std::vector versions above, so both backends emit identical bits.
- */
+/** Element-wise activations over raw row-major buffers. */
 void
 reluRows(double *v, std::size_t count)
 {
@@ -103,9 +85,6 @@ Mlp::Mlp(const MlpConfig &config, util::Rng &rng)
         layer.v_b.assign(fan_out, 0.0);
         layers_.push_back(std::move(layer));
     }
-    for (int d : dims) {
-        max_width_ = std::max(max_width_, static_cast<std::size_t>(d));
-    }
     refreshTransposes();
 }
 
@@ -136,81 +115,6 @@ Mlp::parameterCount() const
 }
 
 void
-Mlp::forward(const double *x, double *out) const
-{
-    if (kernels::backend() == kernels::Backend::Naive) {
-        forwardNaive(x, out);
-    } else {
-        forwardBlocked(x, out);
-    }
-}
-
-void
-Mlp::forwardNaive(const double *x, double *out) const
-{
-    std::vector<double> current(x, x + config_.input_dim);
-    std::vector<double> next;
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Layer &layer = layers_[l];
-        const std::size_t fan_out = layer.weights.rows();
-        const std::size_t fan_in = layer.weights.cols();
-        next.assign(fan_out, 0.0);
-        for (std::size_t o = 0; o < fan_out; ++o) {
-            const double *w = layer.weights.row(o);
-            double z = layer.bias[o];
-            for (std::size_t i = 0; i < fan_in; ++i) {
-                z += w[i] * current[i];
-            }
-            next[o] = z;
-        }
-        const bool last = l + 1 == layers_.size();
-        if (!last) {
-            for (auto &v : next) {
-                v = std::max(0.0, v);
-            }
-        } else if (config_.output == OutputKind::Sigmoid) {
-            for (auto &v : next) {
-                v = sigmoid(v);
-            }
-        } else {
-            softmaxInPlace(next);
-        }
-        current.swap(next);
-    }
-    std::copy(current.begin(), current.end(), out);
-}
-
-void
-Mlp::forwardBlocked(const double *x, double *out) const
-{
-    kernels::Scratch::Frame frame(kernels::scratch());
-    double *current = kernels::scratch().alloc(max_width_);
-    double *next = kernels::scratch().alloc(max_width_);
-    std::memcpy(current, x,
-                static_cast<std::size_t>(config_.input_dim) *
-                    sizeof(double));
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Layer &layer = layers_[l];
-        const std::size_t fan_out = layer.weights.rows();
-        const std::size_t fan_in = layer.weights.cols();
-        kernels::gemv(fan_out, fan_in, layer.weights.data().data(),
-                      current, layer.bias.data(), next);
-        const bool last = l + 1 == layers_.size();
-        if (!last) {
-            reluRows(next, fan_out);
-        } else if (config_.output == OutputKind::Sigmoid) {
-            sigmoidRows(next, fan_out);
-        } else {
-            softmaxRow(next, fan_out);
-        }
-        std::swap(current, next);
-    }
-    std::memcpy(out, current,
-                static_cast<std::size_t>(config_.output_dim) *
-                    sizeof(double));
-}
-
-void
 Mlp::forwardBatch(const double *x, std::size_t count, double *out) const
 {
     const auto in_dim = static_cast<std::size_t>(config_.input_dim);
@@ -220,12 +124,6 @@ Mlp::forwardBatch(const double *x, std::size_t count, double *out) const
     }
     KODAN_TRACE_SCOPE("ml.mlp.forward_batch");
     KODAN_COUNT_ADD("ml.mlp.forward_batch.rows", count);
-    if (kernels::backend() == kernels::Backend::Naive) {
-        for (std::size_t r = 0; r < count; ++r) {
-            forwardNaive(x + r * in_dim, out + r * out_dim);
-        }
-        return;
-    }
     // Strip-mine the batch through the whole layer chain so the
     // intermediate activations stay cache-resident (strip x widest
     // layer) instead of streaming a full-batch activation matrix
@@ -279,66 +177,6 @@ Mlp::forwardBatch(const Matrix &x, Matrix &out) const
 }
 
 double
-Mlp::predictProb(const double *x) const
-{
-    assert(config_.output == OutputKind::Sigmoid && config_.output_dim == 1);
-    double p = 0.0;
-    forward(x, &p);
-    return p;
-}
-
-int
-Mlp::predictClass(const double *x) const
-{
-    if (kernels::backend() == kernels::Backend::Naive) {
-        std::vector<double> probs(config_.output_dim);
-        forward(x, probs.data());
-        return static_cast<int>(
-            std::max_element(probs.begin(), probs.end()) - probs.begin());
-    }
-    kernels::Scratch::Frame frame(kernels::scratch());
-    double *probs = kernels::scratch().alloc(
-        static_cast<std::size_t>(config_.output_dim));
-    forward(x, probs);
-    return static_cast<int>(
-        std::max_element(probs, probs + config_.output_dim) - probs);
-}
-
-void
-Mlp::forwardTraining(const double *x,
-                     std::vector<std::vector<double>> &acts) const
-{
-    acts.resize(layers_.size() + 1);
-    acts[0].assign(x, x + config_.input_dim);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Layer &layer = layers_[l];
-        const std::size_t fan_out = layer.weights.rows();
-        const std::size_t fan_in = layer.weights.cols();
-        acts[l + 1].assign(fan_out, 0.0);
-        for (std::size_t o = 0; o < fan_out; ++o) {
-            const double *w = layer.weights.row(o);
-            double z = layer.bias[o];
-            for (std::size_t i = 0; i < fan_in; ++i) {
-                z += w[i] * acts[l][i];
-            }
-            acts[l + 1][o] = z;
-        }
-        const bool last = l + 1 == layers_.size();
-        if (!last) {
-            for (auto &v : acts[l + 1]) {
-                v = std::max(0.0, v);
-            }
-        } else if (config_.output == OutputKind::Sigmoid) {
-            for (auto &v : acts[l + 1]) {
-                v = sigmoid(v);
-            }
-        } else {
-            softmaxInPlace(acts[l + 1]);
-        }
-    }
-}
-
-double
 Mlp::train(const Matrix &x, const std::vector<double> &targets,
            const TrainOptions &options, util::Rng &rng)
 {
@@ -352,173 +190,13 @@ Mlp::train(const Matrix &x, const std::vector<double> &targets,
                n * static_cast<std::size_t>(config_.output_dim));
     }
     assert(options.batch_size >= 1);
-    (void)n;
 
-    if (kernels::backend() == kernels::Backend::Naive) {
-        return trainNaive(x, targets, options, rng);
-    }
-    return trainBlocked(x, targets, options, rng);
-}
-
-double
-Mlp::trainNaive(const Matrix &x, const std::vector<double> &targets,
-                const TrainOptions &options, util::Rng &rng)
-{
-    const std::size_t n = x.rows();
-    const bool softmax = config_.output == OutputKind::Softmax;
-
-    // Per-layer gradient accumulators, reused across minibatches.
-    std::vector<Matrix> grad_w;
-    std::vector<std::vector<double>> grad_b;
-    for (const auto &layer : layers_) {
-        grad_w.emplace_back(layer.weights.rows(), layer.weights.cols());
-        grad_b.emplace_back(layer.bias.size(), 0.0);
-    }
-
-    std::vector<std::vector<double>> acts;
-    std::vector<double> delta;
-    std::vector<double> delta_prev;
-    double last_epoch_loss = 0.0;
-
-    const double beta1 = 0.9;
-    const double beta2 = 0.999;
-    const double eps = 1.0e-8;
-
-    for (int epoch = 0; epoch < options.epochs; ++epoch) {
-        const auto order = rng.permutation(n);
-        double epoch_loss = 0.0;
-        std::size_t batch_start = 0;
-        while (batch_start < n) {
-            const std::size_t batch_end =
-                std::min(n, batch_start + options.batch_size);
-            const auto batch_n =
-                static_cast<double>(batch_end - batch_start);
-            for (auto &g : grad_w) {
-                g.fill(0.0);
-            }
-            for (auto &g : grad_b) {
-                std::fill(g.begin(), g.end(), 0.0);
-            }
-
-            for (std::size_t s = batch_start; s < batch_end; ++s) {
-                const std::size_t idx = order[s];
-                forwardTraining(x.row(idx), acts);
-                const auto &out = acts.back();
-
-                // Output delta: prob - target for both heads.
-                delta.assign(out.size(), 0.0);
-                if (softmax) {
-                    const int cls = static_cast<int>(targets[idx]);
-                    assert(cls >= 0 && cls < config_.output_dim);
-                    for (std::size_t o = 0; o < out.size(); ++o) {
-                        delta[o] = out[o] -
-                                   (static_cast<int>(o) == cls ? 1.0 : 0.0);
-                    }
-                    epoch_loss += -std::log(std::max(1.0e-12, out[cls]));
-                } else {
-                    for (std::size_t o = 0; o < out.size(); ++o) {
-                        const double target =
-                            targets[idx * out.size() + o];
-                        delta[o] = out[o] - target;
-                        epoch_loss +=
-                            -(target * std::log(std::max(1.0e-12, out[o])) +
-                              (1.0 - target) *
-                                  std::log(
-                                      std::max(1.0e-12, 1.0 - out[o])));
-                    }
-                }
-
-                // Backpropagate.
-                for (std::size_t l = layers_.size(); l-- > 0;) {
-                    const Layer &layer = layers_[l];
-                    const auto &input = acts[l];
-                    const std::size_t fan_out = layer.weights.rows();
-                    const std::size_t fan_in = layer.weights.cols();
-                    for (std::size_t o = 0; o < fan_out; ++o) {
-                        const double d = delta[o];
-                        if (d == 0.0) {
-                            continue;
-                        }
-                        double *g_row = grad_w[l].row(o);
-                        for (std::size_t i = 0; i < fan_in; ++i) {
-                            g_row[i] += d * input[i];
-                        }
-                        grad_b[l][o] += d;
-                    }
-                    if (l == 0) {
-                        break;
-                    }
-                    delta_prev.assign(fan_in, 0.0);
-                    for (std::size_t o = 0; o < fan_out; ++o) {
-                        const double d = delta[o];
-                        if (d == 0.0) {
-                            continue;
-                        }
-                        const double *w = layer.weights.row(o);
-                        for (std::size_t i = 0; i < fan_in; ++i) {
-                            delta_prev[i] += d * w[i];
-                        }
-                    }
-                    // ReLU derivative of the previous layer's output.
-                    for (std::size_t i = 0; i < fan_in; ++i) {
-                        if (acts[l][i] <= 0.0) {
-                            delta_prev[i] = 0.0;
-                        }
-                    }
-                    delta.swap(delta_prev);
-                }
-            }
-
-            // Adam update.
-            ++adam_step_;
-            const double bc1 =
-                1.0 - std::pow(beta1, static_cast<double>(adam_step_));
-            const double bc2 =
-                1.0 - std::pow(beta2, static_cast<double>(adam_step_));
-            for (std::size_t l = 0; l < layers_.size(); ++l) {
-                Layer &layer = layers_[l];
-                auto &gw = grad_w[l].data();
-                auto &w = layer.weights.data();
-                auto &mw = layer.m_w.data();
-                auto &vw = layer.v_w.data();
-                for (std::size_t i = 0; i < w.size(); ++i) {
-                    const double g = gw[i] / batch_n +
-                                     options.weight_decay * w[i];
-                    mw[i] = beta1 * mw[i] + (1.0 - beta1) * g;
-                    vw[i] = beta2 * vw[i] + (1.0 - beta2) * g * g;
-                    w[i] -= options.learning_rate * (mw[i] / bc1) /
-                            (std::sqrt(vw[i] / bc2) + eps);
-                }
-                for (std::size_t o = 0; o < layer.bias.size(); ++o) {
-                    const double g = grad_b[l][o] / batch_n;
-                    layer.m_b[o] = beta1 * layer.m_b[o] + (1.0 - beta1) * g;
-                    layer.v_b[o] =
-                        beta2 * layer.v_b[o] + (1.0 - beta2) * g * g;
-                    layer.bias[o] -= options.learning_rate *
-                                     (layer.m_b[o] / bc1) /
-                                     (std::sqrt(layer.v_b[o] / bc2) + eps);
-                }
-            }
-            batch_start = batch_end;
-        }
-        last_epoch_loss = epoch_loss / static_cast<double>(n);
-    }
-    refreshTransposes();
-    return last_epoch_loss;
-}
-
-double
-Mlp::trainBlocked(const Matrix &x, const std::vector<double> &targets,
-                  const TrainOptions &options, util::Rng &rng)
-{
-    // Bit-identical restatement of trainNaive: the per-sample forwards
-    // of a minibatch become one GEMM per layer; weight gradients become
-    // delta^T * acts (ascending sample index == the oracle's ascending
-    // accumulation); the backpropagated delta becomes delta * W
-    // (ascending output index, ditto). The loss and the Adam update are
-    // byte-for-byte the oracle's code.
-    const std::size_t n = x.rows();
-    const bool softmax = config_.output == OutputKind::Softmax;
+    // The per-sample forwards of a minibatch are one GEMM per layer;
+    // weight gradients are delta^T * acts (each weight accumulates over
+    // ascending sample index) and the backpropagated delta is delta * W
+    // (ascending output index). Those are the accumulation orders of
+    // the per-sample oracle loop in tests/ml/ml_oracle.hpp, so the bits
+    // match it.
     const auto in_dim = static_cast<std::size_t>(config_.input_dim);
     const auto out_dim = static_cast<std::size_t>(config_.output_dim);
     const std::size_t depth = layers_.size();

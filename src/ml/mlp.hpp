@@ -7,11 +7,10 @@
  * context engine (softmax head). Seven capacity tiers play the role of
  * the seven application architectures of Table 1.
  *
- * Inference and training dispatch on kernels::backend(): the Blocked
- * path runs one GEMM per layer over the whole batch with scratch-arena
- * workspaces (no per-call heap traffic), the Naive path keeps the
- * original per-sample scalar loops as the bit-exact oracle. Both
- * produce identical bits (see tests/ml/test_kernels.cpp).
+ * Inference and training run one GEMM per layer over the whole batch
+ * with scratch-arena workspaces (no per-call heap traffic). The
+ * per-sample scalar loops they replaced survive as the bit-exact test
+ * oracle (tests/ml/ml_oracle.hpp); both produce identical bits.
  */
 
 #ifndef KODAN_ML_MLP_HPP
@@ -81,16 +80,9 @@ class Mlp
     std::size_t parameterCount() const;
 
     /**
-     * Forward pass of one sample.
-     * @param x Input of config().input_dim values.
-     * @param out Output of config().output_dim probabilities.
-     */
-    void forward(const double *x, double *out) const;
-
-    /**
-     * Forward pass of @p count samples at once: one GEMM per layer on
-     * the Blocked backend. Bit-identical to @p count calls of forward()
-     * for any batch composition.
+     * Forward pass of @p count samples at once: one GEMM per layer.
+     * Rows are independent, so a row's bits do not depend on the batch
+     * it rides in.
      *
      * @param x Row-major samples, count x config().input_dim.
      * @param count Number of samples.
@@ -104,12 +96,6 @@ class Mlp
      * is resized to x.rows() x config().output_dim.
      */
     void forwardBatch(const Matrix &x, Matrix &out) const;
-
-    /** Probability of the positive class (binary head convenience). */
-    double predictProb(const double *x) const;
-
-    /** Argmax class (softmax head convenience). */
-    int predictClass(const double *x) const;
 
     /**
      * Train with Adam on (X, targets).
@@ -168,33 +154,9 @@ class Mlp
     MlpConfig config_;
     std::vector<Layer> layers_;
     long long adam_step_ = 0;
-    std::size_t max_width_ = 0; // widest layer incl. input and output
 
     /** Rebuild weights_t of every layer from weights. */
     void refreshTransposes();
-
-    /** Original per-sample scalar forward (the Naive oracle). */
-    void forwardNaive(const double *x, double *out) const;
-
-    /** Scratch-arena forward of one sample (Blocked backend). */
-    void forwardBlocked(const double *x, double *out) const;
-
-    /** Original per-sample training loop (the Naive oracle). */
-    double trainNaive(const Matrix &x, const std::vector<double> &targets,
-                      const TrainOptions &options, util::Rng &rng);
-
-    /** GEMM-batched training (Blocked backend); identical bits. */
-    double trainBlocked(const Matrix &x,
-                        const std::vector<double> &targets,
-                        const TrainOptions &options, util::Rng &rng);
-
-    /**
-     * Forward pass keeping activations for backprop.
-     * @param x Input sample.
-     * @param acts Output: per-layer post-activation vectors (acts[0] = x).
-     */
-    void forwardTraining(const double *x,
-                         std::vector<std::vector<double>> &acts) const;
 };
 
 } // namespace kodan::ml

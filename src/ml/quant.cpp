@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "telemetry/telemetry.hpp"
@@ -90,17 +89,6 @@ setPrecision(Precision p)
     g_precision.store(static_cast<int>(p), std::memory_order_relaxed);
 }
 
-PrecisionGuard::PrecisionGuard(Precision p)
-    : saved_(precision())
-{
-    setPrecision(p);
-}
-
-PrecisionGuard::~PrecisionGuard()
-{
-    setPrecision(saved_);
-}
-
 QuantizedMlp::QuantizedMlp(const Mlp &net,
                            const std::vector<double> &act_scales)
     : config_(net.config()), act_scales_(act_scales)
@@ -108,31 +96,29 @@ QuantizedMlp::QuantizedMlp(const Mlp &net,
     assert(act_scales_.size() == net.layerCount());
     const std::size_t layer_count = net.layerCount();
     layers_.resize(layer_count);
-    max_width_ = static_cast<std::size_t>(config_.input_dim);
     for (std::size_t l = 0; l < layer_count; ++l) {
         const Matrix &w = net.layerWeights(l);
         const std::vector<double> &bias = net.layerBias(l);
         LayerQ &lq = layers_[l];
         lq.fan_out = w.rows();
         lq.fan_in = w.cols();
-        max_width_ = std::max(max_width_, lq.fan_out);
 
         // Per-output-channel symmetric weight quantization.
         lq.w_scale.resize(lq.fan_out);
-        lq.wq.resize(lq.fan_out * lq.fan_in);
+        std::vector<std::int8_t> wq(lq.fan_out * lq.fan_in);
         for (std::size_t o = 0; o < lq.fan_out; ++o) {
             const double *w_row = w.row(o);
             const double scale = scaleFromAbsMax(absMax(w_row, lq.fan_in));
             lq.w_scale[o] = scale;
             const double inv = 1.0 / scale;
             for (std::size_t i = 0; i < lq.fan_in; ++i) {
-                lq.wq[o * lq.fan_in + i] =
-                    kernels::quantizeValue(w_row[i], inv);
+                wq[o * lq.fan_in + i] = kernels::quantizeValue(w_row[i], inv);
             }
         }
 
         const double in_scale = act_scales_[l];
         const bool last = l + 1 == layer_count;
+        std::vector<std::int32_t> bias_q;
         if (last) {
             // Head: dequantize the raw accumulators to double and add
             // the exact fp64 bias — no bias quantization error on the
@@ -144,22 +130,21 @@ QuantizedMlp::QuantizedMlp(const Mlp &net,
             }
         } else {
             const double out_scale = act_scales_[l + 1];
-            lq.bias_q.resize(lq.fan_out);
+            bias_q.resize(lq.fan_out);
             lq.rq.resize(lq.fan_out);
             for (std::size_t o = 0; o < lq.fan_out; ++o) {
                 const double acc_scale = in_scale * lq.w_scale[o];
                 const double b = bias[o] / acc_scale;
-                lq.bias_q[o] = static_cast<std::int32_t>(std::llround(
+                bias_q[o] = static_cast<std::int32_t>(std::llround(
                     std::clamp(b, -static_cast<double>(kBiasClamp),
                                static_cast<double>(kBiasClamp))));
                 lq.rq[o] = kernels::requantScale(acc_scale / out_scale);
             }
         }
-        // The head runs gemmI8 with a null bias (its fp64 bias lands
-        // after dequantization), so its pack carries zero seeds.
-        lq.packed = kernels::PackedI8(lq.fan_out, lq.fan_in,
-                                      lq.wq.data(),
-                                      last ? nullptr : lq.bias_q.data());
+        // The head's fp64 bias lands after dequantization, so its pack
+        // carries zero seeds.
+        lq.packed = kernels::PackedI8(lq.fan_out, lq.fan_in, wq.data(),
+                                      last ? nullptr : bias_q.data());
     }
 }
 
@@ -243,32 +228,17 @@ QuantizedMlp::forwardBatch(const double *x, std::size_t count,
         for (std::size_t l = 0; l < layers_.size(); ++l) {
             const LayerQ &lq = layers_[l];
             const bool last = l + 1 == layers_.size();
-            const bool blocked =
-                kernels::backend() == kernels::Backend::Blocked;
             if (!last) {
                 auto *next = kernels::scratch().allocArray<std::int8_t>(
                     rows * lq.fan_out);
-                if (blocked) {
-                    kernels::gemmI8Requant(rows, lq.packed, current,
-                                           lq.rq.data(), /*relu=*/true,
-                                           next);
-                } else {
-                    kernels::gemmI8Requant(rows, lq.fan_in, lq.fan_out,
-                                           current, lq.wq.data(),
-                                           lq.bias_q.data(), lq.rq.data(),
-                                           /*relu=*/true, next);
-                }
+                kernels::gemmI8Requant(rows, lq.packed, current,
+                                       lq.rq.data(), /*relu=*/true, next);
                 current = next;
                 continue;
             }
             auto *acc = kernels::scratch().allocArray<std::int32_t>(
                 rows * lq.fan_out);
-            if (blocked) {
-                kernels::gemmI8(rows, lq.packed, current, acc);
-            } else {
-                kernels::gemmI8(rows, lq.fan_in, lq.fan_out, current,
-                                lq.wq.data(), nullptr, acc);
-            }
+            kernels::gemmI8(rows, lq.packed, current, acc);
             double *head = out + r0 * out_dim;
             for (std::size_t r = 0; r < rows; ++r) {
                 double *o_row = head + r * out_dim;
@@ -299,69 +269,6 @@ QuantizedMlp::forwardBatch(const Matrix &x, Matrix &out) const
                      static_cast<std::size_t>(config_.output_dim));
     }
     forwardBatch(x.data().data(), x.rows(), out.data().data());
-}
-
-void
-QuantizedMlp::forward(const double *x, double *out) const
-{
-    const auto in_dim = static_cast<std::size_t>(config_.input_dim);
-    kernels::Scratch::Frame frame(kernels::scratch());
-    auto *q0 = kernels::scratch().allocArray<std::int8_t>(max_width_);
-    auto *q1 = kernels::scratch().allocArray<std::int8_t>(max_width_);
-    auto *acc = kernels::scratch().allocArray<std::int32_t>(max_width_);
-    std::int8_t *current = q0;
-    std::int8_t *spare = q1;
-    quantizeInput(x, 1, current);
-    (void)in_dim;
-    const bool blocked = kernels::backend() == kernels::Backend::Blocked;
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const LayerQ &lq = layers_[l];
-        const bool last = l + 1 == layers_.size();
-        if (!last) {
-            // gemvI8 + a requantizing copy — the same integer sums as
-            // gemmI8Requant by associativity, so bits match the batch
-            // path exactly.
-            if (blocked) {
-                kernels::gemvI8(lq.packed, current, acc);
-            } else {
-                kernels::gemvI8(lq.fan_out, lq.fan_in, lq.wq.data(),
-                                current, lq.bias_q.data(), acc);
-            }
-            for (std::size_t o = 0; o < lq.fan_out; ++o) {
-                spare[o] = kernels::saturateI8(
-                    kernels::requantize(acc[o], lq.rq[o]), 0);
-            }
-            std::swap(current, spare);
-            continue;
-        }
-        if (blocked) {
-            kernels::gemvI8(lq.packed, current, acc);
-        } else {
-            kernels::gemvI8(lq.fan_out, lq.fan_in, lq.wq.data(), current,
-                            nullptr, acc);
-        }
-        for (std::size_t o = 0; o < lq.fan_out; ++o) {
-            out[o] =
-                static_cast<double>(acc[o]) * lq.deq[o] + lq.bias_f[o];
-        }
-        if (config_.output == OutputKind::Sigmoid) {
-            for (std::size_t o = 0; o < lq.fan_out; ++o) {
-                out[o] = sigmoid(out[o]);
-            }
-        } else {
-            softmaxRow(out, lq.fan_out);
-        }
-    }
-}
-
-double
-QuantizedMlp::predictProb(const double *x) const
-{
-    kernels::Scratch::Frame frame(kernels::scratch());
-    double *out = kernels::scratch().alloc(
-        static_cast<std::size_t>(config_.output_dim));
-    forward(x, out);
-    return out[0];
 }
 
 } // namespace kodan::ml

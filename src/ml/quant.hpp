@@ -47,30 +47,18 @@ enum class Precision
 };
 
 /**
- * Active inference precision. Defaults to Fp64; the KODAN_QUANT
- * environment variable ("int8", "1", or "on" — anything else means
- * fp64) overrides the default, and setPrecision() overrides both.
- * Consulted at dispatch time by SpecializedZoo::predictRows and
- * friends, so flipping it redirects the runtime, the pipeline infer
- * stage, and the selection sweep together.
+ * The process's default inference precision. Fp64 unless the
+ * KODAN_QUANT environment variable says "int8", "1", or "on";
+ * setPrecision() overrides both. It is the default argument of
+ * SpecializedZoo::predictRows, so it picks the sibling the runtime,
+ * the pipeline infer stage, and the selection sweep's tables run. Set
+ * it once per process, before any work: code that must run a given
+ * sibling passes the precision explicitly instead of flipping this.
  */
 Precision precision();
 
-/** Override the active precision (process-wide). */
+/** Set the default precision (process-wide). */
 void setPrecision(Precision p);
-
-/** RAII precision override (tests, per-entry A/B measurement). */
-class PrecisionGuard
-{
-  public:
-    explicit PrecisionGuard(Precision p);
-    ~PrecisionGuard();
-    PrecisionGuard(const PrecisionGuard &) = delete;
-    PrecisionGuard &operator=(const PrecisionGuard &) = delete;
-
-  private:
-    Precision saved_;
-};
 
 /**
  * Immutable int8 inference sibling of a trained Mlp. Construction
@@ -109,13 +97,6 @@ class QuantizedMlp
     const std::vector<double> &actScales() const { return act_scales_; }
 
     /**
-     * Forward one sample through the integer path (gemvI8 per layer).
-     * Bit-identical to forwardBatch(x, 1, out) by integer
-     * associativity.
-     */
-    void forward(const double *x, double *out) const;
-
-    /**
      * Forward @p count samples: one gemmI8Requant per hidden layer,
      * gemmI8 + double dequantization for the head. Bit-identical for
      * any batch composition.
@@ -126,20 +107,13 @@ class QuantizedMlp
     /** Matrix convenience overload; @p out is resized. */
     void forwardBatch(const Matrix &x, Matrix &out) const;
 
-    /** Probability of the positive class (binary head convenience). */
-    double predictProb(const double *x) const;
-
   private:
     struct LayerQ
     {
         std::size_t fan_in = 0;
         std::size_t fan_out = 0;
-        /** Row-major fan_out x fan_in (the gemmI8/gemvI8 operand). */
-        std::vector<std::int8_t> wq;
         /** Per-output-channel weight scales. */
         std::vector<double> w_scale;
-        /** Hidden layers: bias / (in_scale * w_scale[o]), clamped. */
-        std::vector<std::int32_t> bias_q;
         /** Hidden layers: in_scale * w_scale[o] / out_scale encoded. */
         std::vector<kernels::Requant> rq;
         /** Output layer: in_scale * w_scale[o] dequantization factor. */
@@ -147,10 +121,11 @@ class QuantizedMlp
         /** Output layer: fp64 bias applied after dequantization. */
         std::vector<double> bias_f;
         /**
-         * wq (+ the int32 bias seeds) in the blocked kernels' packed
-         * pair layout, built once at construction — the int8 analogue
-         * of Mlp's eagerly-refreshed transposes. Re-packing per GEMM
-         * call dominated small layers.
+         * The int8 weights (row-major fan_out x fan_in, per-channel
+         * round(W / w_scale)) and, on hidden layers, the int32 bias
+         * seeds bias / (in_scale * w_scale[o]), clamped, in the
+         * kernels' packed pair layout, built once at construction —
+         * the int8 analogue of Mlp's eagerly-refreshed transposes.
          */
         kernels::PackedI8 packed;
     };
@@ -158,7 +133,6 @@ class QuantizedMlp
     MlpConfig config_;
     std::vector<LayerQ> layers_;
     std::vector<double> act_scales_;
-    std::size_t max_width_ = 0;
 
     /** Quantize one input strip into the scratch arena. */
     const std::int8_t *quantizeInput(const double *x, std::size_t rows,

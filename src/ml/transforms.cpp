@@ -47,19 +47,8 @@ Standardizer::transform(const Matrix &x) const
 {
     assert(x.cols() == mean_.size());
     Matrix out(x.rows(), x.cols());
-    if (kernels::backend() == kernels::Backend::Blocked) {
-        kernels::standardizeRows(x.rows(), x.cols(), x.data().data(),
-                                 mean_.data(), std_.data(),
-                                 out.data().data());
-        return out;
-    }
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-        const double *src = x.row(i);
-        double *dst = out.row(i);
-        for (std::size_t d = 0; d < x.cols(); ++d) {
-            dst[d] = (src[d] - mean_[d]) / std_[d];
-        }
-    }
+    kernels::standardizeRows(x.rows(), x.cols(), x.data().data(),
+                             mean_.data(), std_.data(), out.data().data());
     return out;
 }
 
@@ -253,41 +242,26 @@ Pca::transform(const Matrix &x) const
 {
     assert(x.cols() == mean_.size());
     Matrix out(x.rows(), axes_.rows());
-    if (kernels::backend() == kernels::Backend::Blocked) {
-        // out = (x - mean) * axes^T as one GEMM over centered rows.
-        // Each output element reduces over ascending d with products
-        // axes[c][d] * (x[d] - mean[d]) — the exact chain of the scalar
-        // loop below, so the bits match.
-        auto &arena = kernels::scratch();
-        kernels::Scratch::Frame frame(arena);
-        const std::size_t dim = x.cols();
-        const std::size_t comps = axes_.rows();
-        double *centered = arena.alloc(x.rows() * dim);
-        for (std::size_t i = 0; i < x.rows(); ++i) {
-            const double *src = x.row(i);
-            double *dst = centered + i * dim;
-            for (std::size_t d = 0; d < dim; ++d) {
-                dst[d] = src[d] - mean_[d];
-            }
-        }
-        double *axes_t = arena.alloc(dim * comps);
-        kernels::transpose(comps, dim, axes_.data().data(), axes_t);
-        kernels::gemm(x.rows(), dim, comps, centered, axes_t,
-                      out.data().data(), nullptr);
-        return out;
-    }
+    // out = (x - mean) * axes^T as one GEMM over centered rows. Each
+    // output element reduces over ascending d with products
+    // axes[c][d] * (x[d] - mean[d]) — the exact chain of the per-row
+    // scalar loop, so the bits match it.
+    auto &arena = kernels::scratch();
+    kernels::Scratch::Frame frame(arena);
+    const std::size_t dim = x.cols();
+    const std::size_t comps = axes_.rows();
+    double *centered = arena.alloc(x.rows() * dim);
     for (std::size_t i = 0; i < x.rows(); ++i) {
         const double *src = x.row(i);
-        double *dst = out.row(i);
-        for (std::size_t c = 0; c < axes_.rows(); ++c) {
-            double sum = 0.0;
-            const double *axis = axes_.row(c);
-            for (std::size_t d = 0; d < x.cols(); ++d) {
-                sum += axis[d] * (src[d] - mean_[d]);
-            }
-            dst[c] = sum;
+        double *dst = centered + i * dim;
+        for (std::size_t d = 0; d < dim; ++d) {
+            dst[d] = src[d] - mean_[d];
         }
     }
+    double *axes_t = arena.alloc(dim * comps);
+    kernels::transpose(comps, dim, axes_.data().data(), axes_t);
+    kernels::gemm(x.rows(), dim, comps, centered, axes_t, out.data().data(),
+                  nullptr);
     return out;
 }
 

@@ -74,6 +74,12 @@ class Pca
     /** Project a matrix onto the learned axes. */
     Matrix transform(const Matrix &x) const;
 
+    /** Learned per-dimension means (the projection's origin). */
+    const std::vector<double> &mean() const { return mean_; }
+
+    /** Learned axes, one kept component per row. */
+    const Matrix &axes() const { return axes_; }
+
     /** Eigenvalues of the kept components, descending. */
     const std::vector<double> &eigenvalues() const { return eigenvalues_; }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -102,21 +101,18 @@ struct Reader
         return false;
     }
 
-    /** The one checked integer read. An absent member reads 0; a
-     *  number must be integral and inside T (NaN and the infinities
-     *  fail both tests), else the read fails naming the field. */
+    /** json::integerMember, failing the read with the field's name
+     *  when the member is not an integer T can hold. */
     template <class T>
     T integer(const json::Value &object, const char *key)
     {
-        const double value = object.numberOr(key, 0.0);
-        const double limit =
-            std::ldexp(1.0, std::numeric_limits<T>::digits);
-        if (std::trunc(value) == value &&
-            value >= (std::is_signed_v<T> ? -limit : 0.0) &&
-            value < limit) {
-            return static_cast<T>(value);
+        if (const auto value = json::integerMember<T>(object, key)) {
+            return *value;
         }
-        fail(std::string("field \"") + key + "\" is " + jsonNumber(value) +
+        const json::Value &member = *object.find(key);
+        fail(std::string("field \"") + key + "\" is " +
+             (member.isNumber() ? jsonNumber(member.asNumber())
+                                : std::string("not a number")) +
              ", not an integer its type can hold");
         return 0;
     }

@@ -19,10 +19,14 @@
 #ifndef KODAN_UTIL_JSON_HPP
 #define KODAN_UTIL_JSON_HPP
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -96,6 +100,33 @@ class Value
     std::vector<Value> array_;
     std::vector<std::pair<std::string, Value>> members_;
 };
+
+/**
+ * The one checked integer read: member @p key of @p object as a T. An
+ * absent member reads @p absent. A present member must be a number that
+ * is integral and inside T (NaN and the infinities fail both tests);
+ * any other member, a string or null included, fails the read: the
+ * result is empty.
+ */
+template <class T>
+std::optional<T>
+integerMember(const Value &object, const std::string &key, T absent = 0)
+{
+    const Value *member = object.find(key);
+    if (member == nullptr) {
+        return absent;
+    }
+    if (!member->isNumber()) {
+        return std::nullopt;
+    }
+    const double value = member->asNumber();
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (std::trunc(value) == value &&
+        value >= (std::is_signed_v<T> ? -limit : 0.0) && value < limit) {
+        return static_cast<T>(value);
+    }
+    return std::nullopt;
+}
 
 /**
  * Parse one JSON document from @p text.

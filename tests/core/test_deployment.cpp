@@ -85,10 +85,11 @@ TEST(DeploymentPackage, LoadedEngineClassifiesIdentically)
 
     const data::Tiler tiler(6);
     const auto tiles = tiler.tile(pipeline.shared.val.front());
-    for (const auto &tile : tiles) {
-        EXPECT_EQ(loaded_engine.classify(tile),
-                  package.engine.classify(tile));
-    }
+    std::vector<int> loaded_contexts;
+    std::vector<int> contexts;
+    loaded_engine.classifyBatch(tiles, loaded_contexts);
+    package.engine.classifyBatch(tiles, contexts);
+    EXPECT_EQ(loaded_contexts, contexts);
 }
 
 TEST(DeploymentPackage, LoadedZooPredictsIdentically)
@@ -101,13 +102,18 @@ TEST(DeploymentPackage, LoadedZooPredictsIdentically)
 
     const data::Tiler tiler(6);
     const auto tiles = tiler.tile(pipeline.shared.val[1]);
+    constexpr auto kBlocks = static_cast<std::size_t>(data::kBlocksPerTile);
+    std::vector<double> rows(kBlocks * data::kBlockInputDim);
+    package.zoo.tileInputs(tiles[0], rows.data());
+    std::vector<double> loaded_probs(kBlocks);
+    std::vector<double> probs(kBlocks);
     for (std::size_t e = 0; e < package.zoo.entries.size(); ++e) {
-        for (int b = 0; b < data::kBlocksPerTile; b += 9) {
-            EXPECT_NEAR(loaded_zoo.predictBlock(static_cast<int>(e),
-                                                tiles[0], b),
-                        package.zoo.predictBlock(static_cast<int>(e),
-                                                 tiles[0], b),
-                        1e-12);
+        const int entry = static_cast<int>(e);
+        loaded_zoo.predictRows(entry, rows.data(), kBlocks,
+                               loaded_probs.data());
+        package.zoo.predictRows(entry, rows.data(), kBlocks, probs.data());
+        for (std::size_t b = 0; b < kBlocks; ++b) {
+            EXPECT_NEAR(loaded_probs[b], probs[b], 1e-12);
         }
     }
 }

@@ -29,23 +29,32 @@ TEST(ContextEngine, ClassifiesIntoValidRange)
 {
     const auto &pipeline = SharedPipeline::instance();
     const data::Tiler tiler(4);
+    std::vector<int> contexts;
     for (const auto &frame : pipeline.shared.val) {
-        for (const auto &tile : tiler.tile(frame)) {
-            const int c = pipeline.shared.engine->classify(tile);
+        pipeline.shared.engine->classifyBatch(tiler.tile(frame), contexts);
+        for (const int c : contexts) {
             ASSERT_GE(c, 0);
             ASSERT_LT(c, pipeline.shared.engine->contextCount());
         }
     }
 }
 
-TEST(ContextEngine, DeterministicClassification)
+TEST(ContextEngine, ClassificationIgnoresBatchComposition)
 {
+    // A tile's context is the same classified alone, again, or in a
+    // batch with the rest of its frame.
     const auto &pipeline = SharedPipeline::instance();
     const data::Tiler tiler(4);
     const auto tiles = tiler.tile(pipeline.shared.val.front());
-    for (const auto &tile : tiles) {
-        EXPECT_EQ(pipeline.shared.engine->classify(tile),
-                  pipeline.shared.engine->classify(tile));
+    std::vector<int> batch;
+    pipeline.shared.engine->classifyBatch(tiles, batch);
+    ASSERT_EQ(batch.size(), tiles.size());
+    std::vector<int> alone;
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+        for (int pass = 0; pass < 2; ++pass) {
+            pipeline.shared.engine->classifyBatch({tiles[t]}, alone);
+            EXPECT_EQ(alone.at(0), batch[t]) << "tile " << t;
+        }
     }
 }
 
@@ -56,9 +65,11 @@ TEST(ContextEngine, AllContextsReachable)
     const auto &pipeline = SharedPipeline::instance();
     std::vector<int> counts(pipeline.shared.engine->contextCount(), 0);
     const data::Tiler tiler(6);
+    std::vector<int> contexts;
     for (const auto &frame : pipeline.shared.val) {
-        for (const auto &tile : tiler.tile(frame)) {
-            ++counts[pipeline.shared.engine->classify(tile)];
+        pipeline.shared.engine->classifyBatch(tiler.tile(frame), contexts);
+        for (const int c : contexts) {
+            ++counts[c];
         }
     }
     int live = 0;

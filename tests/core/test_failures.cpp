@@ -530,6 +530,34 @@ TEST(FailureInjection, ReportRejectsNegativeJournalSeq)
     EXPECT_NE(error.find("\"seq\""), std::string::npos) << error;
 }
 
+TEST(FailureInjection, ReportRejectsStringCounter)
+{
+    // A mistyped count is a parse error naming the field, not a zero.
+    namespace report = telemetry::report;
+    report::Snapshot snapshot;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        R"({"metrics": [{"name": "a.count", "type": "counter",)"
+        R"( "value": "120"}]})",
+        snapshot, &error));
+    EXPECT_NE(error.find("\"value\" is not a number"), std::string::npos)
+        << error;
+}
+
+TEST(FailureInjection, ReportRejectsNullJournalSeq)
+{
+    namespace report = telemetry::report;
+    report::JournalDoc journal;
+    std::string error;
+    EXPECT_FALSE(report::parse(
+        "{\"kodan_journal\": 1, \"events\": 1, \"dropped\": 0}\n"
+        "{\"seq\": null, \"region\": 1, \"slot\": 0, \"ord\": 0, "
+        "\"type\": \"runtime.batch.begin\", \"fields\": {}}\n",
+        journal, &error));
+    EXPECT_NE(error.find("\"seq\" is not a number"), std::string::npos)
+        << error;
+}
+
 TEST(FailureInjection, ReportRejectsFractionalSeriesBinCount)
 {
     namespace report = telemetry::report;

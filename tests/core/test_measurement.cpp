@@ -122,8 +122,8 @@ TEST(MeasuredTables, MeasureModelOnTilesMatchesTableForWholeContext)
             all.push_back(&tile);
         }
     }
-    const auto stats =
-        evaluator.measureModelOnTiles(artifacts.zoo.reference, all);
+    const auto stats = evaluator.measureModelOnTiles(
+        artifacts.zoo.reference, all, ml::precision());
     const auto table =
         evaluator.measureDirectTable(pipeline.shared.val, 4);
     EXPECT_NEAR(stats.bits_fraction, table.stats[0][0].bits_fraction,

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/io.hpp"
@@ -118,6 +120,81 @@ TEST(ParallelEquivalence, TransformerSweepIsBitIdenticalAcrossThreads)
             EXPECT_EQ(result.per_tiling[i].second.dvd,
                       baseline.per_tiling[i].second.dvd);
         }
+    }
+}
+
+/** Sets the process's default precision for a scope, then restores
+ *  the one it found (KODAN_QUANT may have set it). */
+class DefaultPrecision
+{
+  public:
+    explicit DefaultPrecision(ml::Precision p) : saved_(ml::precision())
+    {
+        ml::setPrecision(p);
+    }
+    ~DefaultPrecision() { ml::setPrecision(saved_); }
+    DefaultPrecision(const DefaultPrecision &) = delete;
+    DefaultPrecision &operator=(const DefaultPrecision &) = delete;
+
+  private:
+    ml::Precision saved_;
+};
+
+TEST(Transformer, QuantGateLeavesProcessPrecisionAlone)
+{
+    // The int8 tolerance gate measures each entry's fp64 net and its
+    // int8 sibling by naming them. If it flipped the process's precision
+    // instead, every other thread's inference would run int8 meanwhile.
+    const auto &pipeline = kodan::testing::SharedPipeline::instance();
+    ASSERT_TRUE(pipeline.transformer.options().specialize.quantize);
+    const DefaultPrecision fp64(ml::Precision::Fp64);
+    std::atomic<long> samples{0};
+    std::atomic<long> int8_reads{0};
+    std::jthread sampler([&](const std::stop_token &stop) {
+        while (!stop.stop_requested()) {
+            if (ml::precision() == ml::Precision::Int8) {
+                ++int8_reads;
+            }
+            ++samples;
+            std::this_thread::yield();
+        }
+    });
+    const auto artifacts =
+        pipeline.transformer.transformApp(Application{4}, pipeline.shared);
+    sampler.request_stop();
+    sampler.join();
+    EXPECT_GT(samples.load(), 0);
+    EXPECT_EQ(int8_reads.load(), 0)
+        << "the gate switched the process to int8";
+    EXPECT_EQ(ml::precision(), ml::Precision::Fp64);
+    bool any_sibling = false;
+    for (const auto &entry : artifacts.zoo.entries) {
+        any_sibling = any_sibling || entry.quant != nullptr;
+    }
+    EXPECT_TRUE(any_sibling) << "the gate kept no int8 sibling";
+}
+
+TEST(ParallelEquivalence, ConcurrentTransformAppsMatchSerial)
+{
+    // The figure bundle transforms its apps side by side on the pool;
+    // each app's tables must be the bytes it measures alone.
+    ThreadGuard guard;
+    const auto &pipeline = kodan::testing::SharedPipeline::instance();
+    const std::vector<int> tiers = {1, 2, 3, 4};
+    std::vector<std::string> serial(tiers.size());
+    util::setGlobalThreads(1);
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+        serial[i] = serializeTables(pipeline.transformer.transformApp(
+            Application{tiers[i]}, pipeline.shared));
+    }
+    util::setGlobalThreads(4);
+    std::vector<std::string> concurrent(tiers.size());
+    util::parallelFor(tiers.size(), [&](std::size_t i) {
+        concurrent[i] = serializeTables(pipeline.transformer.transformApp(
+            Application{tiers[i]}, pipeline.shared));
+    });
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+        EXPECT_EQ(concurrent[i], serial[i]) << "app " << tiers[i];
     }
 }
 

@@ -67,16 +67,20 @@ TEST(SpecializedZoo, CandidatesForIncludesReference)
     }
 }
 
-TEST(SpecializedZoo, PredictBlockIsProbability)
+TEST(SpecializedZoo, PredictRowsIsProbability)
 {
     const auto &pipeline = SharedPipeline::instance();
     const auto &zoo = pipeline.app4.zoo;
     const data::Tiler tiler(4);
     const auto tiles = tiler.tile(pipeline.shared.val.front());
+    constexpr auto kBlocks = static_cast<std::size_t>(data::kBlocksPerTile);
+    std::vector<double> rows(kBlocks * data::kBlockInputDim);
+    zoo.tileInputs(tiles[0], rows.data());
+    std::vector<double> probs(kBlocks);
     for (std::size_t e = 0; e < zoo.entries.size(); ++e) {
-        for (int b = 0; b < data::kBlocksPerTile; b += 7) {
-            const double p =
-                zoo.predictBlock(static_cast<int>(e), tiles[0], b);
+        zoo.predictRows(static_cast<int>(e), rows.data(), kBlocks,
+                        probs.data());
+        for (const double p : probs) {
             ASSERT_GE(p, 0.0);
             ASSERT_LE(p, 1.0);
         }

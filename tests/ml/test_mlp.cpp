@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -33,9 +34,14 @@ TEST(Mlp, OutputIsProbability)
 {
     util::Rng rng(2);
     const Mlp net(binaryConfig({8}), rng);
-    for (double x = -3.0; x < 3.0; x += 0.5) {
-        const double input[2] = {x, -x};
-        const double p = net.predictProb(input);
+    Matrix inputs(12, 2);
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+        inputs.at(i, 0) = -3.0 + 0.5 * static_cast<double>(i);
+        inputs.at(i, 1) = -inputs.at(i, 0);
+    }
+    Matrix probs;
+    net.forwardBatch(inputs, probs);
+    for (double p : probs.data()) {
         ASSERT_GE(p, 0.0);
         ASSERT_LE(p, 1.0);
     }
@@ -58,10 +64,11 @@ TEST(Mlp, LearnsLinearlySeparableProblem)
     const double loss = net.train(x, y, options, rng);
     EXPECT_LT(loss, 0.25);
 
+    Matrix probs;
+    net.forwardBatch(x, probs);
     int correct = 0;
     for (int i = 0; i < n; ++i) {
-        const double p = net.predictProb(x.row(i));
-        if ((p > 0.5) == (y[i] > 0.5)) {
+        if ((probs.at(i, 0) > 0.5) == (y[i] > 0.5)) {
             ++correct;
         }
     }
@@ -84,9 +91,11 @@ TEST(Mlp, LearnsXorWithHiddenLayer)
     options.epochs = 120;
     options.learning_rate = 5e-3;
     net.train(x, y, options, rng);
+    Matrix probs;
+    net.forwardBatch(x, probs);
     int correct = 0;
     for (int i = 0; i < n; ++i) {
-        if ((net.predictProb(x.row(i)) > 0.5) == (y[i] > 0.5)) {
+        if ((probs.at(i, 0) > 0.5) == (y[i] > 0.5)) {
             ++correct;
         }
     }
@@ -107,9 +116,10 @@ TEST(Mlp, SoftLabelsSupported)
     TrainOptions options;
     options.epochs = 80;
     net.train(x, y, options, rng);
-    const double lo_in[1] = {0.1};
-    const double hi_in[1] = {0.9};
-    EXPECT_LT(net.predictProb(lo_in), net.predictProb(hi_in));
+    const double inputs[2] = {0.1, 0.9};
+    double probs[2];
+    net.forwardBatch(inputs, 2, probs);
+    EXPECT_LT(probs[0], probs[1]);
 }
 
 TEST(Mlp, SoftmaxLearnsBlobs)
@@ -136,9 +146,13 @@ TEST(Mlp, SoftmaxLearnsBlobs)
     options.epochs = 60;
     net.train(x, y, options, rng);
 
+    Matrix probs;
+    net.forwardBatch(x, probs);
     int correct = 0;
     for (int i = 0; i < n; ++i) {
-        if (net.predictClass(x.row(i)) == static_cast<int>(y[i])) {
+        const double *row = probs.row(i);
+        if (std::max_element(row, row + 3) - row ==
+            static_cast<int>(y[i])) {
             ++correct;
         }
     }
@@ -156,7 +170,7 @@ TEST(Mlp, SoftmaxOutputsSumToOne)
     const Mlp net(config, rng);
     const double input[3] = {0.2, -1.0, 0.5};
     double out[4];
-    net.forward(input, out);
+    net.forwardBatch(input, 1, out);
     double sum = 0.0;
     for (double p : out) {
         ASSERT_GE(p, 0.0);
@@ -173,10 +187,16 @@ TEST(Mlp, SaveLoadRoundTrip)
     net.save(stream);
     const Mlp loaded = Mlp::load(stream);
     EXPECT_EQ(loaded.parameterCount(), net.parameterCount());
-    for (double x = -2.0; x < 2.0; x += 0.3) {
-        const double input[2] = {x, x * 0.5};
-        EXPECT_NEAR(loaded.predictProb(input), net.predictProb(input),
-                    1e-12);
+    Matrix inputs(14, 2);
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+        inputs.at(i, 0) = -2.0 + 0.3 * static_cast<double>(i);
+        inputs.at(i, 1) = inputs.at(i, 0) * 0.5;
+    }
+    Matrix expected, got;
+    net.forwardBatch(inputs, expected);
+    loaded.forwardBatch(inputs, got);
+    for (std::size_t i = 0; i < inputs.rows(); ++i) {
+        EXPECT_NEAR(got.at(i, 0), expected.at(i, 0), 1e-12);
     }
 }
 
@@ -201,7 +221,11 @@ TEST(Mlp, TrainingIsDeterministic)
     const Mlp a = make_trained();
     const Mlp b = make_trained();
     const double input[2] = {0.3, -0.8};
-    EXPECT_DOUBLE_EQ(a.predictProb(input), b.predictProb(input));
+    double pa = 0.0;
+    double pb = 0.0;
+    a.forwardBatch(input, 1, &pa);
+    b.forwardBatch(input, 1, &pb);
+    EXPECT_DOUBLE_EQ(pa, pb);
 }
 
 TEST(Mlp, DeeperModelsHaveMoreParameters)

@@ -2,13 +2,13 @@
  * @file
  * Property suite for the int8 quantized inference path: the Scratch
  * byte allocator it builds on, the fixed-point requantization scheme
- * (rounding, ties, saturation, degenerate shifts), the int8 GEMM /
- * GEMV kernels' Blocked-vs-Naive bit identity — including the fused
- * requantizing epilogue in both its ReLU and plain clamp modes, odd
- * shapes that exercise packing padding and scalar tails, and channels
- * whose shift falls outside the SIMD fast path — and the QuantizedMlp
- * determinism contract: identical bytes at any thread count, any batch
- * split, and either backend. Integer results are compared with exact
+ * (rounding, ties, saturation, degenerate shifts), the packed int8
+ * GEMM kernels' bit identity with the scalar oracle loops — including
+ * the fused requantizing epilogue in both its ReLU and plain clamp
+ * modes, odd shapes that exercise packing padding and scalar tails,
+ * and channels whose shift falls outside the SIMD fast path — and the
+ * QuantizedMlp determinism contract: identical bytes at any thread
+ * count and any batch split. Integer results are compared with exact
  * equality; that is the contract, not a tolerance choice.
  */
 
@@ -29,6 +29,8 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "ml_oracle.hpp"
+
 namespace kodan::ml {
 namespace {
 
@@ -40,22 +42,6 @@ class ThreadGuard
 {
   public:
     ~ThreadGuard() { util::setGlobalThreads(0); }
-};
-
-/** Forces a backend for a scope and restores the previous one. */
-class BackendGuard
-{
-  public:
-    explicit BackendGuard(kernels::Backend b) : saved_(kernels::backend())
-    {
-        kernels::setBackend(b);
-    }
-    ~BackendGuard() { kernels::setBackend(saved_); }
-    BackendGuard(const BackendGuard &) = delete;
-    BackendGuard &operator=(const BackendGuard &) = delete;
-
-  private:
-    kernels::Backend saved_;
 };
 
 std::vector<std::int8_t>
@@ -447,8 +433,8 @@ TEST(QuantRoundTrip, ErrorBoundedByHalfStep)
 }
 
 // ---------------------------------------------------------------------
-// Int8 GEMM / GEMV: Blocked vs Naive bit identity, including the
-// epilogue modes and shapes the benches never touch.
+// Packed int8 GEMM vs the scalar oracle loops, including the epilogue
+// modes and shapes the benches never touch.
 
 struct I8Shape
 {
@@ -498,27 +484,16 @@ runGemmI8Grid(bool relu, bool degenerate_channels)
         }
 
         std::vector<std::int8_t> naive(s.m * s.n);
-        std::vector<std::int8_t> blocked(s.m * s.n);
         std::vector<std::int8_t> packed(s.m * s.n);
-        {
-            const BackendGuard guard(kernels::Backend::Naive);
-            kernels::gemmI8Requant(s.m, s.k, s.n, a.data(), w.data(),
+        oracle::gemmI8RequantNaive(s.m, s.k, s.n, a.data(), w.data(),
                                    bias.data(), rq.data(), relu,
                                    naive.data());
-        }
-        {
-            const BackendGuard guard(kernels::Backend::Blocked);
-            kernels::gemmI8Requant(s.m, s.k, s.n, a.data(), w.data(),
-                                   bias.data(), rq.data(), relu,
-                                   blocked.data());
-        }
         const kernels::PackedI8 pw(s.n, s.k, w.data(), bias.data());
         kernels::gemmI8Requant(s.m, pw, a.data(), rq.data(), relu,
                                packed.data());
-        expectSameBytes(naive, blocked, "raw blocked vs naive");
         expectSameBytes(naive, packed, "packed vs naive");
 
-        // Independent scalar oracle over the raw operands.
+        // Independent signed-accumulator loop over the raw operands.
         const std::int32_t lo = relu ? 0 : -127;
         for (std::size_t i = 0; i < s.m; ++i) {
             for (std::size_t j = 0; j < s.n; ++j) {
@@ -558,24 +533,14 @@ TEST(GemmI8, AccumulatorGridMatchesOracle)
         const auto w = randomI8(s.n * s.k, rng);
         const auto bias = randomBias(s.n, rng);
         std::vector<std::int32_t> naive(s.m * s.n);
-        std::vector<std::int32_t> blocked(s.m * s.n);
         std::vector<std::int32_t> packed(s.m * s.n);
         std::vector<std::int32_t> no_bias(s.m * s.n);
-        {
-            const BackendGuard guard(kernels::Backend::Naive);
-            kernels::gemmI8(s.m, s.k, s.n, a.data(), w.data(),
-                            bias.data(), naive.data());
-        }
-        {
-            const BackendGuard guard(kernels::Backend::Blocked);
-            kernels::gemmI8(s.m, s.k, s.n, a.data(), w.data(),
-                            bias.data(), blocked.data());
-            kernels::gemmI8(s.m, s.k, s.n, a.data(), w.data(), nullptr,
-                            no_bias.data());
-        }
+        oracle::gemmI8Naive(s.m, s.k, s.n, a.data(), w.data(), bias.data(),
+                            naive.data());
         const kernels::PackedI8 pw(s.n, s.k, w.data(), bias.data());
         kernels::gemmI8(s.m, pw, a.data(), packed.data());
-        expectSameBytes(naive, blocked, "gemmI8 blocked vs naive");
+        const kernels::PackedI8 pw_no_bias(s.n, s.k, w.data(), nullptr);
+        kernels::gemmI8(s.m, pw_no_bias, a.data(), no_bias.data());
         expectSameBytes(naive, packed, "gemmI8 packed vs naive");
         for (std::size_t i = 0; i < s.m; ++i) {
             for (std::size_t j = 0; j < s.n; ++j) {
@@ -596,7 +561,7 @@ TEST(GemmI8, WorstCaseOperandsStayInHeadroom)
     // The documented precondition: 127*127*k + 2^30 < 2^31 for every
     // shape in the codebase (k <= 64). Drive the extreme corner — all
     // operands at +/-127, bias at the 2^30 headroom limit — and check
-    // the exact accumulator on both backends.
+    // the exact accumulator of the packed kernel and the oracle.
     const std::size_t m = 4;
     const std::size_t k = 64;
     const std::size_t n = 8;
@@ -616,18 +581,12 @@ TEST(GemmI8, WorstCaseOperandsStayInHeadroom)
     const auto magnitude =
         static_cast<std::int32_t>(127 * 127 * static_cast<int>(k));
     std::vector<std::int32_t> naive(m * n);
-    std::vector<std::int32_t> blocked(m * n);
-    {
-        const BackendGuard guard(kernels::Backend::Naive);
-        kernels::gemmI8(m, k, n, a.data(), w.data(), bias.data(),
+    std::vector<std::int32_t> packed(m * n);
+    oracle::gemmI8Naive(m, k, n, a.data(), w.data(), bias.data(),
                         naive.data());
-    }
-    {
-        const BackendGuard guard(kernels::Backend::Blocked);
-        kernels::gemmI8(m, k, n, a.data(), w.data(), bias.data(),
-                        blocked.data());
-    }
-    expectSameBytes(naive, blocked, "worst case blocked vs naive");
+    kernels::gemmI8(m, kernels::PackedI8(n, k, w.data(), bias.data()),
+                    a.data(), packed.data());
+    expectSameBytes(naive, packed, "worst case packed vs naive");
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             const std::int32_t expected =
@@ -635,30 +594,6 @@ TEST(GemmI8, WorstCaseOperandsStayInHeadroom)
                              : -headroom - magnitude;
             ASSERT_EQ(naive[i * n + j], expected) << i << "," << j;
         }
-    }
-}
-
-TEST(GemvI8, MatchesOneRowGemm)
-{
-    util::Rng rng(555);
-    for (const I8Shape &s : kShapes) {
-        const auto x = randomI8(s.k, rng);
-        const auto w = randomI8(s.n * s.k, rng);
-        const auto bias = randomBias(s.n, rng);
-        std::vector<std::int32_t> gemm_row(s.n);
-        std::vector<std::int32_t> raw(s.n);
-        std::vector<std::int32_t> packed(s.n);
-        {
-            const BackendGuard guard(kernels::Backend::Blocked);
-            kernels::gemmI8(1, s.k, s.n, x.data(), w.data(), bias.data(),
-                            gemm_row.data());
-            kernels::gemvI8(s.n, s.k, w.data(), x.data(), bias.data(),
-                            raw.data());
-        }
-        const kernels::PackedI8 pw(s.n, s.k, w.data(), bias.data());
-        kernels::gemvI8(pw, x.data(), packed.data());
-        expectSameBytes(gemm_row, raw, "gemv vs one-row gemm");
-        expectSameBytes(gemm_row, packed, "packed gemv vs one-row gemm");
     }
 }
 
@@ -691,43 +626,34 @@ TEST(QuantizedMlp, ThreadAndBlockingBitIdentityGrid)
         const QuantizedMlp qnet =
             QuantizedMlp::fromCalibration(net, x.data().data(), rows);
 
-        // Reference: single-threaded Naive, whole batch at once.
+        // Reference: single-threaded, whole batch at once. The packed
+        // GEMMs under it match the scalar oracle (runGemmI8Grid).
         std::vector<double> reference(rows);
-        {
-            util::setGlobalThreads(1);
-            const BackendGuard guard(kernels::Backend::Naive);
-            qnet.forwardBatch(x.data().data(), rows, reference.data());
-        }
+        util::setGlobalThreads(1);
+        qnet.forwardBatch(x.data().data(), rows, reference.data());
 
         for (const int threads : kThreadCounts) {
             util::setGlobalThreads(threads);
-            for (const auto backend :
-                 {kernels::Backend::Naive, kernels::Backend::Blocked}) {
-                const BackendGuard guard(backend);
-                // Shard the batch across the pool the way the runtime
-                // shards frames; every shard split must reproduce the
-                // reference bytes exactly.
-                for (const std::size_t shard : {std::size_t{1},
-                                                std::size_t{64},
-                                                std::size_t{257}}) {
-                    std::vector<double> out(rows);
-                    const std::size_t shards = (rows + shard - 1) / shard;
-                    util::parallelFor(shards, [&](std::size_t sidx) {
-                        const std::size_t r0 = sidx * shard;
-                        const std::size_t count =
-                            std::min(shard, rows - r0);
-                        qnet.forwardBatch(x.data().data() + r0 * 18,
-                                          count, out.data() + r0);
-                    });
-                    expectSameBytes(reference, out,
-                                    "thread/backend/shard grid");
-                }
+            // Shard the batch across the pool the way the runtime shards
+            // frames; every shard split must reproduce the reference
+            // bytes exactly.
+            for (const std::size_t shard :
+                 {std::size_t{1}, std::size_t{64}, std::size_t{257}}) {
+                std::vector<double> out(rows);
+                const std::size_t shards = (rows + shard - 1) / shard;
+                util::parallelFor(shards, [&](std::size_t sidx) {
+                    const std::size_t r0 = sidx * shard;
+                    const std::size_t count = std::min(shard, rows - r0);
+                    qnet.forwardBatch(x.data().data() + r0 * 18, count,
+                                      out.data() + r0);
+                });
+                expectSameBytes(reference, out, "thread/shard grid");
             }
         }
     }
 }
 
-TEST(QuantizedMlp, ForwardMatchesForwardBatch)
+TEST(QuantizedMlp, MatrixOverloadMatchesForwardBatch)
 {
     MlpConfig config;
     config.input_dim = 11;
@@ -742,12 +668,6 @@ TEST(QuantizedMlp, ForwardMatchesForwardBatch)
 
     std::vector<double> batch(rows);
     qnet.forwardBatch(x.data().data(), rows, batch.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-        double one = 0.0;
-        qnet.forward(x.data().data() + r * 11, &one);
-        EXPECT_EQ(one, batch[r]) << "row " << r;
-        EXPECT_EQ(qnet.predictProb(x.data().data() + r * 11), batch[r]);
-    }
 
     Matrix out;
     qnet.forwardBatch(x, out);
@@ -867,24 +787,6 @@ TEST(QuantizedMlp, TracksFp64WithinQuantizationTolerance)
         worst = std::max(worst, std::fabs(fp.data()[r] - q[r]));
     }
     EXPECT_LT(worst, 0.15);
-}
-
-// ---------------------------------------------------------------------
-// The precision knob.
-
-TEST(PrecisionKnob, GuardSavesAndRestores)
-{
-    const Precision before = precision();
-    {
-        const PrecisionGuard guard(Precision::Int8);
-        EXPECT_EQ(precision(), Precision::Int8);
-        {
-            const PrecisionGuard inner(Precision::Fp64);
-            EXPECT_EQ(precision(), Precision::Fp64);
-        }
-        EXPECT_EQ(precision(), Precision::Int8);
-    }
-    EXPECT_EQ(precision(), before);
 }
 
 } // namespace

@@ -135,36 +135,42 @@ struct MissionView
 /** Journal region (one per mission run) -> that mission's view. */
 using MissionViews = std::map<std::int64_t, MissionView>;
 
-/** Feed one parsed journal line into its mission's view. */
-void
+/** Feed one parsed journal line into its mission's view; false when
+ *  an integer field of the line is not an integer (the line is then
+ *  unparseable and ingested nowhere). */
+bool
 ingest(MissionViews &views, const json::Value &event,
        const std::string &metric)
 {
     const std::string type = event.stringOr("type", "");
     const json::Value *fields = event.find("fields");
     if (fields == nullptr) {
-        return;
+        return true;
     }
-    const auto region =
-        static_cast<std::int64_t>(event.numberOr("region", 0.0));
+    const auto region = json::integerMember<std::int64_t>(event, "region");
+    if (!region) {
+        return false;
+    }
     if (type == "constellation.mission.config") {
-        views[region].chunk_s = fields->numberOr("chunk_s", 0.0);
-        return;
+        views[*region].chunk_s = fields->numberOr("chunk_s", 0.0);
+        return true;
     }
     if (type != "constellation.satellite.chunk") {
-        return;
+        return true;
     }
-    const auto sat =
-        static_cast<std::int64_t>(fields->numberOr("sat", -1.0));
-    const auto chunk =
-        static_cast<std::int64_t>(fields->numberOr("chunk", 0.0));
-    if (sat < 0) {
-        return;
+    const auto sat = json::integerMember<std::int64_t>(*fields, "sat", -1);
+    const auto chunk = json::integerMember<std::int64_t>(*fields, "chunk");
+    if (!sat || !chunk) {
+        return false;
     }
-    MissionView &view = views[region];
-    view.per_satellite[sat][chunk] = fields->numberOr(metric, 0.0);
-    view.frames_total[sat] += fields->numberOr("frames", 0.0);
+    if (*sat < 0) {
+        return true;
+    }
+    MissionView &view = views[*region];
+    view.per_satellite[*sat][*chunk] = fields->numberOr(metric, 0.0);
+    view.frames_total[*sat] += fields->numberOr("frames", 0.0);
     ++view.events_seen;
+    return true;
 }
 
 /** Latest state of one (rule, entity) alert from the health plane. */
@@ -195,37 +201,41 @@ struct AlertView
     }
 };
 
-/** Feed one parsed journal line into the alert view. */
-void
+/** Feed one parsed journal line into the alert view; false when an
+ *  integer field of the line is not an integer (see ingest). */
+bool
 ingestAlert(AlertView &view, const json::Value &event)
 {
     const std::string type = event.stringOr("type", "");
     const bool fire = type == "health.alert.fire";
     if (!fire && type != "health.alert.resolve") {
-        return;
+        return true;
     }
     const json::Value *fields = event.find("fields");
     if (fields == nullptr) {
-        return;
+        return true;
     }
     const std::string rule = fields->stringOr("rule", "");
     if (rule.empty()) {
-        return;
+        return true;
     }
     const auto entity =
-        static_cast<std::int64_t>(fields->numberOr("entity", -1.0));
-    const auto bin =
-        static_cast<std::int64_t>(fields->numberOr("bin", 0.0));
+        json::integerMember<std::int64_t>(*fields, "entity", -1);
+    const auto bin = json::integerMember<std::int64_t>(*fields, "bin");
+    if (!entity || !bin) {
+        return false;
+    }
     AlertRow &row =
-        view.rows[{rule, fields->stringOr("entity_kind", "?"), entity}];
+        view.rows[{rule, fields->stringOr("entity_kind", "?"), *entity}];
     if (fire) {
-        row.first_bin = row.fired == 0 ? bin : row.first_bin;
+        row.first_bin = row.fired == 0 ? *bin : row.first_bin;
         ++row.fired;
     }
     row.firing = fire;
-    row.last_bin = bin;
+    row.last_bin = *bin;
     row.value = fields->numberOr("value", 0.0);
     ++view.events_seen;
+    return true;
 }
 
 /** Alerts pane: firing alerts first, then resolved, each naming the
@@ -550,12 +560,11 @@ main(int argc, char **argv)
                 continue; // export header
             }
             json::Value event;
-            if (!json::parse(line, event, nullptr)) {
+            if (!json::parse(line, event, nullptr) ||
+                !ingest(views, event, metric) ||
+                !ingestAlert(alerts, event)) {
                 ++unparseable;
-                continue;
             }
-            ingest(views, event, metric);
-            ingestAlert(alerts, event);
         }
     };
 
